@@ -13,6 +13,12 @@ freedom nu = 2 a_k/(q-1) - dk = 2/(q-1) + 3d (independent of k) and a
 per-coordinate scale that is also k-independent, which is how sampling,
 moments and escort integrals are computed here.  For q = 1 everything
 degenerates to i.i.d. Gaussians.
+
+Every joint law (and its escort) has scale I_k (x) B for one d-by-d block
+B, so the library works on (dof, B) alone: log-determinants are k times
+the block's, and moments are read by index.  The dense dk-by-dk matrices
+are built only by the public views embed_joint, joint_t_params and
+escort_cov.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .errors import DomainError, InfeasibleError, NoSolutionError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "QGaussianParams",
@@ -53,7 +59,6 @@ __all__ = [
     "natural_params",
     "natural_to_location_scale",
     "psi_natural",
-    "full_statistics",
 ]
 
 
@@ -61,6 +66,8 @@ def _check_spd(S: np.ndarray, name: str = "S") -> np.ndarray:
     S = np.atleast_2d(np.asarray(S, dtype=float))
     if S.shape[0] != S.shape[1]:
         raise DomainError(f"{name} must be square")
+    if not np.all(np.isfinite(S)):
+        raise DomainError(f"{name} must be finite")
     if not np.allclose(S, S.T, rtol=0, atol=1e-12):
         raise DomainError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(S)) <= 0:
@@ -79,6 +86,8 @@ class QGaussianParams:
     variant: str = "full"  # full | identity | trace_d
 
     def __post_init__(self):
+        if not math.isfinite(self.q):
+            raise DomainError("q must be finite")
         if self.q < 1.0:
             raise DomainError("q must be at least 1")
         if self.d < 1:
@@ -86,6 +95,8 @@ class QGaussianParams:
         if self.d * (self.q - 1.0) >= 2.0:
             raise DomainError("need d(q-1) < 2")
         v = np.asarray(self.v, dtype=float).reshape(self.d)
+        if not np.all(np.isfinite(v)):
+            raise DomainError("v must be finite")
         S = _check_spd(self.S)
         if S.shape != (self.d, self.d):
             raise DomainError(f"S must be ({self.d}, {self.d})")
@@ -104,8 +115,8 @@ def lambda_q(q: float, d: int, S) -> float:
     S = _check_spd(S)
     if S.shape != (d, d):
         raise DomainError(f"S must be ({d}, {d})")
-    if q < 1.0 or d * (q - 1.0) >= 2.0:
-        raise DomainError("need q >= 1 and d(q-1) < 2")
+    if not math.isfinite(q) or q < 1.0 or d * (q - 1.0) >= 2.0:
+        raise DomainError("need finite q >= 1 and d(q-1) < 2")
     sign, logdet = np.linalg.slogdet(S / math.pi)
     if q == 1.0:
         return -0.5 * logdet
@@ -217,7 +228,8 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns (V, Sigma, lam) with rho = exp_{q_k}(-|x - V|^2_Sigma - lam),
     where Sigma = a_k beta_k (I_k (x) S) and lam = a_k nu_k, which equals
-    the closed-form normalizer of the embedded family.
+    the closed-form normalizer of the embedded family.  Sigma is a dense
+    O((kd)^2) view kept for callers; the library itself never builds it.
     """
     p = law.base
     V = np.tile(p.v, law.k)
@@ -225,22 +237,38 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
     return V, Sigma, law.a_k * law.nu_k
 
 
+def _joint_block(law: RepetitionLaw) -> tuple[float, np.ndarray]:
+    """(dof, B) of the joint t law, whose scale on R^{dk} is I_k (x) B.
+
+    For q > 1, B = (1 + (q-1) nu_k) / ((q-1) beta_k nu_dof) * S^{-1}, the
+    same for every k (that equality is the marginal-consistency property).
+    For q = 1, B is the Gaussian covariance block and dof is inf.
+    """
+    p = law.base
+    S_inv = np.linalg.inv(p.S)
+    if p.q == 1.0:
+        return math.inf, S_inv / (2.0 * law.beta_k)
+    c = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * law.nu_dof)
+    return law.nu_dof, c * S_inv
+
+
+def _entry(block: np.ndarray, k: int, a: int, b: int) -> float:
+    """Entry (a, b) of I_k (x) block, read without forming the matrix."""
+    d = block.shape[0]
+    if not (0 <= a < k * d and 0 <= b < k * d):
+        raise DomainError(f"coordinate index out of range 0..{k * d - 1}")
+    return float(block[a % d, b % d]) if a // d == b // d else 0.0
+
+
 def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
     """Student-t form (dof, location, scale) of the joint on R^{dk}.
 
-    For q > 1 the scale per coordinate block is
-    (1 + (q-1) nu_k) / ((q-1) beta_k nu_dof) * S^{-1}, the same for every
-    k (that equality is the marginal-consistency property).  For q = 1
-    the returned matrix is the Gaussian covariance and dof is inf.
+    The scale is I_k (x) B with the block B of _joint_block; for q = 1 it
+    is the Gaussian covariance and dof is inf.  The scale is a dense
+    O((kd)^2) view kept for callers; the library itself never builds it.
     """
-    p = law.base
-    mu = np.tile(p.v, law.k)
-    S_inv = np.linalg.inv(p.S)
-    if p.q == 1.0:
-        cov = np.kron(np.eye(law.k), S_inv / (2.0 * law.beta_k))
-        return math.inf, mu, cov
-    c = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * law.nu_dof)
-    return law.nu_dof, mu, c * np.kron(np.eye(law.k), S_inv)
+    dof, block = _joint_block(law)
+    return dof, np.tile(law.base.v, law.k), np.kron(np.eye(law.k), block)
 
 
 def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
@@ -255,13 +283,7 @@ def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = law.base
-    S_inv = np.linalg.inv(p.S)
-    if p.q == 1.0:
-        block = S_inv / (2.0 * law.beta_k)
-        dof = math.inf
-    else:
-        block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * law.nu_dof) * S_inv
-        dof = law.nu_dof
+    dof, block = _joint_block(law)
     A = np.linalg.cholesky(block)
     z = rng.standard_normal((n, law.k, p.d))
     draws = z @ A.T
@@ -276,29 +298,47 @@ def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _escort_t(law: RepetitionLaw):
-    """(mass, dof, scale) of the escort law rho^{q_k} / integral."""
+def _escort_block(law: RepetitionLaw) -> tuple[float, float, np.ndarray]:
+    """(mass, dof, B) of the escort law rho^{q_k} / mass, whose scale on
+    R^{dk} is I_k (x) B.
+
+    On the embedding Sigma = a_k beta_k (I_k (x) S), lam = a_k nu_k, the
+    escort is a t law with dof 2 q_k/(q_k-1) - dk, scale
+    (1 + (q_k-1) lam)/(dof (q_k-1)) Sigma^{-1}, and
+    logdet((q_k-1) Sigma/pi) = k logdet((q_k-1) a_k beta_k S/pi).
+    """
     p = law.base
-    V, Sigma, lam = embed_joint(law)
-    D = V.size
-    qp = law.q_k
     if p.q == 1.0:
-        _, _, cov = joint_t_params(law)
-        return 1.0, math.inf, cov
+        dof, block = _joint_block(law)
+        return 1.0, dof, block
+    D = p.d * law.k
+    qp = law.q_k
+    lam = law.a_k * law.nu_k
+    sig = law.a_k * law.beta_k
     s = qp / (qp - 1.0)
     if s - D / 2.0 <= 0:
         raise InfeasibleError("escort integral diverges")
-    _, logdet = np.linalg.slogdet((qp - 1.0) * Sigma / math.pi)
-    log_mass = (-s + D / 2.0) * math.log1p((qp - 1.0) * lam) - 0.5 * logdet \
+    _, logdet = np.linalg.slogdet((qp - 1.0) * sig * p.S / math.pi)
+    log_mass = (-s + D / 2.0) * math.log1p((qp - 1.0) * lam) - 0.5 * law.k * logdet \
         + gammaln(s - D / 2.0) - gammaln(s)
     nu_e = 2.0 * s - D
-    scale_e = (1.0 + (qp - 1.0) * lam) / (nu_e * (qp - 1.0)) * np.linalg.inv(Sigma)
-    return math.exp(log_mass), nu_e, scale_e
+    block = (1.0 + (qp - 1.0) * lam) / (nu_e * (qp - 1.0)) * np.linalg.inv(p.S) / sig
+    return math.exp(log_mass), nu_e, block
+
+
+def _escort_cov_block(law: RepetitionLaw) -> tuple[float, np.ndarray]:
+    """(mass, C) with the escort covariance I_k (x) C."""
+    mass, nu_e, block = _escort_block(law)
+    if math.isinf(nu_e):
+        return mass, block
+    if nu_e <= 2.0:
+        raise InfeasibleError("escort law lacks second moments")
+    return mass, block * nu_e / (nu_e - 2.0)
 
 
 def escort_mass(law: RepetitionLaw) -> float:
     """Integral of rho^{q_k}; independent of v and of the scale of S."""
-    return _escort_t(law)[0]
+    return _escort_block(law)[0]
 
 
 def escort_mean(law: RepetitionLaw) -> np.ndarray:
@@ -306,13 +346,12 @@ def escort_mean(law: RepetitionLaw) -> np.ndarray:
 
 
 def escort_cov(law: RepetitionLaw) -> np.ndarray:
-    """Covariance of the normalized escort law on R^{dk}."""
-    mass, nu_e, scale_e = _escort_t(law)
-    if math.isinf(nu_e):
-        return scale_e
-    if nu_e <= 2.0:
-        raise InfeasibleError("escort law lacks second moments")
-    return scale_e * nu_e / (nu_e - 2.0)
+    """Covariance of the normalized escort law on R^{dk}.
+
+    A dense O((kd)^2) view kept for callers; the library itself never
+    builds it.
+    """
+    return np.kron(np.eye(law.k), _escort_cov_block(law)[1])
 
 
 def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
@@ -321,7 +360,7 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
     idx=None gives the escort mass, (a,) the first moment of flat
     coordinate a, and (a, b) the second moment; all unnormalized.
     """
-    mass = escort_mass(law)
+    mass, C = _escort_cov_block(law)
     if idx is None:
         return mass
     V = escort_mean(law)
@@ -329,8 +368,7 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
         return mass * float(V[idx[0]])
     if len(idx) == 2:
         a, b = idx
-        C = escort_cov(law)
-        return mass * float(V[a] * V[b] + C[a, b])
+        return mass * float(V[a] * V[b] + _entry(C, law.k, a, b))
     raise DomainError("idx must be None, (a,) or (a, b)")
 
 
@@ -339,31 +377,31 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _second_scale(law: RepetitionLaw) -> tuple[float, np.ndarray]:
-    dof, _, scale = joint_t_params(law)
-    return dof, scale
-
-
 def central_second(law: RepetitionLaw, a: int, b: int) -> float:
-    """E[Y_a Y_b] for the centered joint coordinates."""
-    dof, scale = _second_scale(law)
+    """E[Y_a Y_b] for the centered joint coordinates; exactly 0.0 across
+    repetitions."""
+    dof, block = _joint_block(law)
+    s_ab = _entry(block, law.k, a, b)
     if math.isinf(dof):
-        return float(scale[a, b])
+        return s_ab
     if dof <= 2:
         raise InfeasibleError("second moments diverge")
-    return float(scale[a, b] * dof / (dof - 2.0))
+    return s_ab * dof / (dof - 2.0)
 
 
 def central_fourth(law: RepetitionLaw, a: int, b: int, c: int, d: int) -> float:
     """E[Y_a Y_b Y_c Y_d]; elliptical-t closed form (Isserlis at q = 1)."""
-    dof, scale = _second_scale(law)
-    pairs = (scale[a, b] * scale[c, d] + scale[a, c] * scale[b, d]
-             + scale[a, d] * scale[b, c])
+    dof, block = _joint_block(law)
+
+    def s(i, j):
+        return _entry(block, law.k, i, j)
+
+    pairs = s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c)
     if math.isinf(dof):
-        return float(pairs)
+        return pairs
     if dof <= 4:
         raise InfeasibleError("fourth moments diverge")
-    return float(pairs * dof * dof / ((dof - 2.0) * (dof - 4.0)))
+    return pairs * dof * dof / ((dof - 2.0) * (dof - 4.0))
 
 
 @dataclass(frozen=True)
@@ -459,21 +497,24 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     xs = np.asarray(xs, dtype=float).reshape(-1, k) if np.asarray(xs).ndim > 1 \
         else np.asarray(xs, dtype=float).reshape(-1, 1) * np.ones((1, k))
 
+    # quad and dblquad call the integrand one point at a time, where the
+    # array overhead of joint_density would dominate; rho is the same
+    # closed form in scalar arithmetic, of r2 = sum_m (x_m - v)^2 (d = 1)
+    q, a_k, nu_k = pb.q, law_big.a_k, law_big.nu_k
+    b_s = law_big.beta_k * float(pb.S[0, 0])
+
+    def rho(r2):
+        u = -b_s * r2 - nu_k
+        return math.exp(a_k * u) if q == 1.0 else (1.0 + (1.0 - q) * u) ** (a_k / (1.0 - q))
+
     defects = np.empty(xs.shape[0])
     for r, xrow in enumerate(xs):
+        r0 = float(np.sum((xrow - v0) ** 2))
         if kp == 1:
-            def f1(y):
-                pt = np.concatenate([xrow, [y]]).reshape(k + 1, 1)
-                return joint_density(law_big, pt)
-
-            val = _tan_quad(f1, v0, epsabs)
+            val = _tan_quad(lambda y: rho(r0 + (y - v0) ** 2), v0, epsabs)
         else:
-            def f2(y1, y2):
-                pt = np.concatenate([xrow, [y1, y2]]).reshape(k + 2, 1)
-                return joint_density(law_big, pt)
-
             val, _ = integrate.dblquad(
-                lambda u1, u2: f2(v0 + math.tan(u1), v0 + math.tan(u2))
+                lambda u1, u2: rho(r0 + math.tan(u1) ** 2 + math.tan(u2) ** 2)
                 / math.cos(u1) ** 2 / math.cos(u2) ** 2,
                 -math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2,
                 epsabs=epsabs)
@@ -520,13 +561,6 @@ def psi_natural(qp: float, theta, D: int) -> float:
     return float(V @ Sigma @ V) + lambda_q(qp, D, Sigma)
 
 
-def full_statistics(x_flat) -> np.ndarray:
-    """Statistics dual to natural_params: x_a, then x_a x_b for a <= b."""
-    x = np.asarray(x_flat, dtype=float).ravel()
-    iu = np.triu_indices(x.size)
-    return np.concatenate([x, x[iu[0]] * x[iu[1]]])
-
-
 # ---------------------------------------------------------------------------
 # maximum likelihood on the embedded family
 # ---------------------------------------------------------------------------
@@ -541,46 +575,17 @@ class MLEResult:
     converged: bool
 
 
-def _ascend_mean(x: np.ndarray, S: np.ndarray, tol: float = 1e-8,
-                 max_iter: int = 500) -> tuple[np.ndarray, int]:
-    # maximize -sum_m |x_m - v|^2_S by gradient ascent with backtracking
-    k = x.shape[0]
-    v = np.zeros(x.shape[1])
-
-    def obj(vv):
-        dx = x - vv
-        return -float(np.einsum("mi,ij,mj->", dx, S, dx))
-
-    lip = 2.0 * k * float(np.max(np.linalg.eigvalsh(S)))
-    step0 = 1.0 / lip
-    scale = max(1.0, float(np.max(np.abs(x))))
-    for it in range(max_iter):
-        grad = 2.0 * S @ (x - v).sum(axis=0)
-        if np.max(np.abs(grad)) <= tol * scale:
-            return v, it
-        alpha, f0 = step0 * 4.0, obj(v)
-        while alpha > 1e-12:
-            if obj(v + alpha * grad) > f0 + 1e-4 * alpha * float(grad @ grad):
-                v = v + alpha * grad
-                break
-            alpha *= 0.5
-        else:
-            break
-    raise NoSolutionError("mean ascent did not converge", best={"v": v})
-
-
 def _slice_tangents(q: float, d: int, k: int, v: np.ndarray, S: np.ndarray,
                     family: str, step: float = 1e-6) -> list[np.ndarray]:
-    """Tangent directions of the fitted family inside the ambient
-    per-block statistic space (linear parts then quadratic parts i <= j)."""
+    """Tangent directions of the fitted family in one block of the ambient
+    statistic space (linear parts then quadratic parts i <= j).  The full
+    tangent repeats this block k times, once per repetition."""
 
     def theta_of(vv, SS):
         a_k, _, beta_k, _ = _constants(q, d, k, SS)
         Sig = a_k * beta_k * SS
-        lin = np.tile(2.0 * Sig @ vv, k)
         iu = np.triu_indices(d)
-        quad = np.tile(-(2.0 - (iu[0] == iu[1])) * Sig[iu], k)
-        return np.concatenate([lin, quad])
+        return np.concatenate([2.0 * Sig @ vv, -(2.0 - (iu[0] == iu[1])) * Sig[iu]])
 
     tangents = []
     for l in range(d):
@@ -609,30 +614,20 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, family: str) -> floa
     At the maximizer the escort statistic integrals match the data
     statistics times the escort mass along every direction the family
     can move; the returned defect is the largest violation over a
-    unit-norm tangent basis.
+    unit-norm tangent basis.  Every tangent repeats one block u_b in each
+    of the k repetitions, so u . r = u_b . (sum over m of the block
+    residuals) and |u| = sqrt(k) |u_b|: only Sum_m x_m and X^T X are needed.
     """
     p = law.base
     d, k = p.d, law.k
-    mass = escort_mass(law)
-    V = escort_mean(law)
-    C = escort_cov(law)
+    mass, C = _escort_cov_block(law)
     iu = np.triu_indices(d)
-
-    resid = []
-    for m in range(k):
-        sl = slice(m * d, (m + 1) * d)
-        resid.append(mass * V[sl] - mass * x[m])
-    for m in range(k):
-        sl = slice(m * d, (m + 1) * d)
-        Vm = V[sl]
-        second = np.outer(Vm, Vm) + C[sl, sl]
-        data = np.outer(x[m], x[m])
-        resid.append(mass * second[iu] - mass * data[iu])
-    r = np.concatenate(resid)
+    second = np.outer(p.v, p.v) + C
+    r = mass * np.concatenate([k * p.v - x.sum(axis=0), (k * second - x.T @ x)[iu]])
 
     defect = 0.0
     for u in _slice_tangents(p.q, d, k, p.v, p.S, family):
-        nrm = float(np.linalg.norm(u))
+        nrm = float(np.linalg.norm(u)) * math.sqrt(k)
         if nrm > 0:
             defect = max(defect, abs(float(u @ r)) / nrm)
     return defect
@@ -643,12 +638,13 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
 
     family "identity_mean_only" fits the center v with S = I_d; "full"
     also fits S up to the trace normalization tr S = d (the joints only
-    see S up to scale).  The center is found by gradient ascent on the
-    strictly concave objective; for "full" the scale is the closed-form
-    stationary point S proportional to the inverse scatter matrix, which
-    requires the scatter of the data around the fitted mean to be
-    nonsingular.  The reported defect is the tangent-projected
-    escort-moment residual, zero at a true maximizer.
+    see S up to scale).  The objective is strictly concave in v with
+    maximizer the sample mean, taken in closed form; for "full" the scale
+    is the closed-form stationary point S proportional to the inverse
+    scatter matrix, which requires the scatter of the data around the
+    mean to be nonsingular.  The reported defect is the tangent-projected
+    escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3);
+    iterations is always 0.
     """
     x = np.asarray(x, dtype=float).reshape(k, d)
     if not np.all(np.isfinite(x)):
@@ -656,23 +652,17 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     if family not in ("identity_mean_only", "full"):
         raise DomainError(f"unknown family {family!r}")
 
+    v = x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
         S = np.eye(d)
-        v, iters = _ascend_mean(x, S)
-        fam = "identity_mean_only" if family == "identity_mean_only" else "full"
-        params = QGaussianParams(q, d, v, S, "identity")
-        law = repetition(params, k)
-        defect = _stationarity_defect(law, x, fam)
-        return MLEResult(v, S, defect, iters, True)
+        law = repetition(QGaussianParams(q, d, v, S, "identity"), k)
+        return MLEResult(v, S, _stationarity_defect(law, x, family), 0, True)
 
-    v, iters = _ascend_mean(x, np.eye(d))
     centered = x - v
     M = centered.T @ centered
     if np.min(np.linalg.eigvalsh(M)) <= 1e-12 * max(1.0, float(np.max(np.abs(M)))):
         raise InfeasibleError("scatter matrix is singular; full-family fit undetermined")
     S = np.linalg.inv(M)
     S *= d / np.trace(S)
-    params = QGaussianParams(q, d, v, S, "trace_d")
-    law = repetition(params, k)
-    defect = _stationarity_defect(law, x, "full")
-    return MLEResult(v, S, defect, iters, True)
+    law = repetition(QGaussianParams(q, d, v, S, "trace_d"), k)
+    return MLEResult(v, S, _stationarity_defect(law, x, "full"), 0, True)

@@ -311,6 +311,12 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+def test_non_finite_q_exits_2(capsys):
+    code = cli.main(["qgauss", "density", "--q", "nan", "--d", "1", "--x", "0.3"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_csv_format_flag(capsys):
     code, out = run(capsys, "qgauss", "marginal-check", "--q", "1.2", "--d", "1",
                     "--k", "1", "--kprime", "1", "--grid", "0.0,0.5",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,23 @@ def test_s_must_be_spd():
         qg.QGaussianParams(1.2, 2, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_non_finite_q_rejected(q):
+    with pytest.raises(DomainError):
+        qg.QGaussianParams(q, 1, [0.0], [[1.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_v_rejected(bad):
+    with pytest.raises(DomainError):
+        qg.QGaussianParams(1.2, 2, [0.0, bad], np.eye(2))
+
+
+def test_non_finite_s_rejected():
+    with pytest.raises(DomainError):
+        qg.QGaussianParams(1.2, 1, [0.0], [[math.inf]])
+
+
 # ---------------------------------------------------------------------------
 # lambda_q
 # ---------------------------------------------------------------------------
@@ -80,6 +98,11 @@ def test_lambda_domain_errors():
         qg.lambda_q(3.5, 1, [[1.0]])
     with pytest.raises(DomainError):
         qg.lambda_q(0.5, 1, [[1.0]])
+
+
+def test_lambda_non_finite_q_rejected():
+    with pytest.raises(DomainError):
+        qg.lambda_q(math.nan, 1, [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +293,23 @@ def test_sampler_deterministic():
     assert np.array_equal(a, b)
 
 
+# SHA-256 of sample_joint(repetition(p, 7), 5, seed=3).tobytes(), recorded
+# before the joint law was stored in block form; seeded draws must not change
+SAMPLE_HASHES = [
+    ((1.5, 1, [0.3], [[1.2]]),
+     "61084d834ebaf5f09ef0d71d7e52fd6b5ca70755c933d098659bb96b3d1b357e"),
+    ((1.3, 2, [0.1, -0.4], [[1.2, 0.3], [0.3, 0.8]]),
+     "b2f9a31d76f49cf0b46a1990b90a17ae2a062e70aa2f25ffb63cdc54cdccc0f0"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SAMPLE_HASHES)
+def test_sampler_bit_identical(args, digest):
+    l = qg.repetition(qg.QGaussianParams(*args), 7)
+    draws = qg.sample_joint(l, 5, seed=3)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+
 def test_sampler_ks_against_quadrature_cdf():
     l = law(1.5, d=1, k=1)
     n = 100_000
@@ -395,6 +435,85 @@ def test_gaussian_moments_q1():
 
 
 # ---------------------------------------------------------------------------
+# block algebra against a dense Kronecker oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_oracle(l):
+    """Joint and escort t laws built densely on R^{dk} from the embedded
+    density exp_{q_k}(-|x - V|^2_Sigma - lam), Sigma = a_k beta_k (I_k (x) S).
+
+    For q_k > 1, rho^p is proportional to (1 + (q_k-1) Q / t)^(-p/(q_k-1))
+    with t = 1 + (q_k-1) lam: a t law with dof 2p/(q_k-1) - D and scale
+    t/(dof (q_k-1)) Sigma^{-1} (p = 1 joint, p = q_k escort).  For q = 1
+    both are Gaussian with covariance Sigma^{-1}/2.
+    """
+    p = l.base
+    D = p.d * l.k
+    Sigma = l.a_k * l.beta_k * np.kron(np.eye(l.k), p.S)
+    Sigma_inv = np.linalg.inv(Sigma)
+    if p.q == 1.0:
+        cov = Sigma_inv / 2.0
+        return {"dof": math.inf, "scale": cov, "mass": 1.0, "escort_cov": cov}
+    qp, lam = l.q_k, l.a_k * l.nu_k
+    t = 1.0 + (qp - 1.0) * lam
+    dof = 2.0 / (qp - 1.0) - D
+    s = qp / (qp - 1.0)
+    dof_e = 2.0 * s - D
+    _, logdet = np.linalg.slogdet((qp - 1.0) * Sigma / math.pi)
+    log_mass = (D / 2.0 - s) * math.log(t) - 0.5 * logdet \
+        + math.lgamma(s - D / 2.0) - math.lgamma(s)
+    scale_e = t / (dof_e * (qp - 1.0)) * Sigma_inv
+    return {"dof": dof, "scale": t / (dof * (qp - 1.0)) * Sigma_inv,
+            "mass": math.exp(log_mass), "escort_cov": scale_e * dof_e / (dof_e - 2.0)}
+
+
+def dense_fourth(W, dof, a, b, c, d):
+    pairs = W[a, b] * W[c, d] + W[a, c] * W[b, d] + W[a, d] * W[b, c]
+    return pairs if math.isinf(dof) else pairs * dof * dof / ((dof - 2.0) * (dof - 4.0))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.2, 1.5])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_block_algebra_matches_dense_oracle(q, d, k):
+    rng = np.random.default_rng(100 * d + k)
+    A = rng.normal(size=(d, d))
+    S = A @ A.T + 0.5 * np.eye(d)
+    l = qg.repetition(qg.QGaussianParams(q, d, rng.normal(size=d), S), k)
+    ref = dense_oracle(l)
+    D = d * k
+
+    assert qg.escort_mass(l) == pytest.approx(ref["mass"], rel=1e-12)
+    np.testing.assert_allclose(qg.escort_cov(l), ref["escort_cov"], rtol=1e-12, atol=0)
+    dof, mu, scale = qg.joint_t_params(l)
+    assert dof == pytest.approx(ref["dof"], rel=1e-12)
+    np.testing.assert_array_equal(mu, np.tile(l.base.v, k))
+    np.testing.assert_allclose(scale, ref["scale"], rtol=1e-12, atol=0)
+
+    W = ref["scale"] if math.isinf(dof) else ref["scale"] * ref["dof"] / (ref["dof"] - 2.0)
+    for a in range(D):
+        for b in range(D):
+            got = qg.central_second(l, a, b)
+            if a // d != b // d:
+                assert got == 0.0
+            assert got == pytest.approx(W[a, b], rel=1e-12)
+    quads = [tuple(rng.integers(0, D, size=4)) for _ in range(200)]
+    quads += [(0, 0, 0, 0), (0, 0, D - 1, D - 1), (0, D - 1, 0, D - 1)]
+    for a, b, c, e in quads:
+        assert qg.central_fourth(l, a, b, c, e) == pytest.approx(
+            dense_fourth(ref["scale"], ref["dof"], a, b, c, e), rel=1e-12)
+
+
+def test_moment_index_out_of_range():
+    l = law(1.5, d=2, k=3)
+    with pytest.raises(DomainError):
+        qg.central_second(l, 0, 6)
+    with pytest.raises(DomainError):
+        qg.central_fourth(l, -1, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
 # natural coordinates
 # ---------------------------------------------------------------------------
 
@@ -503,3 +622,16 @@ def test_mle_likelihood_is_maximized_at_fit():
     best = loglik(res.v[0])
     for dv in (-0.05, -0.01, 0.01, 0.05):
         assert loglik(res.v[0] + dv) < best
+
+
+@pytest.mark.parametrize("family", ["identity_mean_only", "full"])
+def test_mle_scale_k_1e5(family):
+    # a dense dk x dk matrix here would need ~320 GB, so any dense path
+    # fails at once instead of slowly
+    k = 100_000
+    rng = np.random.default_rng(12)
+    x = np.array([0.4, -1.1]) + rng.standard_t(7, size=(k, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]])
+    res = qg.mle(1.3, 2, k, x, family)
+    assert res.v == pytest.approx(x.mean(axis=0), abs=1e-10)
+    assert res.defect <= 1e-6
+    assert res.iterations == 0
