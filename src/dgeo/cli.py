@@ -410,18 +410,12 @@ def validate_spec(path: str) -> list[str]:
                 problems.append(f"missing field '{key}'")
         if problems:
             return problems
+        # the gauge constructor checks tau' > 0 and h'' > 0 on I
         try:
-            spec = dc.spec_from_json(obj)
+            dc.spec_from_json(obj)
         except DomainError as exc:
             return [str(exc)]
-        grid = np.geomspace(0.1, 5.0, 32)
-        grid = grid[(grid > spec.gauge.I.lo) & (grid < spec.gauge.I.hi)]
-        if not np.all(np.asarray(spec.gauge.tau.d1(grid)) > 0):
-            problems.append("tau' is not positive on the sampled grid")
-        tg = spec.gauge.tau.value(grid)
-        if not np.all(np.asarray(spec.gauge.h.d2(tg)) > 0):
-            problems.append("h'' is not positive on the sampled grid")
-        return problems
+        return []
     if "q" in obj:
         try:
             if "v" in obj:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # noqa: F401  (unused; perfbench/tracer.py patches it)
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
-from .gauge import GaugeTriple, derived, d_htau, exp_htau, gauge_from_json, gauge_to_json
+from .gauge import (GaugeTriple, _rtsafe, derived, d_htau, exp_htau, gauge_from_json,
+                    gauge_to_json)
 
 __all__ = [
     "DiscreteBase",
@@ -112,13 +113,21 @@ class DiscreteFamilySpec:
         return self.T.shape[0]
 
 
+def _in_box(spec: DiscreteFamilySpec, th: np.ndarray) -> np.ndarray:
+    """Whether each row of th (shape (..., n)) lies in theta_box."""
+    if spec.theta_box is None:
+        return np.ones(th.shape[:-1], dtype=bool)
+    return np.all((th >= spec.theta_box[:, 0]) & (th <= spec.theta_box[:, 1]), axis=-1)
+
+
 def _theta_vec(spec: DiscreteFamilySpec, theta) -> np.ndarray:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape != (spec.dim,):
         raise DomainError(f"theta must have length {spec.dim}")
-    if spec.theta_box is not None:
-        if np.any(th < spec.theta_box[:, 0]) or np.any(th > spec.theta_box[:, 1]):
-            raise DomainError("theta outside theta_box")
+    if not np.all(np.isfinite(th)):
+        raise DomainError("theta must be finite")
+    if not _in_box(spec, th):
+        raise DomainError("theta outside theta_box")
     return th
 
 
@@ -139,66 +148,60 @@ def density_vector(spec: DiscreteFamilySpec, values, tol: float = 1e-10) -> np.n
 # ---------------------------------------------------------------------------
 
 
+_NO_MEMBER = "no member at this theta: the mass cannot reach one with every density value inside I"
+
+
+def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
+               psi0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi (B,), densities (B, |X|) and a has-a-member flag for each row of thetas.
+
+    -log mass is increasing in psi with slope sum mu chi(p) / mass.  With
+    u = <theta, T> - c and e = ell(1 / sum(mu)), every p is >= (<=)
+    1 / sum(mu) at psi = min u - e (max u - e), which brackets the root.
+    Rows start from psi0 or from the mu-mean of u minus e.
+    """
+    g = spec.gauge
+    w = spec.base.weights
+    U = np.atleast_2d(thetas) @ spec.T - spec.c
+    if not g.I.contains(1.0 / w.sum()):   # the mass lies between sum(mu)*lo and sum(mu)*hi
+        return np.full(len(U), np.nan), np.full(U.shape, np.nan), np.zeros(len(U), dtype=bool)
+    d = derived(g)
+    c = float(d.ell.value(1.0 / w.sum()))
+    lo_e, hi_e = g.ell_range
+    a = np.maximum(U.min(axis=1) - c, U.max(axis=1) - hi_e)
+    b = np.minimum(U.max(axis=1) - c, U.min(axis=1) - lo_e)
+
+    def evaluate(x, live):
+        P = np.asarray(exp_htau(g, U[live] - x[:, None]), dtype=float)
+        mass = P @ w
+        return -np.log(mass), (np.asarray(d.chi.value(P), dtype=float) @ w) / mass
+
+    x0 = U @ w / w.sum() - c if psi0 is None else np.broadcast_to(psi0, a.shape)
+    psi = _rtsafe(evaluate, x0, a, b)
+    with np.errstate(all="ignore"):
+        P = np.asarray(exp_htau(g, U - psi[:, None]), dtype=float)
+    ok = np.all(np.isfinite(P) & (P > g.I.lo) & (P < g.I.hi), axis=1) \
+        & (np.abs(P @ w - 1.0) <= 1e-12)
+    return psi, P, ok
+
+
+def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, psi0=None) -> tuple[float, np.ndarray]:
+    psi, P, ok = _solve_psi(spec, th[None], psi0)
+    if not ok[0]:
+        raise InfeasibleError(_NO_MEMBER)
+    return float(psi[0]), P[0]
+
+
 def normalize(spec: DiscreteFamilySpec, theta) -> tuple[float, np.ndarray]:
     """The normalizer psi and density for a natural parameter.
 
     psi is the unique root of sum_x exp_g(<theta,T(x)> - c(x) - psi) mu(x) = 1,
-    found by bracketing (the mass is strictly decreasing in psi) plus a
-    Newton polish.  If the mass cannot reach one with every density value
+    found by safeguarded Newton-bisection (the mass is strictly decreasing
+    in psi).  If the mass cannot reach one with every density value
     strictly inside I, the family has no member at this theta and an
     InfeasibleError is raised.
     """
-    th = _theta_vec(spec, theta)
-    g = spec.gauge
-    w = spec.base.weights
-    u = spec.T.T @ th - spec.c
-    lo_e, hi_e = g.ell_range
-
-    def mass(psi: float) -> float:
-        vals = np.asarray(exp_htau(g, u - psi), dtype=float)
-        if np.any(np.isinf(vals)):
-            return 1e300
-        return float(w @ vals)
-
-    psi_min = (np.max(u) - hi_e) if math.isfinite(hi_e) else -math.inf
-    psi_max = (np.min(u) - lo_e) if math.isfinite(lo_e) else math.inf
-
-    span = max(1.0, float(np.ptp(u)))
-    a = psi_min + span if math.isfinite(psi_min) else float(np.max(u))
-    for j in range(80):
-        if mass(a) > 1.0:
-            break
-        a = psi_min + (a - psi_min) / 2.0 if math.isfinite(psi_min) else a - span * 2 ** j
-    else:
-        raise InfeasibleError("mass stays below one for every admissible psi")
-    b = psi_max - span if math.isfinite(psi_max) else float(np.max(u)) + span
-    if b <= a:
-        b = a + span
-    for j in range(80):
-        if mass(b) < 1.0:
-            break
-        b = psi_max - (psi_max - b) / 2.0 if math.isfinite(psi_max) else b + span * 2 ** j
-    else:
-        raise InfeasibleError("mass stays above one for every admissible psi")
-
-    psi = optimize.brentq(lambda x: mass(x) - 1.0, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-
-    chi = derived(g).chi
-    for _ in range(2):
-        p = np.asarray(exp_htau(g, u - psi), dtype=float)
-        if not np.all(np.isfinite(p)):
-            break
-        slope = -float(w @ chi.value(p))
-        if slope == 0 or not math.isfinite(slope):
-            break
-        psi = psi - (float(w @ p) - 1.0) / slope
-
-    p = np.asarray(exp_htau(g, u - psi), dtype=float)
-    if not np.all(np.isfinite(p)) or np.any(p <= g.I.lo) or np.any(p >= g.I.hi):
-        raise InfeasibleError("normalized density leaves the open interval I")
-    if abs(float(w @ p) - 1.0) > 1e-12:
-        raise InfeasibleError("normalizer did not converge to mass one")
-    return float(psi), p
+    return _solve_one(spec, _theta_vec(spec, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +227,67 @@ def entropy(spec: DiscreteFamilySpec, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def psi_gradient(spec: DiscreteFamilySpec, theta) -> np.ndarray:
-    """Gradient of psi: escort-reweighted statistic means."""
-    _, p = normalize(spec, theta)
-    w = spec.base.weights
-    chi = np.asarray(derived(spec.gauge).chi.value(p), dtype=float)
-    return (spec.T @ (w * chi)) / float(w @ chi)
+@dataclass(frozen=True)
+class Member:
+    """A member p_theta with chi, chi' and tau' at p, the escort mean grad of T
+    (the gradient of psi) and resid = T - grad."""
+
+    spec: DiscreteFamilySpec
+    theta: np.ndarray
+    psi: float
+    p: np.ndarray
+    chi: np.ndarray
+    chi1: np.ndarray
+    taup: np.ndarray
+    grad: np.ndarray
+    resid: np.ndarray
+
+    def psi_hessian(self) -> np.ndarray:
+        w = self.spec.base.weights
+        return (self.resid * (w * self.chi * self.chi1)) @ self.resid.T / float(w @ self.chi)
+
+    def metric(self) -> np.ndarray:
+        return (self.resid * (self.spec.base.weights * self.taup * self.chi)) @ self.resid.T
+
+    def potential(self) -> float:
+        return float(_potential(self.spec, self.psi, self.p))
+
+    def connection(self) -> np.ndarray:
+        d_itau = self.resid @ (self.spec.base.weights * self.taup * self.chi)
+        return np.einsum("ij,k->ijk", -self.psi_hessian(), d_itau)
+
+    def warm_psi(self, thetas: np.ndarray):  # first-order psi at nearby thetas
+        return self.psi + (thetas - self.theta) @ self.grad
 
 
-def psi_hessian(spec: DiscreteFamilySpec, theta) -> np.ndarray:
-    _, p = normalize(spec, theta)
+def _member(spec: DiscreteFamilySpec, theta, psi0=None) -> Member:
+    th = _theta_vec(spec, theta)
+    psi, p = _solve_one(spec, th, psi0)
     d = derived(spec.gauge)
     w = spec.base.weights
     chi = np.asarray(d.chi.value(p), dtype=float)
-    chi1 = np.asarray(d.chi.d1(p), dtype=float)
     grad = (spec.T @ (w * chi)) / float(w @ chi)
-    resid = spec.T - grad[:, None]
-    return (resid * (w * chi * chi1)) @ resid.T / float(w @ chi)
+    return Member(spec, th, psi, p, chi, np.asarray(d.chi.d1(p), dtype=float),
+                  np.asarray(spec.gauge.tau.d1(p), dtype=float), grad, spec.T - grad[:, None])
+
+
+def psi_gradient(spec: DiscreteFamilySpec, theta) -> np.ndarray:
+    """Gradient of psi: escort-reweighted statistic means."""
+    return _member(spec, theta).grad
+
+
+def psi_hessian(spec: DiscreteFamilySpec, theta) -> np.ndarray:
+    return _member(spec, theta).psi_hessian()
 
 
 def metric(spec: DiscreteFamilySpec, theta) -> np.ndarray:
     """Metric in theta coordinates induced by the divergence."""
-    _, p = normalize(spec, theta)
-    d = derived(spec.gauge)
-    w = spec.base.weights
-    chi = np.asarray(d.chi.value(p), dtype=float)
-    taup = np.asarray(spec.gauge.tau.d1(p), dtype=float)
-    grad = (spec.T @ (w * chi)) / float(w @ chi)
-    resid = spec.T - grad[:, None]
-    return (resid * (w * taup * chi)) @ resid.T
+    return _member(spec, theta).metric()
 
 
 def connection_raw(spec: DiscreteFamilySpec, theta) -> np.ndarray:
     """g(nabla_i partial_j, partial_k) = -hess(psi)_ij * d_k(tau-mass)."""
-    _, p = normalize(spec, theta)
-    d = derived(spec.gauge)
-    w = spec.base.weights
-    chi = np.asarray(d.chi.value(p), dtype=float)
-    chi1 = np.asarray(d.chi.d1(p), dtype=float)
-    taup = np.asarray(spec.gauge.tau.d1(p), dtype=float)
-    grad = (spec.T @ (w * chi)) / float(w @ chi)
-    resid = spec.T - grad[:, None]
-    hess = (resid * (w * chi * chi1)) @ resid.T / float(w @ chi)
-    d_itau = resid @ (w * taup * chi)
-    return np.einsum("ij,k->ijk", -hess, d_itau)
+    return _member(spec, theta).connection()
 
 
 # ---------------------------------------------------------------------------
@@ -304,63 +324,54 @@ class GeometryReport:
         }
 
 
-def _itau(spec: DiscreteFamilySpec, theta) -> float:
-    _, p = normalize(spec, theta)
-    return float(spec.base.weights @ np.asarray(spec.gauge.tau.value(p), dtype=float))
+def _tau_mass(spec: DiscreteFamilySpec, P: np.ndarray):
+    return np.asarray(spec.gauge.tau.value(P), dtype=float) @ spec.base.weights
 
 
-def _potential(spec: DiscreteFamilySpec, theta) -> float:
-    psi, p = normalize(spec, theta)
-    d = derived(spec.gauge)
-    w = spec.base.weights
-    s_star = np.asarray(d.s_star.value(p), dtype=float)
-    tau = np.asarray(spec.gauge.tau.value(p), dtype=float)
-    return float(-(w @ s_star) + psi * (w @ tau))
+def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
+    """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows."""
+    s_star = np.asarray(derived(spec.gauge).s_star.value(P), dtype=float)
+    return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
 
 
-def _potential_gradient(spec: DiscreteFamilySpec, theta) -> np.ndarray:
-    # valid when the tau-mass is constant on the family
-    _, p = normalize(spec, theta)
-    tau = np.asarray(spec.gauge.tau.value(p), dtype=float)
-    return spec.T @ (spec.base.weights * tau)
-
-
-def _itau_spread(spec: DiscreteFamilySpec, theta, step: float = 0.01) -> float:
-    th = _theta_vec(spec, theta)
-    vals = [_itau(spec, th)]
-    for i in range(spec.dim):
-        for sgn in (-1.0, 1.0):
-            probe = th.copy()
-            probe[i] += sgn * step * max(1.0, abs(th[i]))
-            try:
-                vals.append(_itau(spec, probe))
-            except (InfeasibleError, DomainError):
-                continue
+def _itau_spread(spec: DiscreteFamilySpec, m: Member, step: float = 0.01) -> float:
+    """Range of the tau-mass over m and the 2n probes around it that have a member."""
+    th = m.theta
+    probes = th + np.vstack([-np.eye(th.size), np.eye(th.size)]) \
+        * (step * np.maximum(1.0, np.abs(th)))
+    probes = probes[_in_box(spec, probes)]
+    _, P, ok = _solve_psi(spec, probes, m.warm_psi(probes))
+    vals = np.append(_tau_mass(spec, P[ok]), _tau_mass(spec, m.p))
     return float(np.max(vals) - np.min(vals))
 
 
-def _fd_hessian(f, th: np.ndarray, base_step: float = 1e-4) -> np.ndarray:
-    n = th.size
-    steps = base_step * np.maximum(1.0, np.abs(th))
+def _fd_hessian(m: Member, base_step: float = 1e-4) -> np.ndarray:
+    """Richardson-extrapolated central-difference Hessian of the potential,
+    with the stencils of both step sizes normalized in one batch."""
+    th, n = m.theta, m.theta.size
+    E = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    offsets = np.array([s * E[i] for i in range(n) for s in (1.0, -1.0)]
+                       + [si * E[i] + sj * E[j] for i, j in pairs
+                          for si in (1.0, -1.0) for sj in (1.0, -1.0)])
+    h = base_step * np.maximum(1.0, np.abs(th))
+    pts = th + np.concatenate([offsets * h, offsets * (h / 2.0)])
+    if not np.all(_in_box(m.spec, pts)):
+        raise DomainError("theta outside theta_box")
+    psi, P, ok = _solve_psi(m.spec, pts, m.warm_psi(pts))
+    if not np.all(ok):
+        raise InfeasibleError(_NO_MEMBER)
+    f0 = m.potential()
 
-    def hess_at(hvec):
-        H = np.empty((n, n))
-        f0 = f(th)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = hvec[i]
-            H[i, i] = (f(th + ei) - 2 * f0 + f(th - ei)) / hvec[i] ** 2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = hvec[j]
-                H[i, j] = H[j, i] = (
-                    f(th + ei + ej) - f(th + ei - ej) - f(th - ei + ej) + f(th - ei - ej)
-                ) / (4 * hvec[i] * hvec[j])
+    def hess_at(f, h):
+        H = np.diag((f[0:2 * n:2] - 2 * f0 + f[1:2 * n:2]) / h ** 2)
+        for k, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = f[2 * n + 4 * k: 2 * n + 4 * k + 4]
+            H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h[i] * h[j])
         return H
 
-    coarse = hess_at(steps)
-    fine = hess_at(steps / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    coarse, fine = np.split(_potential(m.spec, psi, P), 2)
+    return (4.0 * hess_at(fine, h / 2.0) - hess_at(coarse, h)) / 3.0
 
 
 def hessian_check(spec: DiscreteFamilySpec, theta, fd_step: float = 1e-4) -> GeometryReport:
@@ -370,33 +381,32 @@ def hessian_check(spec: DiscreteFamilySpec, theta, fd_step: float = 1e-4) -> Geo
     (automatic for tau = id); otherwise the report carries status
     "not_applicable" and no Hessian is attempted.
     """
-    th = _theta_vec(spec, theta)
-    G = metric(spec, th)
-    gamma = connection_raw(spec, th)
-    pot = _potential(spec, th)
-    spread = _itau_spread(spec, th)
+    m = _member(spec, theta)
+    G = m.metric()
+    gamma = m.connection()
+    pot = m.potential()
+    spread = _itau_spread(spec, m)
     if spread > 1e-8:
-        return GeometryReport(th, G, gamma, pot, None, math.nan,
+        return GeometryReport(m.theta, G, gamma, pot, None, math.nan,
                               float(np.max(np.abs(gamma))), spread, "not_applicable",
                               "tau-mass varies across the family; the Hessian-potential "
                               "identity requires it constant")
-    H = _fd_hessian(lambda t: _potential(spec, t), th, fd_step)
+    H = _fd_hessian(m, fd_step)
     defect = float(np.max(np.abs(H - G)))
-    return GeometryReport(th, G, gamma, pot, H, defect,
+    return GeometryReport(m.theta, G, gamma, pot, H, defect,
                           float(np.max(np.abs(gamma))), spread, "ok")
 
 
 def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float:
     """|Phi(th') - Phi(th) + <th - th', grad Phi(th)> - D(p, p')|."""
-    th, th2 = _theta_vec(spec, theta), _theta_vec(spec, theta2)
-    spread = _itau_spread(spec, th)
-    if spread > 1e-8:
+    th2 = _theta_vec(spec, theta2)
+    m = _member(spec, theta)
+    if _itau_spread(spec, m) > 1e-8:
         raise DomainError("canonical divergence check needs a constant tau-mass")
-    _, p = normalize(spec, th)
-    _, p2 = normalize(spec, th2)
-    canon = _potential(spec, th2) - _potential(spec, th) \
-        + float((th - th2) @ _potential_gradient(spec, th))
-    return abs(canon - divergence(spec, p, p2))
+    psi2, p2 = _solve_one(spec, th2, m.warm_psi(th2))
+    canon = float(_potential(spec, psi2, p2)) - m.potential() \
+        + float((m.theta - th2) @ _tau_moments(spec, m.p))
+    return abs(canon - divergence(spec, m.p, p2))
 
 
 @dataclass(frozen=True)
@@ -419,17 +429,16 @@ def conformal_check(spec: DiscreteFamilySpec, theta, theta2) -> ConformalCheck:
         / np.asarray(d.chi.value(grid), dtype=float)
     if float(np.max(ratio) - np.min(ratio)) > 1e-10:
         raise DomainError("conformal check needs tau/chi constant on I")
-    th, th2 = _theta_vec(spec, theta), _theta_vec(spec, theta2)
-    psi, p = normalize(spec, th)
-    psi2, p2 = normalize(spec, th2)
+    th2 = _theta_vec(spec, theta2)
+    m = _member(spec, theta)
+    psi2, p2 = _solve_one(spec, th2, m.warm_psi(th2))
     w = spec.base.weights
-    tau_p = np.asarray(spec.gauge.tau.value(p), dtype=float)
+    tau_p = np.asarray(spec.gauge.tau.value(m.p), dtype=float)
     itau = float(w @ tau_p)
-    grad = psi_gradient(spec, th)
-    canon = psi2 - psi + float((th - th2) @ grad)
-    defect = abs(canon - divergence(spec, p, p2) / itau)
+    canon = psi2 - m.psi + float((m.theta - th2) @ m.grad)
+    defect = abs(canon - divergence(spec, m.p, p2) / itau)
     grad_escort = (spec.T @ (w * tau_p)) / itau
-    return ConformalCheck(defect, float(np.max(np.abs(grad - grad_escort))), itau)
+    return ConformalCheck(defect, float(np.max(np.abs(m.grad - grad_escort))), itau)
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +471,14 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     """
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
-    d = derived(spec.gauge)
     w = spec.base.weights
     scale = max(1.0, float(np.max(np.abs(target))))
 
-    def F_and_J(th):
-        _, p = normalize(spec, th)
-        chi = np.asarray(d.chi.value(p), dtype=float)
-        taup = np.asarray(spec.gauge.tau.d1(p), dtype=float)
-        grad = (spec.T @ (w * chi)) / float(w @ chi)
-        resid = spec.T - grad[:, None]
-        F = _tau_moments(spec, p) - target
-        J = (spec.T * (w * taup * chi)) @ resid.T
-        return F, J, p
+    def F_and_J(th, near=None):
+        m = _member(spec, th, None if near is None else near.warm_psi(th))
+        F = _tau_moments(spec, m.p) - target
+        J = (spec.T * (w * m.taup * m.chi)) @ m.resid.T
+        return F, J, m
 
     rng = np.random.default_rng(seed)
     n = spec.dim
@@ -490,19 +494,18 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     for th0 in starts:
         th = np.asarray(th0, dtype=float).copy()
         try:
-            F, J, p = F_and_J(th)
+            F, J, m = F_and_J(th)
         except (InfeasibleError, DomainError):
             continue
         for it in range(max_iter):
             total_iter += 1
             norm = float(np.max(np.abs(F)))
             if best is None or norm < best[0]:
-                best = (norm, th.copy(), p)
+                best = (norm, th.copy(), m.p)
             if norm <= tol * scale:
-                _, p = normalize(spec, th)
-                itau_res = abs(float(w @ spec.gauge.tau.value(p))
+                itau_res = abs(float(w @ spec.gauge.tau.value(m.p))
                                - float(w @ spec.gauge.tau.value(rho)))
-                return ProjectionResult(th, p, norm, itau_res, total_iter)
+                return ProjectionResult(th, m.p, norm, itau_res, total_iter)
             try:
                 step = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
@@ -510,13 +513,13 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
             alpha = 1.0
             while alpha >= 1e-8:
                 try:
-                    F_new, J_new, p_new = F_and_J(th + alpha * step)
+                    F_new, J_new, m_new = F_and_J(th + alpha * step, m)
                 except (InfeasibleError, DomainError):
                     alpha *= 0.5
                     continue
                 if np.max(np.abs(F_new)) < (1 - 1e-4 * alpha) * np.max(np.abs(F)):
                     th = th + alpha * step
-                    F, J, p = F_new, J_new, p_new
+                    F, J, m = F_new, J_new, m_new
                     break
                 alpha *= 0.5
             else:
@@ -574,14 +577,12 @@ def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2, thetas=None,
         rng = np.random.default_rng(seed)
         thetas = [np.zeros(n)] + [rng.normal(scale=0.5, size=n) for _ in range(4)]
 
-    worst = 0.0
-    for th in thetas:
-        th = np.asarray(th, dtype=float)
-        psi, p = normalize(spec, th)
-        psi2, p2 = normalize(spec2, A @ th + v1)
-        worst = max(worst, float(np.max(np.abs(p - p2))))
-        worst = max(worst, abs(psi2 - (psi - float(th @ v2))))
-    return worst
+    ths = np.array([_theta_vec(spec, th) for th in thetas])
+    psi, P, ok = _solve_psi(spec, ths)
+    psi2, P2, ok2 = _solve_psi(spec2, ths @ A.T + v1)
+    if not (ok.all() and ok2.all()):
+        raise InfeasibleError(_NO_MEMBER)
+    return float(max(np.max(np.abs(P - P2)), np.max(np.abs(psi2 - (psi - ths @ v2)))))
 
 
 # ---------------------------------------------------------------------------

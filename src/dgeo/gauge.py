@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize  # noqa: F401  (optimize: perfbench/tracer.py patches it)
 
 from .errors import DomainError
 
@@ -474,36 +474,42 @@ def derived(g: GaugeTriple) -> DerivedFunctions:
     if g.derived_fns is not None:
         return g.derived_fns
 
-    h, tau, I = g.h, g.tau, g.I
-
-    def ell_v(t):
-        return h.d1(tau.value(t))
+    h, tau = g.h, g.tau
 
     def ell_d1(t):
         return h.d2(tau.value(t)) * tau.d1(t)
 
-    ell = ScalarFn(ell_v, ell_d1, _fd_d1(ell_d1), I, analytic=False)
+    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1), g.I, analytic=False)
+    return _derived_from(h, tau, ell, g.I)
+
+
+def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> DerivedFunctions:
+    """m, gamma, chi, s and s_star from h, tau and ell = h' o tau (with its
+    first two derivatives) on I; the remaining derivatives are finite differences."""
+
+    def arr(v):
+        return np.asarray(v, dtype=float)
 
     def m_v(t):
-        return ell_d1(t) * tau.d1(t)
+        return arr(ell.d1(t)) * arr(tau.d1(t))
 
     def gamma_v(t):
-        return ell.d2(t) * tau.d1(t)
+        return arr(ell.d2(t)) * arr(tau.d1(t))
 
     def chi_v(t):
-        return 1.0 / ell_d1(t)
+        return 1.0 / arr(ell.d1(t))
 
     def s_v(t):
         return -h.value(tau.value(t))
 
     def s_d1(t):
-        return -ell_v(t) * tau.d1(t)
+        return -arr(ell.value(t)) * arr(tau.d1(t))
 
     def ss_v(t):
-        return -tau.value(t) * ell_v(t) + h.value(tau.value(t))
+        return -arr(tau.value(t)) * arr(ell.value(t)) + arr(h.value(tau.value(t)))
 
     def ss_d1(t):
-        return -tau.value(t) * ell_d1(t)
+        return -arr(tau.value(t)) * arr(ell.d1(t))
 
     return DerivedFunctions(
         ell=ell,
@@ -533,62 +539,127 @@ def d_htau(g: GaugeTriple, t, s):
     return val if val.ndim else float(val)
 
 
-def _invert_monotone(f: Callable, target: float, domain: Interval,
-                     increasing: bool = True) -> float:
-    """Safeguarded root of f(t) = target for monotone f on an open interval."""
+def _rtsafe(evaluate: Callable, x, a, b) -> np.ndarray:
+    """Roots of increasing functions by ``rtsafe`` (Numerical Recipes 9.4) on arrays.
+
+    evaluate(x, live) gives g and dg/dx at x for the elements indexed by
+    live.  Each element takes a Newton step only inside its bracket [a, b]
+    and bisects otherwise, and stops once a Newton step is below
+    _NEWTON_SETTLED (the error is then about its square) or the bracket
+    has shrunk to rounding.
+    """
+    with np.errstate(all="ignore"):
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        out = x.copy()
+        live = np.arange(x.size)
+        dx_old = b - a
+        for _ in range(200):
+            if live.size == 0:
+                break
+            g, dg = evaluate(x, live)
+            a = np.where(g < 0, x, a)
+            b = np.where(g > 0, x, b)
+            newton = x - g / dg
+            inside = (newton >= a) & (newton <= b)
+            settled = inside & (np.abs(newton - x) <= _NEWTON_SETTLED)
+            bisect = ~settled & (~inside | (np.abs(2 * g) > np.abs(dx_old * dg)))
+            x_new = np.where(bisect, 0.5 * (a + b), newton)
+            dx_old = x_new - x
+            out[live] = x_new
+            done = settled | (np.abs(dx_old) <= 4 * _EPS * np.maximum(1.0, np.abs(x)))
+            if done.any():
+                keep = ~done
+                live, x_new, a, b, dx_old = (v[keep] for v in (live, x_new, a, b, dx_old))
+            x = x_new
+    return out
+
+
+_NEWTON_SETTLED = 1e-8
+# brackets for _solve_increasing, in the coordinate x of _coordinate
+_X_TABLE = np.concatenate([[-700.0, -350.0, -175.0, -88.0], np.linspace(-44.0, 44.0, 23),
+                           [88.0, 175.0, 350.0, 700.0]])
+
+
+def _coordinate(domain: Interval) -> Callable:
+    """x -> (t, dt/dx) onto the domain, exponential toward each finite end (sinh
+    on R), so that a step in x is a relative step in t or in its distance
+    to a finite end."""
     lo, hi = domain.lo, domain.hi
-    t0 = 1.0 if domain.contains(1.0) else sum(domain.finite_slice()) / 2.0
+    if math.isfinite(lo) and math.isfinite(hi):
+        width = hi - lo
 
-    def g(t):
-        return f(t) - target if increasing else target - f(t)
+        def tmap(x):
+            e = np.exp(-np.abs(x))
+            s = e / (1.0 + e)
+            return np.where(x < 0, lo + width * s, hi - width * s), width * s * (1.0 - s)
+    elif math.isfinite(lo):
+        def tmap(x):
+            e = np.exp(x)
+            return lo + e, e
+    elif math.isfinite(hi):
+        def tmap(x):
+            e = np.exp(-x)
+            return hi - e, e
+    else:
+        def tmap(x):
+            return np.sinh(x), np.cosh(x)
+    return tmap
 
-    a = b = t0
-    fa = fb = g(t0)
-    step = max(1.0, abs(t0))
-    for _ in range(200):
-        if fa <= 0:
-            break
-        a = (lo + a) / 2.0 if math.isfinite(lo) else a - step
-        step *= 2.0
-        fa = g(a)
-    else:
-        raise DomainError("could not bracket the inverse from below")
-    step = max(1.0, abs(t0))
-    for _ in range(200):
-        if fb >= 0:
-            break
-        b = (hi + b) / 2.0 if math.isfinite(hi) else b + step
-        step *= 2.0
-        fb = g(b)
-    else:
-        raise DomainError("could not bracket the inverse from above")
-    if a == b:
-        return a
-    root = optimize.brentq(g, a, b, xtol=1e-13, rtol=4 * _EPS, maxiter=200)
-    return float(root)
+
+def _table(f: Callable, domain: Interval):
+    """f on the points of ``_X_TABLE`` where it is not NaN: (tmap, x, f)."""
+    tmap = _coordinate(domain)
+    with np.errstate(all="ignore"):
+        F = np.asarray(f(tmap(_X_TABLE)[0]), dtype=float)
+    return tmap, _X_TABLE[~np.isnan(F)], F[~np.isnan(F)]
+
+
+def _image(f: Callable, domain: Interval) -> tuple[float, float]:
+    """Image of an increasing f over the domain as far as the solver reaches
+    it (the ends of its table); values beyond 1e10 in size count as infinite."""
+    _, _, F = _table(f, domain)
+    return (-math.inf if F[0] < -1e10 else float(F[0]),
+            math.inf if F[-1] > 1e10 else float(F[-1]))
+
+
+def _solve_increasing(f: Callable, df: Callable, y, domain: Interval):
+    """Elementwise t in the domain with f(t) = y for increasing f, to a relative
+    tolerance; targets beyond f's values at the table's ends give the
+    nearer end of the domain."""
+    y = np.asarray(y, dtype=float)
+    yf = y.ravel()
+    tmap, X, F = _table(f, domain)
+    k = np.searchsorted(F, yf)   # NaN sorts last
+    out = np.where(k == 0, domain.lo, domain.hi)
+    out[np.isnan(yf)] = math.nan
+    idx = np.flatnonzero((k > 0) & (k < X.size))
+    k, yt = k[idx], yf[idx]
+    a, b = X[k - 1], X[k]
+    with np.errstate(all="ignore"):
+        x0 = a + (yt - F[k - 1]) / (F[k] - F[k - 1]) * (b - a)
+
+    def evaluate(x, live):
+        t, dtdx = tmap(x)
+        return np.asarray(f(t), dtype=float) - yt[live], np.asarray(df(t), dtype=float) * dtdx
+
+    out[idx] = tmap(_rtsafe(evaluate, x0, a, b))[0]
+    out = out.reshape(y.shape)
+    return out if out.ndim else float(out)
 
 
 def exp_htau(g: GaugeTriple, u):
-    """Deformed exponential: the inverse of ell, clipped to 0 / +inf outside."""
+    """Deformed exponential: the inverse of ell, clipped to 0 / +inf outside.
+
+    Built-in gauges use their closed form; others invert ell at all points
+    at once by safeguarded Newton-bisection to a relative tolerance in t.
+    """
     if g.exp_fn is not None:
         return g.exp_fn(u)
     lo_e, hi_e = g.ell_range
     ell = derived(g).ell
-
-    def one(ui: float) -> float:
-        if ui >= hi_e:
-            return math.inf
-        if ui <= lo_e:
-            return 0.0
-        t = _invert_monotone(lambda x: float(ell.value(x)), ui, g.I)
-        # one Newton polish with the analytic slope
-        slope = float(ell.d1(t))
-        if slope > 0 and math.isfinite(slope):
-            t = t - (float(ell.value(t)) - ui) / slope
-        return t
-
-    arr = np.asarray(u, dtype=float)
-    out = np.array([one(float(x)) for x in arr.ravel()]).reshape(arr.shape)
+    u = np.asarray(u, dtype=float)
+    t = _solve_increasing(ell.value, ell.d1, u, g.I)
+    out = np.where(u >= hi_e, np.inf, np.where(u <= lo_e, 0.0, t))
     return out if out.ndim else float(out)
 
 
@@ -605,43 +676,22 @@ def legendre_conjugate(g: GaugeTriple, r_star: float) -> float:
 def conjugate_fn(f: ScalarFn) -> ScalarFn:
     """Legendre conjugate of a strictly convex ScalarFn, as a ScalarFn.
 
-    The conjugate's domain is the image of f' over f.domain, probed
-    numerically; the inverse of f' is computed by safeguarded
-    root-finding, so this works for quadrature-backed functions too.
+    The conjugate's domain is the image of f' over f.domain as the solver
+    reaches it (``_image``); the inverse of f' is computed for all arguments
+    at once by the bracketed Newton-bisection of ``_solve_increasing``, so
+    this works for quadrature-backed functions too.
     """
-    a, b = f.domain.finite_slice(pad=1e-9)
-    probes_lo = np.geomspace(1e-12, max(a, 1e-12), 40) if f.domain.lo == 0.0 else [a]
-    lo_img = min(float(f.d1(t)) for t in np.atleast_1d(probes_lo))
-    if f.domain.lo == 0.0 and lo_img < -1e10:
-        lo_img = -math.inf
-    probes_hi = np.geomspace(max(b, 1.0), 1e12, 40) if math.isinf(f.domain.hi) else [b]
-    hi_img = max(float(f.d1(t)) for t in np.atleast_1d(probes_hi))
-    if math.isinf(f.domain.hi) and hi_img > 1e10:
-        hi_img = math.inf
-    dom = Interval(lo_img, hi_img)
-
-    def xof(y: float) -> float:
-        return _invert_monotone(lambda t: float(f.d1(t)), y, f.domain)
-
-    def value(y):
-        ys = np.asarray(y, dtype=float)
-
-        def one(yy):
-            x = xof(yy)
-            return x * yy - float(f.value(x))
-
-        out = np.array([one(float(v)) for v in ys.ravel()]).reshape(ys.shape)
-        return out if out.ndim else float(out)
+    dom = Interval(*_image(f.d1, f.domain))
 
     def d1(y):
-        ys = np.asarray(y, dtype=float)
-        out = np.array([xof(float(v)) for v in ys.ravel()]).reshape(ys.shape)
-        return out if out.ndim else float(out)
+        return _solve_increasing(f.d1, f.d2, y, f.domain)
+
+    def value(y):
+        x = d1(y)
+        return x * np.asarray(y, dtype=float) - f.value(x)
 
     def d2(y):
-        ys = np.asarray(y, dtype=float)
-        out = np.array([1.0 / float(f.d2(xof(float(v)))) for v in ys.ravel()]).reshape(ys.shape)
-        return out if out.ndim else float(out)
+        return 1.0 / f.d2(d1(y))
 
     return ScalarFn(value, d1, d2, dom, analytic=False)
 
@@ -712,15 +762,6 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
 # ----------------------------------------------------------------------------
 
 
-def _vec(f: Callable) -> Callable:
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.array([f(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-        return out if out.ndim else float(out)
-
-    return wrapped
-
-
 def delta_pair(tau: ScalarFn, ell: ScalarFn, t: float, s: float) -> float:
     """Kernel of a (tau, ell) pair by adaptive quadrature of
     (ell(u) - ell(s)) * tau'(u) from s to t."""
@@ -747,77 +788,29 @@ def gauge_from_pair(tau: ScalarFn, ell: ScalarFn, a: float) -> GaugeTriple:
     if not np.all(np.asarray(ell.d1(probe), dtype=float) > 0):
         raise DomainError("ell must be strictly increasing on I")
 
-    lo_t = 0.0 if I.lo == 0.0 else (tau.value(I.lo) if math.isfinite(I.lo) else -math.inf)
-    if I.lo == 0.0:
-        lo_t = float(tau.value(1e-13)) if math.isfinite(float(tau.value(1e-13))) else -math.inf
-        lo_t = lo_t if abs(lo_t) < 1e10 else -math.inf
-    hi_t = float(tau.value(I.hi)) if math.isfinite(I.hi) else math.inf
-    Jt = Interval(lo_t - 1e-300 if math.isfinite(lo_t) else lo_t, hi_t)
+    Jt = Interval(*_image(tau.value, I))
 
-    def tau_inv(r: float) -> float:
-        return _invert_monotone(lambda t: float(tau.value(t)), r, I)
+    def tau_inv(r):
+        return _solve_increasing(tau.value, tau.d1, r, I)
 
-    def h_val(r: float) -> float:
-        ub = tau_inv(r)
-        val, _ = integrate.quad(lambda t: float(ell.value(t)) * float(tau.d1(t)),
-                                a, ub, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return val
+    def h_val(r):
+        ub = np.asarray(tau_inv(r))
+        out = np.array([integrate.quad(lambda t: float(ell.value(t)) * float(tau.d1(t)),
+                                       a, float(x), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                        for x in ub.ravel()]).reshape(ub.shape)
+        return out if out.ndim else float(out)
 
-    def h_d1(r: float) -> float:
-        return float(ell.value(tau_inv(r)))
+    def h_d1(r):
+        return ell.value(tau_inv(r))
 
-    def h_d2(r: float) -> float:
+    def h_d2(r):
         t = tau_inv(r)
-        return float(ell.d1(t)) / float(tau.d1(t))
+        return ell.d1(t) / tau.d1(t)
 
-    h = ScalarFn(_vec(h_val), _vec(h_d1), _vec(h_d2), Jt, analytic=False)
+    h = ScalarFn(h_val, h_d1, h_d2, Jt, analytic=False)
 
-    # image of ell over I, by probing toward the endpoints
-    def limit(side: str) -> float:
-        if side == "lo":
-            ts = np.geomspace(max(I.lo, 1e-14) if I.lo > 0 else 1e-14, lo_p, 24) \
-                if I.lo >= 0 else np.linspace(I.lo + 1e-9, lo_p, 24)
-            vals = [float(ell.value(t)) for t in ts]
-            v = min(vals)
-            return -math.inf if v < -1e10 else v
-        ts = np.geomspace(hi_p, 1e14, 24) if math.isinf(I.hi) else [I.hi - 1e-12 * max(1, abs(I.hi))]
-        vals = [float(ell.value(t)) for t in np.atleast_1d(ts)]
-        v = max(vals)
-        return math.inf if v > 1e10 else v
-
-    rng = (limit("lo"), limit("hi"))
-
-    def s_v(t):
-        return -h.value(tau.value(t))
-
-    def s_d1(t):
-        return -np.asarray(ell.value(t), dtype=float) * np.asarray(tau.d1(t), dtype=float)
-
-    def ss_v(t):
-        return -np.asarray(tau.value(t), dtype=float) * np.asarray(ell.value(t), dtype=float) \
-            + np.asarray(h.value(tau.value(t)), dtype=float)
-
-    def ss_d1(t):
-        return -np.asarray(tau.value(t), dtype=float) * np.asarray(ell.d1(t), dtype=float)
-
-    def m_v(t):
-        return np.asarray(ell.d1(t), dtype=float) * np.asarray(tau.d1(t), dtype=float)
-
-    def gamma_v(t):
-        return np.asarray(ell.d2(t), dtype=float) * np.asarray(tau.d1(t), dtype=float)
-
-    def chi_v(t):
-        return 1.0 / np.asarray(ell.d1(t), dtype=float)
-
-    der = DerivedFunctions(
-        ell=ell,
-        m=ScalarFn(m_v, _fd_d1(m_v), _fd_d2(m_v), I, analytic=False),
-        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v), _fd_d2(gamma_v), I, analytic=False),
-        chi=ScalarFn(chi_v, _fd_d1(chi_v), _fd_d2(chi_v), I, analytic=False),
-        s=ScalarFn(s_v, s_d1, _fd_d1(s_d1), I, analytic=False),
-        s_star=ScalarFn(ss_v, ss_d1, _fd_d1(ss_d1), I, analytic=False),
-    )
-    return GaugeTriple(h, tau, I, f"pair(a={a:g})", rng, None, der, None)
+    return GaugeTriple(h, tau, I, f"pair(a={a:g})", _image(ell.value, I), None,
+                       _derived_from(h, tau, ell, I), None)
 
 
 # ----------------------------------------------------------------------------

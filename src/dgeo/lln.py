@@ -64,6 +64,8 @@ class SimConfig:
         if len(self.v) != self.d:
             raise DomainError(f"v must have length {self.d}")
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        if not self.eps_grid or not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise DomainError("eps_grid must be a non-empty list of positive finite reals")
         if self.S is not None:
             S = np.asarray(self.S, dtype=float)
             object.__setattr__(self, "S", tuple(tuple(row) for row in S))
@@ -337,8 +339,14 @@ def borel_cantelli_summability(cfg: SimConfig, eps: float,
 
     The terms behave like a constant times k^{-2}, so the series
     converges; summable tail probabilities are what upgrade convergence
-    in probability to almost-sure convergence.
+    in probability to almost-sure convergence.  final_relative_change
+    compares the last partial sum with the one at the previous checkpoint
+    (at k = 1 when k_terms < 10).
     """
+    if k_terms < 2:
+        raise DomainError("k_terms must be at least 2")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError("eps must be a positive finite real")
     law2 = qg.repetition(cfg.params(), 2)
     ey4, ey22 = qg.fi_pair_moments(law2, 0)
     ks = np.arange(1, k_terms + 1, dtype=float)
@@ -352,7 +360,7 @@ def borel_cantelli_summability(cfg: SimConfig, eps: float,
     checkpoints.append(k_terms)
     checkpoints = np.asarray(sorted(set(checkpoints)))
     partial = sums[checkpoints - 1]
-    prev = sums[checkpoints // 10 - 1]
-    rel_change = float((partial[-1] - prev[-1]) / partial[-1])
+    prev = sums[checkpoints[-2] - 1] if checkpoints.size > 1 else sums[0]
+    rel_change = float((partial[-1] - prev) / partial[-1])
     return SummabilityTable(eps, checkpoints, partial,
                             terms[checkpoints - 1] * checkpoints ** 2, rel_change)

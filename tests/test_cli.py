@@ -317,6 +317,13 @@ def test_non_finite_q_exits_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_exits_2(capsys, coin_file, theta):
+    code = cli.main(["discrete", "normalize", "--spec", coin_file, "--theta", theta])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_csv_format_flag(capsys):
     code, out = run(capsys, "qgauss", "marginal-check", "--q", "1.2", "--d", "1",
                     "--k", "1", "--kprime", "1", "--grid", "0.0,0.5",

@@ -104,6 +104,61 @@ def test_normalize_infeasible_interval():
         dc.normalize(spec, [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_theta(bad):
+    with pytest.raises(DomainError, match="finite"):
+        dc.normalize(coin_spec(), [bad])
+
+
+def test_batched_solve_matches_one_at_a_time():
+    # rows are solved together from one start each; the per-row loop of the
+    # public normalize is the reference, equal up to rounding
+    spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
+    thetas = np.random.default_rng(8).normal(size=(6, 3))
+    psi, P, ok = dc._solve_psi(spec, thetas)
+    assert ok.all()
+    for th, psi_b, p_b in zip(thetas, psi, P):
+        psi_1, p_1 = dc.normalize(spec, th)
+        assert psi_b == pytest.approx(psi_1, abs=1e-14)
+        assert np.allclose(p_b, p_1, rtol=1e-13, atol=0)
+
+
+def test_batched_solve_flags_rows_without_a_member():
+    # on I = (0.5, 10) three atoms cannot have unit mass at any theta
+    g = builtin_gauge("kl", interval=Interval(0.5, 10.0))
+    spec3 = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(3)), g,
+                                  np.array([[1.0, 0.0, -1.0]]), np.zeros(3))
+    _, _, ok = dc._solve_psi(spec3, np.array([[0.0], [1.0]]))
+    assert not ok.any()
+    g = builtin_gauge("kl", interval=Interval(0.1, 10.0))
+    spec2 = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(2)), g,
+                                  np.array([[1.0, 0.0]]), np.zeros(2))
+    psi, P, ok = dc._solve_psi(spec2, np.array([[0.0], [3.0]]))
+    assert ok.tolist() == [True, False]   # theta = 3 needs p(x2) = 1/(1 + e^3) < 0.1
+    assert P[0] == pytest.approx([0.5, 0.5], abs=1e-13)
+
+
+def test_geometry_checks_batch_their_solves(monkeypatch):
+    # the member, the tau-mass probes and the FD stencil (both step sizes)
+    # are one solver call each
+    spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
+    calls = []
+    solve = dc._solve_psi
+
+    def counted(spec, thetas, psi0=None):
+        calls.append(np.atleast_2d(thetas).shape[0])
+        return solve(spec, thetas, psi0)
+
+    monkeypatch.setattr(dc, "_solve_psi", counted)
+    th, th2 = np.array([0.2, -0.1, 0.15]), np.array([-0.1, 0.3, 0.05])
+    rep = dc.hessian_check(spec, th)
+    assert rep.status == "ok" and rep.max_defect <= 1e-5
+    assert len(calls) <= 3 and sum(calls) == 1 + 6 + 36
+    calls.clear()
+    assert dc.canonical_divergence_check(spec, th, th2) <= 1e-7
+    assert len(calls) <= 3
+
+
 def test_psi_monotone_in_nonnegative_directions():
     spec = coin_spec()
     psis = [dc.normalize(spec, [th])[0] for th in (-1.0, 0.0, 0.5, 2.0)]

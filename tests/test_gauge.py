@@ -207,6 +207,33 @@ def test_exp_rootfinding_path_matches_closed_form(rng):
     assert np.allclose(a, b, rtol=1e-10)
 
 
+@pytest.mark.parametrize("tr", [None, EquivalenceTransform(a1=0.3, a2=-0.2, a3=0.1, lam=1.5)],
+                         ids=["pair", "transformed"])
+def test_exp_rootfinding_relative_accuracy_against_mpmath(tr):
+    # ell = log t + t/2 + 1 from gauge_from_pair, and an equivalence transform
+    # of it (ell2 = (ell - a1)/lam); the oracle solves x + e^x/2 + 1 = target
+    # for x = log t at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    tau, _ = _kl_pair()
+    ell = ScalarFn(lambda t: np.log(t) + 0.5 * np.asarray(t, float) + 1.0,
+                   lambda t: 1.0 / np.asarray(t, float) + 0.5,
+                   lambda t: -np.asarray(t, float) ** -2.0, tau.domain)
+    g = gauge_from_pair(tau, ell, a=1.0)
+    a1, lam = 0.0, 1.0
+    if tr is not None:
+        g, a1, lam = apply_equivalence(g, tr), tr.a1, tr.lam
+    us = [-30.0, -10.0, 0.0, 5.0, 30.0]
+    ts = exp_htau(g, np.array(us))
+    with mpmath.workdps(50):
+        for u, t in zip(us, ts):
+            target = lam * mpmath.mpf(u) + a1
+            x = mpmath.findroot(lambda x: x + mpmath.exp(x) / 2 + 1 - target,
+                                mpmath.log(2 * target) if target > 2 else target - 1)
+            ref = mpmath.exp(x)
+            assert 0.0 < t < math.inf
+            assert float(abs((t - ref) / ref)) <= 1e-12, (u, t)
+
+
 def GaugeTripleNoExp(g):
     from dataclasses import replace
 

@@ -29,6 +29,12 @@ def test_config_validation():
         lln.SimConfig(q=1.5, d=1, v=(0.0,), reps=0)
 
 
+@pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.5, math.nan), (math.inf,)])
+def test_config_rejects_bad_eps_grid(grid):
+    with pytest.raises(DomainError, match="eps_grid"):
+        cfg_15(eps_grid=grid)
+
+
 def test_schedule_is_log_spaced():
     assert cfg_15(k_max=10_000).k_schedule() == [10, 100, 1000, 10000]
     assert cfg_15(k_max=2500).k_schedule() == [10, 100, 1000, 2500]
@@ -244,3 +250,23 @@ def test_summability_monotone_in_eps():
     s_small = lln.borel_cantelli_summability(cfg_15(), 0.5)
     s_big = lln.borel_cantelli_summability(cfg_15(), 1.0)
     assert np.all(s_big.partial_sums < s_small.partial_sums)
+
+
+@pytest.mark.parametrize("k_terms,prev", [(5, 1), (15, 10), (2500, 1000)])
+def test_summability_change_is_against_previous_checkpoint(k_terms, prev):
+    s = lln.borel_cantelli_summability(cfg_15(), 0.5, k_terms=k_terms)
+    if prev == 1:   # S_1 = S_2 minus the second term
+        two = lln.borel_cantelli_summability(cfg_15(), 0.5, k_terms=2)
+        base = two.partial_sums[-1] - two.terms_times_k2[-1] / 4
+    else:
+        base = lln.borel_cantelli_summability(cfg_15(), 0.5, k_terms=prev).partial_sums[-1]
+    expected = (s.partial_sums[-1] - base) / s.partial_sums[-1]
+    assert s.final_relative_change > 0
+    assert s.final_relative_change == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps,k_terms", [(0.5, 1), (0.5, 0), (0.0, 100), (-0.5, 100),
+                                         (math.nan, 100)])
+def test_summability_rejects_bad_arguments(eps, k_terms):
+    with pytest.raises(DomainError):
+        lln.borel_cantelli_summability(cfg_15(), eps, k_terms=k_terms)
