@@ -353,14 +353,15 @@ def cmd_lln_run(args) -> int:
     summary = report.to_json()
     if table is not None:
         summary["bounds_all_pass"] = table.all_pass
+    csv = report.averages_csv() if args.out or args.format == "csv" else None
     if args.out:
-        files = {"averages.csv": report.averages_csv(),
+        files = {"averages.csv": csv,
                  "summary.json": json.dumps(_jsonable(summary), indent=2) + "\n"}
         if table is not None:
             files["exceedance.csv"] = table.to_csv()
         write_bundle(Path(args.out), files, config=cfg.to_json())
     if args.format == "csv":
-        print(report.averages_csv(), end="")
+        print(csv, end="")
     else:
         print(json.dumps(_jsonable(summary), indent=2))
     return EXIT_OK

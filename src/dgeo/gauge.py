@@ -532,9 +532,10 @@ def d_htau(g: GaugeTriple, t, s):
     g.I.require(s, "s")
     tt = g.tau.value(t)
     ts = g.tau.value(s)
-    val = g.h.value(tt) - g.h.value(ts) - (tt - ts) * g.h.d1(ts)
-    val = np.asarray(val, dtype=float)
-    scale = 1.0 + np.abs(g.h.value(tt)) + np.abs(g.h.value(ts))
+    ht = g.h.value(tt)
+    hs = g.h.value(ts)
+    val = np.asarray(ht - hs - (tt - ts) * g.h.d1(ts), dtype=float)
+    scale = 1.0 + np.abs(ht) + np.abs(hs)
     val = np.where((val < 0) & (val > -1e-12 * scale), 0.0, val)
     return val if val.ndim else float(val)
 

@@ -4,7 +4,10 @@ sequences drawn from the joint q-Gaussian laws.
 One simulated path of length k_max is a single draw of the k_max-fold
 joint; because the joints are marginal-consistent, every prefix of that
 draw has exactly the law of the shorter joint, so running averages along
-the path probe the dependent law of large numbers directly.  The module
+the path probe the dependent law of large numbers directly.  Paths are
+never materialised: the standard normals behind them stream through a
+fixed buffer and only their sums between checkpoints are kept, so memory
+is O(buffer + reps x checkpoints) whatever k_max is.  The module
 also evaluates the fourth-moment and second-moment Chebyshev-type tail
 bounds, compares them against empirical exceedance frequencies with
 Wilson confidence intervals, and demonstrates summability of the bound
@@ -123,12 +126,15 @@ class SimReport:
         return np.median(self.deviations[:, :, stat], axis=0)
 
     def averages_csv(self) -> str:
+        # one str.format per rep, over a template of all its rows
+        keys = [(k, lab) for k in self.k_schedule for lab in self.stat_labels]
+        template = "\n".join(f"{k},{{0}},{lab},{{{2 * i + 1}:.17g}},{{{2 * i + 2}:.17g}}"
+                             for i, (k, lab) in enumerate(keys))
+        reps = self.averages.shape[0]
+        rows = np.stack([self.averages.reshape(reps, -1),
+                         self.deviations.reshape(reps, -1)], axis=2).reshape(reps, -1)
         lines = ["k,rep,stat,average,deviation"]
-        for r in range(self.averages.shape[0]):
-            for ci, k in enumerate(self.k_schedule):
-                for si, lab in enumerate(self.stat_labels):
-                    lines.append(f"{k},{r},{lab},{_fmt(self.averages[r, ci, si])},"
-                                 f"{_fmt(self.deviations[r, ci, si])}")
+        lines += [template.format(r, *row) for r, row in enumerate(rows.tolist())]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -143,15 +149,6 @@ class SimReport:
         }
 
 
-def _stat_values(path: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Per-step statistic values along a path, shape (k, n_stats)."""
-    cols = [path[:, i] for i in range(cfg.d)]
-    if cfg.variant == "trace_d":
-        cols += [path[:, i] * path[:, j]
-                 for i in range(cfg.d) for j in range(i, cfg.d)]
-    return np.column_stack(cols)
-
-
 def _targets(cfg: SimConfig) -> np.ndarray:
     law1 = qg.repetition(cfg.params(), 1)
     vals = [float(cfg.v[i]) for i in range(cfg.d)]
@@ -162,20 +159,93 @@ def _targets(cfg: SimConfig) -> np.ndarray:
     return np.asarray(vals)
 
 
+_CHUNK = 1 << 17  # standard normals per buffer fill in _run_reps
+
+
 def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Averages for reps lo..hi-1; rep r always uses child stream r."""
-    law = qg.repetition(cfg.params(), cfg.k_max)
-    boundaries = np.asarray(cfg.k_schedule())
-    labels = cfg.stat_labels()
+    """Averages for reps lo..hi-1; rep r always uses child stream r.
+
+    Streams the standard normals z of each path through one buffer of
+    about _CHUNK numbers (B whole reps, or one rep K steps at a time) and
+    keeps only the sums of z, and of z_i z_j for trace_d, over the pieces
+    between checkpoints.  Each rep draws its chi-square W after its last
+    normal, so every z and W stream is that of
+    qgauss.sample_joint(law, 1, rng); _averages then turns the sums of a
+    block of reps into averages.
+    """
+    d, k_max = cfg.d, cfg.k_max
+    dof, A = qg.joint_factor(qg.repetition(cfg.params(), k_max))
+    ks = np.asarray(cfg.k_schedule())
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    out = np.empty((hi - lo, boundaries.size, len(labels)))
-    for r in range(lo, hi):
-        rng = np.random.default_rng(children[r])
-        path = qg.sample_joint(law, 1, rng)[0]  # (k_max, d)
-        stats = _stat_values(path, cfg)
-        # pairwise segment sums, then prefix sums at the checkpoints
-        seg = np.add.reduceat(stats, np.concatenate([[0], boundaries[:-1]]), axis=0)
-        out[r - lo] = np.cumsum(seg, axis=0) / boundaries[:, None]
+    iu, ju = np.triu_indices(d)  # the order of the F_ij labels
+    n_cols = d + iu.size if cfg.variant == "trace_d" else d
+    K = min(k_max, max(1, _CHUNK // d))  # steps per fill
+    B = max(1, _CHUNK // (k_max * d))    # reps per fill
+    buf = np.empty(B * K * d)
+    prod = np.empty(B * K if n_cols > d else 0)  # z_i z_j of one pair (i, j)
+    v = np.asarray(cfg.v)
+    out = np.empty((hi - lo, ks.size, n_cols))
+    for b0 in range(lo, hi, B):
+        rngs = [np.random.default_rng(children[r]) for r in range(b0, min(b0 + B, hi))]
+        nb = len(rngs)
+        seg = np.zeros((nb, ks.size, n_cols))  # sums over the pieces between checkpoints
+        for c0 in range(0, k_max, K):
+            n = min(K, k_max - c0)
+            z = buf[:nb * n * d].reshape(nb, n, d)
+            for rng, row in zip(rngs, z):
+                rng.standard_normal(out=row)
+            z = z.reshape(nb * n, d)
+            # pieces start at the fill's first step and at every checkpoint inside it
+            starts = np.concatenate([[0], ks[(ks > c0) & (ks < c0 + n)] - c0])
+            first = int(np.searchsorted(ks, c0, side="right"))
+            idx = (np.arange(nb)[:, None] * n + starts).ravel()
+            piece = seg[:, first:first + starts.size]
+            piece[..., :d] += np.add.reduceat(z, idx, axis=0).reshape(nb, starts.size, d)
+            for p in range(n_cols - d):
+                x = np.multiply(z[:, iu[p]], z[:, ju[p]], out=prod[:nb * n])
+                piece[..., d + p] += np.add.reduceat(x, idx).reshape(nb, starts.size)
+        if math.isfinite(dof):
+            s = np.sqrt(dof / np.array([rng.chisquare(dof, size=1)[0] for rng in rngs]))
+        else:
+            s = np.ones(nb)
+        out[b0 - lo:b0 - lo + nb] = _averages(np.cumsum(seg, axis=1), s, A, v, ks)
+    return out
+
+
+def _averages(S: np.ndarray, s: np.ndarray, A: np.ndarray, v: np.ndarray,
+              ks: np.ndarray) -> np.ndarray:
+    """Checkpoint averages of paths x_m = v + s A z_m, one scale s per rep.
+
+    S holds the prefix sums S1 = sum z (first d columns) and, for
+    trace_d, S2 = sum z_i z_j (i <= j) at the checkpoints ks.  The
+    averages are v + s A S1/k and, with m = s A S1 and M2 = s^2 A S2 A^T,
+    v_i v_j + (v_i m_j + v_j m_i + M2_ij)/k.
+    """
+    d = v.size
+    iu, ju = np.triu_indices(d)
+    kk = ks[:, None]
+    m = s[:, None, None] * _times(A, S[..., :d])
+    out = np.empty_like(S)
+    out[..., :d] = v + m / kk
+    if S.shape[-1] > d:
+        S2 = np.empty(S.shape[:2] + (d, d))
+        S2[..., iu, ju] = S2[..., ju, iu] = S[..., d:]
+        M2 = (s * s)[:, None, None, None] * _times(A, np.swapaxes(_times(A, S2), -1, -2))
+        out[..., d:] = v[iu] * v[ju] + (v[iu] * m[..., ju] + v[ju] * m[..., iu]
+                                         + M2[..., iu, ju]) / kk
+    return out
+
+
+def _times(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A x for every vector x along the last axis of X.
+
+    Elementwise, in a fixed order of terms, so a rep's result does not
+    depend on the other reps in the array (a BLAS product may round a row
+    differently by its position).
+    """
+    out = X[..., :1] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        out = out + X[..., j:j + 1] * A[:, j]
     return out
 
 
@@ -184,9 +254,13 @@ def run_lln(cfg: SimConfig, workers: int = 1) -> SimReport:
 
     Each rep draws one length-k_max path from the joint law (prefixes
     then carry the exact shorter joints); averages are recorded on the
-    log-spaced checkpoint schedule.  Rep r always uses the r-th child
-    stream spawned from the root seed, so results are bit-identical for
-    any worker count.
+    log-spaced checkpoint schedule.  The path itself is never stored:
+    _run_reps streams its normals through a buffer of about _CHUNK
+    numbers, so memory is O(buffer + reps x checkpoints).  Rep r always
+    uses the r-th child stream spawned from the root seed and draws
+    exactly what sample_joint would, and a rep's arithmetic does not
+    depend on the other reps, so results are bit-identical for any
+    worker count.
     """
     ks = cfg.k_schedule()
     labels = cfg.stat_labels()

@@ -44,6 +44,7 @@ __all__ = [
     "joint_density",
     "joint_t_params",
     "embed_joint",
+    "joint_factor",
     "sample_joint",
     "escort_mass",
     "escort_mean",
@@ -271,20 +272,30 @@ def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
     return dof, np.tile(law.base.v, law.k), np.kron(np.eye(law.k), block)
 
 
+def joint_factor(law: RepetitionLaw) -> tuple[float, np.ndarray]:
+    """(dof, A) of the t representation of the joint.
+
+    A is the lower Cholesky factor of the block B of _joint_block, so one
+    joint draw is x_m = v + sqrt(dof/W) A z_m for m = 1..k, with z_m i.i.d.
+    standard normal in R^d and one chi-square(dof) variable W shared by
+    the whole draw; for q = 1, dof is inf and the factor sqrt(dof/W) is 1.
+    """
+    dof, block = _joint_block(law)
+    return dof, np.linalg.cholesky(block)
+
+
 def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
     """Draw n exact samples of the joint, shape (n, k, d).
 
-    Uses the location/scale t representation: x = mu + L z sqrt(nu/W)
-    with z standard normal in R^{dk}, one chi-square(nu) mixing variable
-    W per sample (the source of the dependence across repetitions), and
-    L the per-block Cholesky factor of the scale; q = 1 falls back to
-    plain Gaussian sampling.  The block structure keeps the cost at
-    O(n k d^2) so long dependent paths stay cheap.
+    Uses the t representation of joint_factor: all n k d standard
+    normals are drawn first, then one chi-square(dof) mixing variable W
+    per sample (the source of the dependence across repetitions); q = 1
+    falls back to plain Gaussian sampling.  The block structure keeps the
+    cost at O(n k d^2) so long dependent paths stay cheap.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = law.base
-    dof, block = _joint_block(law)
-    A = np.linalg.cholesky(block)
+    dof, A = joint_factor(law)
     z = rng.standard_normal((n, law.k, p.d))
     draws = z @ A.T
     if math.isfinite(dof):

@@ -266,6 +266,16 @@ def test_lln_run_workers_bit_identical(tmp_path, capsys):
     _, out1 = run(capsys, "lln", "run", *cfg_args, "--workers", "1")
     _, out2 = run(capsys, "lln", "run", *cfg_args, "--workers", "2")
     assert out1 == out2
+    cfg_args = ["--q", "1.3", "--d", "2", "--v", "0.5,-0.4", "--variant", "trace_d",
+                "--k-max", "300", "--reps", "130", "--seed", "8"]
+    files = {}
+    for workers in ("1", "2"):
+        code, _ = run(capsys, "lln", "run", *cfg_args, "--workers", workers,
+                      "--out", str(tmp_path / workers))
+        assert code == 0
+        files[workers] = [(tmp_path / workers / name).read_bytes()
+                          for name in ("averages.csv", "exceedance.csv", "summary.json")]
+    assert files["1"] == files["2"]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,24 @@ def test_pair_reconstructs_kl(rng):
         assert d_htau(g, t, s) == pytest.approx(d_htau(kl, t, s), abs=1e-8)
 
 
+def test_pair_kernel_evaluates_h_once_per_argument():
+    # on a pair gauge every h.value call is one adaptive quadrature per point
+    from dataclasses import replace
+
+    tau, ell = _kl_pair()
+    g = gauge_from_pair(tau, ell, a=1.0)
+    calls = []
+
+    def value(u):
+        calls.append(np.size(u))
+        return g.h.value(u)
+
+    counted = replace(g, h=ScalarFn(value, g.h.d1, g.h.d2, g.h.domain, g.h.analytic))
+    t, s = np.array([0.5, 1.0, 2.5]), np.array([1.5, 1.0, 0.7])
+    assert np.array_equal(d_htau(counted, t, s), d_htau(g, t, s))
+    assert calls == [3, 3]
+
+
 def test_pair_kernel_zero_on_diagonal():
     tau, ell = _kl_pair()
     assert delta_pair(tau, ell, 1.7, 1.7) == 0.0

@@ -127,6 +127,85 @@ def test_trace_variant_statistics():
     assert rep.targets[3] == pytest.approx(-0.25 + qg.central_second(law1, 0, 1))
 
 
+def _materialised_averages(cfg):
+    """Checkpoint averages from whole paths drawn by sample_joint on each
+    rep's child stream, reduced with one reduceat per path."""
+    law = qg.repetition(cfg.params(), cfg.k_max)
+    ks = np.asarray(cfg.k_schedule())
+    iu, ju = np.triu_indices(cfg.d)
+    out = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
+        x = qg.sample_joint(law, 1, np.random.default_rng(child))[0]
+        stats = x if cfg.variant == "identity" else np.column_stack([x, x[:, iu] * x[:, ju]])
+        seg = np.add.reduceat(stats, np.concatenate([[0], ks[:-1]]), axis=0)
+        out.append(np.cumsum(seg, axis=0) / ks[:, None])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("chunk,kw", [
+    # several reps per buffer fill; 40 reps is not a multiple of the 65 per fill
+    (None, dict(q=1.5, d=1, v=(0.7,), variant="identity", k_max=2003, reps=40)),
+    (None, dict(q=1.3, d=2, v=(0.5, -0.4), variant="trace_d", k_max=1000, reps=150,
+                S=((1.2, 0.3), (0.3, 0.8)))),
+    # one rep over several fills, the last one partial
+    (None, dict(q=1.5, d=1, v=(0.7,), variant="identity", k_max=300_001, reps=2)),
+    (None, dict(q=1.2, d=2, v=(0.5, -0.4), variant="trace_d", k_max=150_001, reps=2)),
+    (None, dict(q=1.2, d=3, v=(0.5, -0.4, 1.0), variant="trace_d", k_max=100_003, reps=2,
+                S=((1.0, 0.2, 0.0), (0.2, 0.9, -0.1), (0.0, -0.1, 1.1)))),
+    (None, dict(q=1.0, d=3, v=(0.5, -0.4, 1.0), variant="trace_d", k_max=50_001, reps=3)),
+    # 100 normals per fill: fills of 100 or 50 steps start exactly at the
+    # checkpoints 100 and 1000
+    (100, dict(q=1.5, d=1, v=(0.7,), variant="identity", k_max=30, reps=7)),
+    (100, dict(q=1.5, d=1, v=(0.7,), variant="identity", k_max=1050, reps=3)),
+    (100, dict(q=1.3, d=2, v=(0.5, -0.4), variant="trace_d", k_max=1000, reps=3)),
+], ids=["d1-block", "d2-trace-block", "d1-chunks", "d2-trace-chunks", "d3-trace-chunks",
+        "q1-d3-trace", "small-block", "small-chunks-at-checkpoints",
+        "small-d2-trace-chunks-at-checkpoints"])
+def test_streaming_matches_materialised_paths(chunk, kw, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(lln, "_CHUNK", chunk)
+    cfg = lln.SimConfig(seed=29, **kw)
+    ref = _materialised_averages(cfg)
+    got = lln.run_lln(cfg).averages
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("edges", [(0, 1, None), (0, 7, 130, None)])
+def test_rep_partitions_are_bitwise_equal(edges):
+    cfg = lln.SimConfig(q=1.3, d=2, v=(0.5, -0.4), variant="trace_d", k_max=1000,
+                        reps=200, seed=13, S=((1.2, 0.3), (0.3, 0.8)))
+    edges = [cfg.reps if e is None else e for e in edges]
+    parts = [lln._run_reps(cfg, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(np.concatenate(parts), lln._run_reps(cfg, 0, cfg.reps))
+
+
+def test_memory_does_not_grow_with_path_length():
+    import tracemalloc
+
+    cfg = lln.SimConfig(q=1.5, d=1, v=(0.0,), k_max=2_000_000, reps=2, seed=3)
+    tracemalloc.start()
+    try:
+        lln.run_lln(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_averages_csv_rows_match_nested_loop():
+    cfg = lln.SimConfig(q=1.2, d=2, v=(0.5, -0.5), variant="trace_d", k_max=250,
+                        reps=7, seed=9)
+    rep = lln.run_lln(cfg)
+    lines = ["k,rep,stat,average,deviation"]
+    for r in range(cfg.reps):
+        for ci, k in enumerate(rep.k_schedule):
+            for si, lab in enumerate(rep.stat_labels):
+                lines.append(f"{k},{r},{lab},{rep.averages[r, ci, si]:.17g},"
+                             f"{rep.deviations[r, ci, si]:.17g}")
+    assert rep.averages_csv() == "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
