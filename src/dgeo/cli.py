@@ -252,6 +252,17 @@ def _qparams(args, variant: str = "full") -> qg.QGaussianParams:
     return qg.QGaussianParams(args.q, d, v, S, variant)
 
 
+def _coord_names(k: int, d: int) -> list[str]:
+    """CSV column names x_m_i of coordinate i of repetition m."""
+    return [f"x_{m + 1}_{i + 1}" for m in range(k) for i in range(d)]
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of rows of floats in shortest round-trip form."""
+    lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_qgauss_density(args) -> int:
     p = _qparams(args)
     _emit({"density": qg.density(p, _floats(args.x))}, args)
@@ -266,19 +277,15 @@ def cmd_qgauss_lambda(args) -> int:
 
 def cmd_qgauss_marginal_check(args) -> int:
     p = _qparams(args)
-    big = qg.repetition(p, args.k + args.kprime)
-    small = qg.repetition(p, args.k)
     xs = None if args.grid is None else _floats(args.grid)
-    res = qg.marginal_check(big, small, xs=xs, epsabs=args.tol)
+    res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
+                            xs=xs, epsabs=args.tol)
     if args.format == "csv":
-        lines = [",".join(f"x_{m + 1}" for m in range(args.k)) + ",defect"]
-        for row, defect in zip(res.points, res.defects):
-            lines.append(",".join(f"{x:.17g}" for x in row) + f",{defect:.17g}")
-        print("\n".join(lines))
+        names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
+        print(_csv(names + ["defect"], np.column_stack([res.points, res.defects])), end="")
         return EXIT_OK
-    payload = {"max_defect": res.max_defect, "points": res.points,
-               "defects": res.defects}
-    _emit(payload, args)
+    _emit({"max_defect": res.max_defect, "points": res.points,
+           "defects": res.defects, "abserr": res.abserr}, args)
     return EXIT_OK
 
 
@@ -286,12 +293,7 @@ def cmd_qgauss_sample(args) -> int:
     p = _qparams(args)
     law = qg.repetition(p, args.k)
     draws = qg.sample_joint(law, args.n, seed=args.seed)
-    header = ",".join(f"x_{m + 1}_{i + 1}" for m in range(args.k) for i in range(p.d))
-    rows = [header]
-    flat = draws.reshape(args.n, -1)
-    for row in flat:
-        rows.append(",".join(f"{x:.17g}" for x in row))
-    csv = "\n".join(rows) + "\n"
+    csv = _csv(_coord_names(args.k, p.d), draws.reshape(args.n, -1))
     if args.out:
         write_bundle(Path(args.out), {"samples.csv": csv}, config=_cmd_config(args))
         print(json.dumps({"written": str(Path(args.out) / "samples.csv"), "n": args.n}))
@@ -458,6 +460,37 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+# flags shared by the qgauss verbs; a (name, keywords) entry in a verb's
+# tuple is a flag of that verb alone or one that differs from the shared one
+_QGAUSS_FLAGS = {
+    "q": dict(type=float, required=True),
+    "d": dict(type=int, default=1),
+    "k": dict(type=int, required=True),
+    "v": dict(default=None),
+    "S": dict(default=None),
+}
+_QGAUSS_VERBS = (
+    ("density", cmd_qgauss_density,
+     ("q", "d", "v", ("S", dict(default=None, help="rows separated by ';'")),
+      ("x", dict(required=True)))),
+    ("lambda", cmd_qgauss_lambda, ("q", "d", "S")),
+    ("marginal-check", cmd_qgauss_marginal_check,
+     ("q", "d", "k", ("kprime", dict(type=int, required=True)), "v", "S",
+      ("grid", dict(default=None)))),
+    ("sample", cmd_qgauss_sample,
+     ("q", "d", "k", ("n", dict(type=int, required=True)), "v", "S")),
+    ("mle", cmd_qgauss_mle,
+     ("q", "d", "k", ("data", dict(default=None, help="CSV file of shape (k, d)")),
+      ("x", dict(default=None, help="inline comma separated data")),
+      ("header", dict(action="store_true")),
+      ("family", dict(choices=("identity_mean_only", "full"),
+                      default="identity_mean_only")))),
+    ("moments", cmd_qgauss_moments,
+     ("q", "d", ("k", dict(type=int, default=2)), ("i", dict(type=int, default=0)),
+      "v", "S")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dgeo", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -506,59 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     q = sub.add_parser("qgauss").add_subparsers(dest="action", required=True)
-    p = q.add_parser("density")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--v", default=None)
-    p.add_argument("--S", default=None, help="rows separated by ';'")
-    p.add_argument("--x", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_density)
-    p = q.add_parser("lambda")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--S", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_lambda)
-    p = q.add_parser("marginal-check")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kprime", type=int, required=True)
-    p.add_argument("--v", default=None)
-    p.add_argument("--S", default=None)
-    p.add_argument("--grid", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_marginal_check, tol=1e-10)
-    p = q.add_parser("sample")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", default=None)
-    p.add_argument("--S", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_sample)
-    p = q.add_parser("mle")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--data", default=None, help="CSV file of shape (k, d)")
-    p.add_argument("--x", default=None, help="inline comma separated data")
-    p.add_argument("--header", action="store_true")
-    p.add_argument("--family", choices=("identity_mean_only", "full"),
-                   default="identity_mean_only")
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_mle)
-    p = q.add_parser("moments")
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--v", default=None)
-    p.add_argument("--S", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_qgauss_moments)
+    for action, func, flags in _QGAUSS_VERBS:
+        p = q.add_parser(action)
+        for flag in flags:
+            name, kwargs = flag if isinstance(flag, tuple) else (flag, _QGAUSS_FLAGS[flag])
+            p.add_argument(f"--{name}", **kwargs)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     l = sub.add_parser("lln").add_subparsers(dest="action", required=True)
     for action, func, needs in (

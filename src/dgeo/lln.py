@@ -163,7 +163,7 @@ _CHUNK = 1 << 17  # standard normals per buffer fill in _run_reps
 
 
 def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
-    """Averages for reps lo..hi-1; rep r always uses child stream r.
+    """Averages for reps lo..hi-1; rep r uses child stream SeedSequence(seed, spawn_key=(r,)).
 
     Streams the standard normals z of each path through one buffer of
     about _CHUNK numbers (B whole reps, or one rep K steps at a time) and
@@ -176,7 +176,6 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     d, k_max = cfg.d, cfg.k_max
     dof, A = qg.joint_factor(qg.repetition(cfg.params(), k_max))
     ks = np.asarray(cfg.k_schedule())
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
     iu, ju = np.triu_indices(d)  # the order of the F_ij labels
     n_cols = d + iu.size if cfg.variant == "trace_d" else d
     K = min(k_max, max(1, _CHUNK // d))  # steps per fill
@@ -186,7 +185,8 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     v = np.asarray(cfg.v)
     out = np.empty((hi - lo, ks.size, n_cols))
     for b0 in range(lo, hi, B):
-        rngs = [np.random.default_rng(children[r]) for r in range(b0, min(b0 + B, hi))]
+        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+                for r in range(b0, min(b0 + B, hi))]
         nb = len(rngs)
         seg = np.zeros((nb, ks.size, n_cols))  # sums over the pieces between checkpoints
         for c0 in range(0, k_max, K):

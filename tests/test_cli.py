@@ -180,6 +180,26 @@ def test_qgauss_marginal_check(capsys):
     assert json.loads(out)["max_defect"] <= 1e-6
 
 
+def test_qgauss_marginal_check_any_d_and_kprime(capsys):
+    code, out = run(capsys, "qgauss", "marginal-check", "--q", "1.5", "--d", "2",
+                    "--k", "1", "--kprime", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_defect"] <= 1e-10
+    assert set(payload) == {"max_defect", "points", "defects", "abserr"}
+    assert [len(row) for row in payload["points"]] == [2] * 9
+    assert len(payload["abserr"]) == 9 and max(payload["abserr"]) <= 1e-10
+    code, out = run(capsys, "qgauss", "marginal-check", "--q", "1.2", "--d", "2",
+                    "--k", "2", "--kprime", "3", "--grid", "0.5", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x_1_1,x_1_2,x_2_1,x_2_2,defect"
+    assert lines[1].startswith("0.5,0.5,0.5,0.5,") and len(lines) == 2
+    code, _ = run(capsys, "qgauss", "marginal-check", "--q", "1.5", "--d", "1",
+                  "--k", "1", "--kprime", "0")
+    assert code == 2
+
+
 def test_qgauss_sample_csv_header_and_determinism(capsys, tmp_path):
     code, out1 = run(capsys, "qgauss", "sample", "--q", "1.5", "--d", "2",
                      "--k", "2", "--n", "4", "--seed", "9")
@@ -276,6 +296,56 @@ def test_lln_run_workers_bit_identical(tmp_path, capsys):
         files[workers] = [(tmp_path / workers / name).read_bytes()
                           for name in ("averages.csv", "exceedance.csv", "summary.json")]
     assert files["1"] == files["2"]
+
+
+# Per qgauss verb: its required flags, the Namespace entries they and the
+# defaults give, then every flag of the verb set and the entries that gives.
+COMMON_DEFAULTS = dict(out=None, seed=0, workers=1, tol=1e-10, format="json")
+QGAUSS_ARGV = {
+    "density": (["--q", "1.5", "--x", "0.3"],
+                dict(q=1.5, d=1, v=None, S=None, x="0.3"),
+                ["--q", "1.2", "--d", "2", "--v", "0,1", "--S", "2,0;0,1", "--x", "0.3,0.1"],
+                dict(q=1.2, d=2, v="0,1", S="2,0;0,1", x="0.3,0.1")),
+    "lambda": (["--q", "1.5"], dict(q=1.5, d=1, S=None),
+               ["--q", "1.2", "--d", "2", "--S", "2,0;0,1"], dict(q=1.2, d=2, S="2,0;0,1")),
+    "marginal-check": (["--q", "1.5", "--k", "1", "--kprime", "2"],
+                       dict(q=1.5, d=1, k=1, kprime=2, v=None, S=None, grid=None),
+                       ["--q", "1.2", "--d", "2", "--k", "3", "--kprime", "1", "--v", "0,1",
+                        "--S", "2,0;0,1", "--grid", "0.5,1"],
+                       dict(q=1.2, d=2, k=3, kprime=1, v="0,1", S="2,0;0,1", grid="0.5,1")),
+    "sample": (["--q", "1.5", "--k", "2", "--n", "10"],
+               dict(q=1.5, d=1, k=2, n=10, v=None, S=None),
+               ["--q", "1.2", "--d", "2", "--k", "3", "--n", "4", "--v", "0,1",
+                "--S", "2,0;0,1"],
+               dict(q=1.2, d=2, k=3, n=4, v="0,1", S="2,0;0,1")),
+    "mle": (["--q", "1.5", "--k", "3"],
+            dict(q=1.5, d=1, k=3, data=None, x=None, header=False,
+                 family="identity_mean_only"),
+            ["--q", "1.2", "--d", "2", "--k", "4", "--data", "x.csv", "--x", "1,2",
+             "--header", "--family", "full"],
+            dict(q=1.2, d=2, k=4, data="x.csv", x="1,2", header=True, family="full")),
+    "moments": (["--q", "1.5"], dict(q=1.5, d=1, k=2, i=0, v=None, S=None),
+                ["--q", "1.2", "--d", "2", "--k", "5", "--i", "1", "--v", "0,1",
+                 "--S", "2,0;0,1"],
+                dict(q=1.2, d=2, k=5, i=1, v="0,1", S="2,0;0,1")),
+}
+
+
+@pytest.mark.parametrize("action", list(QGAUSS_ARGV))
+def test_qgauss_parser_namespaces(action):
+    required, defaults, full, given = QGAUSS_ARGV[action]
+    func = getattr(cli, "cmd_qgauss_" + action.replace("-", "_"))
+    full += ["--out", "o", "--seed", "3", "--workers", "2", "--tol", "1e-8",
+             "--format", "csv"]
+    common = dict(out="o", seed=3, workers=2, tol=1e-8, format="csv")
+    for argv, expected in ((required, {**COMMON_DEFAULTS, **defaults}),
+                           (full, {**common, **given})):
+        ns = cli.build_parser().parse_args(["qgauss", action, *argv])
+        assert vars(ns) == dict(verb="qgauss", action=action, func=func, **expected)
+    for flag in required[::2]:
+        i = required.index(flag)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["qgauss", action, *required[:i], *required[i + 2:]])
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,17 @@ def test_streaming_matches_materialised_paths(chunk, kw, monkeypatch):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
 
+def test_rep_child_built_alone_matches_spawned_child():
+    # _run_reps builds the stream of rep r as SeedSequence(seed, spawn_key=(r,))
+    for seed, reps in ((11, 40), (0, 5000)):
+        spawned = np.random.SeedSequence(seed).spawn(reps)
+        for r in (0, 1, 17, reps - 1):
+            alone = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            ref = np.random.default_rng(spawned[r])
+            assert np.array_equal(alone.standard_normal(1000), ref.standard_normal(1000))
+            assert alone.chisquare(7.0) == ref.chisquare(7.0)
+
+
 @pytest.mark.parametrize("edges", [(0, 1, None), (0, 7, 130, None)])
 def test_rep_partitions_are_bitwise_equal(edges):
     cfg = lln.SimConfig(q=1.3, d=2, v=(0.5, -0.4), variant="trace_d", k_max=1000,

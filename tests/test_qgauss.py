@@ -1,5 +1,8 @@
 import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +257,9 @@ def test_scale_invariance_2d():
 def test_marginal_q1_exact():
     res = qg.marginal_check(law(1.0, k=2), law(1.0, k=1), xs=np.array([0.0, 0.7, -1.3]))
     assert res.max_defect <= 1e-12
+    v, S = [0.4, -0.6], [[1.5, 0.5], [0.5, 0.8]]
+    res = qg.marginal_check(law(1.0, d=2, k=4, v=v, S=S), law(1.0, d=2, k=1, v=v, S=S))
+    assert res.max_defect <= 1e-12
 
 
 def test_marginal_q12_one_out():
@@ -271,6 +277,112 @@ def test_marginal_q15_two_out():
 def test_marginal_requires_shared_parameters():
     with pytest.raises(DomainError):
         qg.marginal_check(law(1.2, k=2), law(1.3, k=1))
+
+
+def _marginal_integrals(law_big, law_small, xs):
+    """marginal_check's integrals themselves: against a zero target its
+    defects are the integrals."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qg, "joint_density", lambda l, x: np.zeros(len(x)))
+        return qg.marginal_check(law_big, law_small, xs=xs).defects
+
+
+def test_marginal_two_out_matches_mpmath_integral():
+    """A Cartesian 2-D integral over the last two blocks of the k = 3 joint
+    (d = 1, q = 1.5) at 30 digits.  The integrand is even in each y - v,
+    so it is 4 times the integral over one quadrant."""
+    import mpmath
+
+    big, small = law(1.5, k=3, v=[0.3]), law(1.5, k=1, v=[0.3])
+    x = -0.4
+    with mpmath.workdps(30):
+        q, a, beta, nu, v = (mpmath.mpf(c) for c in (1.5, big.a_k, big.beta_k, big.nu_k, 0.3))
+
+        def rho(y1, y2):
+            r = (x - v) ** 2 + (y1 - v) ** 2 + (y2 - v) ** 2
+            return (1 + (q - 1) * (beta * r + nu)) ** (a / (1 - q))
+
+        ref = float(4 * mpmath.quad(rho, [v, mpmath.inf], [v, mpmath.inf]))
+    assert abs(_marginal_integrals(big, small, [x])[0] - ref) <= 1e-12
+    assert abs(qg.joint_density(small, np.array([[[x]]]))[0] - ref) <= 1e-12
+
+
+def test_marginal_d2_matches_nested_quadrature():
+    """d = 2, k' = 1 with S != I and v != 0 against nested 1-D quadratures of
+    joint_density over the trailing block: checks the whitening by S and
+    the det(S)^(-k'/2) factor."""
+    v, S = [0.4, -0.6], [[1.5, 0.5], [0.5, 0.8]]
+    big, small = law(1.3, d=2, k=2, v=v, S=S), law(1.3, d=2, k=1, v=v, S=S)
+    x = np.array([0.9, -0.2])
+
+    def inner(y1):
+        return tan_quad(lambda y2: qg.joint_density(big, np.array([x, [y1, y2]])),
+                        center=v[1])
+
+    ref = tan_quad(inner, center=v[0])
+    assert _marginal_integrals(big, small, x.reshape(1, 2))[0] == pytest.approx(ref, rel=1e-10)
+    assert qg.marginal_check(big, small, xs=x.reshape(1, 1, 2)).max_defect <= 1e-12
+
+
+@pytest.mark.parametrize("q,d,k,kp", [(1.2, 1, 1, 3), (1.5, 1, 2, 3), (1.3, 3, 1, 1),
+                                      (1.2, 2, 2, 3)])
+def test_marginal_any_d_and_kprime(q, d, k, kp):
+    """Odd n = d k' (3, 3, 3) and a larger even one (6), on the default grid."""
+    v = np.linspace(-0.5, 0.5, d)
+    S = np.eye(d) + 0.2 * (np.ones((d, d)) - np.eye(d))
+    res = qg.marginal_check(law(q, d=d, k=k + kp, v=v, S=S), law(q, d=d, k=k, v=v, S=S))
+    assert res.points.shape == (9, k * d)
+    assert res.abserr.shape == (9,) and np.all(res.abserr <= 1e-10)
+    assert res.max_defect <= 1e-12
+
+
+def test_marginal_points_layout():
+    big, small = law(1.3, d=2, k=3), law(1.3, d=2, k=2)
+    res = qg.marginal_check(big, small, xs=[0.5, -1.0])
+    assert res.points.shape == (2, 4)
+    assert np.all(res.points[0] == 0.5) and np.all(res.points[1] == -1.0)
+    rows = np.array([[[0.1, 0.2], [0.3, -0.4]], [[1.0, 0.0], [0.0, 1.0]]])
+    by_block = qg.marginal_check(big, small, xs=rows)
+    flat = qg.marginal_check(big, small, xs=rows.reshape(2, 4))
+    assert np.array_equal(by_block.points, rows.reshape(2, 4))
+    assert np.array_equal(by_block.defects, flat.defects)
+
+
+@pytest.mark.parametrize("k_big,k_small,kw", [
+    (2, 2, {}), (1, 2, {}),
+    (3, 2, dict(xs=np.zeros((3, 3)))), (3, 2, dict(xs=np.zeros((4, 2, 3)))),
+    (3, 2, dict(xs=[0.0, math.nan])), (3, 2, dict(xs=[[0.0, math.inf]])), (3, 2, dict(xs=[])),
+    (3, 2, dict(epsabs=0.0)), (3, 2, dict(epsabs=-1e-10)), (3, 2, dict(epsabs=math.nan)),
+    (3, 2, dict(epsabs=math.inf)),
+], ids=["kprime-0", "kprime-negative", "trailing-3", "trailing-2x3", "nan", "inf", "empty",
+        "epsabs-0", "epsabs-negative", "epsabs-nan", "epsabs-inf"])
+def test_marginal_rejects_bad_input(k_big, k_small, kw):
+    with pytest.raises(DomainError):
+        qg.marginal_check(law(1.5, k=k_big), law(1.5, k=k_small), **kw)
+
+
+def test_marginal_raises_instead_of_returning_unconverged():
+    # 3e6 standard deviations from v, the 4096-node rule misses 1e-10 relative
+    with pytest.raises(InfeasibleError):
+        qg.marginal_check(law(1.5, k=3), law(1.5, k=1), xs=[1e6], epsabs=1e-300)
+
+
+def test_marginal_check_calls_no_scipy_quadrature(monkeypatch):
+    class NoIntegrate:
+        def __getattr__(self, name):
+            raise AssertionError(f"integrate.{name} called")
+
+    monkeypatch.setattr(qg, "integrate", NoIntegrate())
+    assert qg.marginal_check(law(1.5, k=3), law(1.5, k=1)).max_defect <= 1e-12
+
+
+def test_radial_rule_is_not_built_at_import():
+    src = str(Path(qg.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dgeo.cli, dgeo.qgauss as qg; "
+            "print(qg._radial_rule.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
