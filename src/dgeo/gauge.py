@@ -11,8 +11,12 @@ the deformed exponential (the clipped inverse of ``ell = h' o tau``), the
 derived functions ``(ell, m, gamma, chi, s, s_star)``, equivalence
 transforms that leave the kernel invariant, and Legendre conjugation.
 
-Built-in gauges carry closed-form derivatives and a closed-form deformed
-exponential; custom gauges fall back to safeguarded root-finding and
+Built-in gauges give h, tau and ell with closed-form derivatives and a
+closed-form deformed exponential.  One builder (``_derived_from``) makes
+the derived functions of every gauge by the chain rule, so each value and
+first and second derivative is exact in those of ell and tau, except
+m'', gamma', gamma'' and chi'' (they need ell'''), which are central
+differences.  Custom gauges fall back to safeguarded root-finding and
 adaptive quadrature.
 """
 
@@ -89,19 +93,33 @@ def log_grid(lo: float, hi: float, n: int = 64) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _fd_d1(f: Callable) -> Callable:
+def _fd_step(t: np.ndarray, domain: Interval, rel: float) -> np.ndarray:
+    """rel times max(1, |t|), capped by t's distance to each finite end of the
+    domain so that a stencil of half-width 2 steps stays inside it, and
+    rounded down to a power of two so that t + k*step is exact in floating
+    point (otherwise a step far below |t| would carry a rounding error of
+    eps |t| / step)."""
+    scale = np.maximum(1.0, np.abs(t))
+    if math.isfinite(domain.lo):
+        scale = np.minimum(scale, t - domain.lo)
+    if math.isfinite(domain.hi):
+        scale = np.minimum(scale, domain.hi - t)
+    return np.exp2(np.floor(np.log2(rel * scale)))
+
+
+def _fd_d1(f: Callable, domain: Interval) -> Callable:
     def d1(t):
         t = np.asarray(t, dtype=float)
-        h = _FD_STEP * np.maximum(1.0, np.abs(t))
+        h = _fd_step(t, domain, _FD_STEP)
         return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
 
     return d1
 
 
-def _fd_d2(f: Callable) -> Callable:
+def _fd_d2(f: Callable, domain: Interval) -> Callable:
     def d2(t):
         t = np.asarray(t, dtype=float)
-        h = (_EPS ** 0.25) * np.maximum(1.0, np.abs(t))
+        h = _fd_step(t, domain, _EPS ** 0.25)
         return (-f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h) - f(t - 2 * h)) / (
             12 * h * h
         )
@@ -113,9 +131,10 @@ def _fd_d2(f: Callable) -> Callable:
 class ScalarFn:
     """A real function with first and second derivatives on an open domain.
 
-    ``analytic`` is False when derivatives come from the finite-difference
-    fallback, which is accurate only to about 1e-10 relative and should not
-    feed tolerance-critical paths.
+    ``analytic`` is True when both d1 and d2 are exact (closed forms, or the
+    chain rule applied to exact derivatives) and False when either comes
+    from central differences, which are accurate only to about 1e-10
+    relative and should not feed tolerance-critical paths.
     """
 
     value: Callable
@@ -127,7 +146,8 @@ class ScalarFn:
     @classmethod
     def from_value(cls, value: Callable, domain: Interval) -> "ScalarFn":
         """Wrap a plain callable, deriving d1/d2 by central differences."""
-        return cls(value=value, d1=_fd_d1(value), d2=_fd_d2(value), domain=domain, analytic=False)
+        return cls(value=value, d1=_fd_d1(value, domain), d2=_fd_d2(value, domain),
+                   domain=domain, analytic=False)
 
     def __call__(self, t):
         return self.value(t)
@@ -291,151 +311,69 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
         "escort"   (q)      h = power-escort partner,  tau(t) = t**q
         "scaled_log" (lam)  h(r) = (r log r - r)/lam,  tau(t) = t**lam
 
-    All four have analytic derivatives and a closed-form deformed
-    exponential clipped to the image of ``ell`` over the interval.
+    h, tau and ell carry closed-form derivatives, the derived functions
+    follow by the chain rule (``_derived_from``), and the deformed
+    exponential is a closed form clipped to the image of ``ell`` over the
+    interval.
     """
     I = interval or Interval(0.0, math.inf)
     if I.lo < 0:
         raise DomainError("gauge interval must lie inside (0, inf)")
     J = Interval(*(sorted((_tau_image(kind, q, lam, I)))))
 
-    if kind == "kl":
-        h = _sf(lambda r: np.asarray(r, float) * np.log(r),
-                lambda r: np.log(r) + 1.0,
-                lambda r: 1.0 / np.asarray(r, float), J)
-        tau = _identity_fn(I)
-        ell = _sf(lambda t: np.log(t) + 1.0, lambda t: 1.0 / np.asarray(t, float),
+    if kind in ("kl", "scaled_log"):
+        if kind == "kl":
+            params, shift = {}, 1.0
+            h = _sf(lambda r: np.asarray(r, float) * np.log(r),
+                    lambda r: np.log(r) + 1.0,
+                    lambda r: 1.0 / np.asarray(r, float), J)
+            tau = _identity_fn(I)
+        else:
+            if lam is None or lam <= 0:
+                raise DomainError("scaled_log gauge requires lam > 0")
+            params, shift = {"lam": lam}, 0.0
+            h = _sf(lambda r: (np.asarray(r, float) * np.log(r) - np.asarray(r, float)) / lam,
+                    lambda r: np.log(r) / lam,
+                    lambda r: 1.0 / (lam * np.asarray(r, float)), J)
+            tau = _power_fn(lam, 1.0, I)
+        ell = _sf(lambda t: np.log(t) + shift, lambda t: 1.0 / np.asarray(t, float),
                   lambda t: -np.asarray(t, float) ** -2.0, I)
-        lo_e = -math.inf if I.lo == 0.0 else math.log(I.lo) + 1.0
-        hi_e = math.inf if math.isinf(I.hi) else math.log(I.hi) + 1.0
-        der = DerivedFunctions(
-            ell=ell,
-            m=_power_fn(-1.0, 1.0, I),
-            gamma=_power_fn(-2.0, -1.0, I),
-            chi=_identity_fn(I),
-            s=_sf(lambda t: -np.asarray(t, float) * np.log(t),
-                  lambda t: -(np.log(t) + 1.0),
-                  lambda t: -1.0 / np.asarray(t, float), I),
-            s_star=_power_fn(1.0, -1.0, I),
-        )
-        exp_fn = _shifted_exp_factory(1.0, 1.0, lo_e, hi_e)  # exp(u - 1)
-        return GaugeTriple(h, tau, I, "kl", (lo_e, hi_e), exp_fn, der,
-                           {"kind": "kl", "lo": I.lo, "hi": _json_hi(I.hi)})
-
-    if kind == "power":
+        lo_e = -math.inf if I.lo == 0.0 else math.log(I.lo) + shift
+        hi_e = math.inf if math.isinf(I.hi) else math.log(I.hi) + shift
+        exp_fn = _shifted_exp_factory(1.0, shift, lo_e, hi_e)  # exp(u - shift)
+    elif kind in ("power", "escort"):
         if q is None or q <= 0:
-            raise DomainError("power gauge requires q > 0")
-        h = _sf(lambda r: _h_q(r, q), lambda r: _ln_q(r, q),
-                lambda r: np.asarray(r, float) ** (-q), J)
-        tau = _identity_fn(I)
+            raise DomainError(f"{kind} gauge requires q > 0")
+        params = {"q": q}
+        if kind == "power":
+            h = _sf(lambda r: _h_q(r, q), lambda r: _ln_q(r, q),
+                    lambda r: np.asarray(r, float) ** (-q), J)
+            tau = _identity_fn(I)
+        else:
+            def f_val(r):
+                r = np.asarray(r, dtype=float)
+                return q * r * _ln_q(r ** (1.0 / q), q) - r
+
+            def f_d1(r):
+                r = np.asarray(r, dtype=float)
+                return q * _ln_q(r ** (1.0 / q), q) + r ** (1.0 / q - 1.0) - 1.0
+
+            def f_d2(r):
+                r = np.asarray(r, dtype=float)
+                return (1.0 / q) * r ** (1.0 / q - 2.0)
+
+            h = _sf(f_val, f_d1, f_d2, J)
+            tau = _power_fn(q, 1.0, I)
         ell = _sf(lambda t: _ln_q(t, q), lambda t: np.asarray(t, float) ** (-q),
                   lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
         lo_e, hi_e = _ln_q_range(q, I)
-        der = DerivedFunctions(
-            ell=ell,
-            m=_power_fn(-q, 1.0, I),
-            gamma=_power_fn(-q - 1.0, -q, I),
-            chi=_power_fn(q, 1.0, I),
-            s=_sf(lambda t: -_h_q(t, q), lambda t: -_ln_q(t, q),
-                  lambda t: -np.asarray(t, float) ** (-q), I),
-            s_star=_sf(lambda t: -np.asarray(t, float) * _ln_q(t, q) + _h_q(t, q),
-                       lambda t: -np.asarray(t, float) ** (1.0 - q),
-                       lambda t: -(1.0 - q) * np.asarray(t, float) ** (-q), I),
-        )
         exp_fn = _exp_q_factory(q, lo_e, hi_e)
-        return GaugeTriple(h, tau, I, f"power({q:g})", (lo_e, hi_e), exp_fn, der,
-                           {"kind": "power", "q": q, "lo": I.lo, "hi": _json_hi(I.hi)})
+    else:
+        raise DomainError(f"unknown gauge kind '{kind}'")
 
-    if kind == "escort":
-        if q is None or q <= 0:
-            raise DomainError("escort gauge requires q > 0")
-
-        def f_val(r):
-            r = np.asarray(r, dtype=float)
-            return q * r * _ln_q(r ** (1.0 / q), q) - r
-
-        def f_d1(r):
-            r = np.asarray(r, dtype=float)
-            return q * _ln_q(r ** (1.0 / q), q) + r ** (1.0 / q - 1.0) - 1.0
-
-        def f_d2(r):
-            r = np.asarray(r, dtype=float)
-            return (1.0 / q) * r ** (1.0 / q - 2.0)
-
-        h = _sf(f_val, f_d1, f_d2, J)
-        tau = _power_fn(q, 1.0, I)
-        ell = _sf(lambda t: _ln_q(t, q), lambda t: np.asarray(t, float) ** (-q),
-                  lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
-        lo_e, hi_e = _ln_q_range(q, I)
-
-        def s_val(t):
-            t = np.asarray(t, dtype=float)
-            return -q * t ** q * _ln_q(t, q) + t ** q
-
-        def s_d1(t):
-            t = np.asarray(t, dtype=float)
-            return -q * q * t ** (q - 1.0) * _ln_q(t, q) - q + q * t ** (q - 1.0)
-
-        def s_d2(t):
-            t = np.asarray(t, dtype=float)
-            return (-q * q * (q - 1.0) * t ** (q - 2.0) * _ln_q(t, q)
-                    - q * q / t + q * (q - 1.0) * t ** (q - 2.0))
-
-        def ss_val(t):
-            t = np.asarray(t, dtype=float)
-            return (q - 1.0) * t ** q * _ln_q(t, q) - t ** q
-
-        der = DerivedFunctions(
-            ell=ell,
-            m=_power_fn(-1.0, q, I),
-            gamma=_power_fn(-2.0, -q * q, I),
-            chi=_power_fn(q, 1.0, I),
-            s=_sf(s_val, s_d1, s_d2, I),
-            s_star=_sf(ss_val,
-                       lambda t: -np.ones_like(np.asarray(t, dtype=float)),
-                       lambda t: np.zeros_like(np.asarray(t, dtype=float)), I),
-        )
-        exp_fn = _exp_q_factory(q, lo_e, hi_e)
-        return GaugeTriple(h, tau, I, f"escort({q:g})", (lo_e, hi_e), exp_fn, der,
-                           {"kind": "escort", "q": q, "lo": I.lo, "hi": _json_hi(I.hi)})
-
-    if kind == "scaled_log":
-        if lam is None or lam <= 0:
-            raise DomainError("scaled_log gauge requires lam > 0")
-        h = _sf(lambda r: (np.asarray(r, float) * np.log(r) - np.asarray(r, float)) / lam,
-                lambda r: np.log(r) / lam,
-                lambda r: 1.0 / (lam * np.asarray(r, float)), J)
-        tau = _power_fn(lam, 1.0, I)
-        ell = _sf(lambda t: np.log(t), lambda t: 1.0 / np.asarray(t, float),
-                  lambda t: -np.asarray(t, float) ** -2.0, I)
-        lo_e = -math.inf if I.lo == 0.0 else math.log(I.lo)
-        hi_e = math.inf if math.isinf(I.hi) else math.log(I.hi)
-
-        def s_val(t):
-            t = np.asarray(t, dtype=float)
-            return t ** lam / lam - t ** lam * np.log(t)
-
-        def s_d1(t):
-            t = np.asarray(t, dtype=float)
-            return -lam * t ** (lam - 1.0) * np.log(t)
-
-        def s_d2(t):
-            t = np.asarray(t, dtype=float)
-            return -lam * ((lam - 1.0) * t ** (lam - 2.0) * np.log(t) + t ** (lam - 2.0))
-
-        der = DerivedFunctions(
-            ell=ell,
-            m=_power_fn(lam - 2.0, lam, I),
-            gamma=_power_fn(lam - 3.0, -lam, I),
-            chi=_identity_fn(I),
-            s=_sf(s_val, s_d1, s_d2, I),
-            s_star=_power_fn(lam, -1.0 / lam, I),
-        )
-        exp_fn = _shifted_exp_factory(1.0, 0.0, lo_e, hi_e)  # exp(u)
-        return GaugeTriple(h, tau, I, f"scaled_log({lam:g})", (lo_e, hi_e), exp_fn, der,
-                           {"kind": "scaled_log", "lam": lam, "lo": I.lo, "hi": _json_hi(I.hi)})
-
-    raise DomainError(f"unknown gauge kind '{kind}'")
+    name = kind + "".join(f"({v:g})" for v in params.values())
+    return GaugeTriple(h, tau, I, name, (lo_e, hi_e), exp_fn, _derived_from(h, tau, ell, I),
+                       {"kind": kind, **params, "lo": I.lo, "hi": _json_hi(I.hi)})
 
 
 def _tau_image(kind, q, lam, I: Interval) -> tuple[float, float]:
@@ -470,7 +408,7 @@ def _json_hi(hi: float):
 
 
 def derived(g: GaugeTriple) -> DerivedFunctions:
-    """The derived functions of a gauge (cached for builtins)."""
+    """The derived functions of a gauge (cached on every gauge this module builds)."""
     if g.derived_fns is not None:
         return g.derived_fns
 
@@ -479,45 +417,63 @@ def derived(g: GaugeTriple) -> DerivedFunctions:
     def ell_d1(t):
         return h.d2(tau.value(t)) * tau.d1(t)
 
-    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1), g.I, analytic=False)
+    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1, g.I), g.I,
+                   analytic=False)
     return _derived_from(h, tau, ell, g.I)
 
 
 def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> DerivedFunctions:
-    """m, gamma, chi, s and s_star from h, tau and ell = h' o tau (with its
-    first two derivatives) on I; the remaining derivatives are finite differences."""
+    """m, gamma, chi, s and s_star from h, tau and ell = h' o tau on I.
 
-    def arr(v):
-        return np.asarray(v, dtype=float)
+    Values and derivatives follow from those of ell and tau by the chain
+    rule: m' = ell'' tau' + ell' tau'', chi' = -ell'' / ell'^2,
+    s' = -ell tau', s'' = -(m + ell tau''), s_star' = -tau ell' and
+    s_star'' = -(m + tau ell'').  Only m'', gamma', gamma'' and chi'' would
+    need ell''', so those four are central differences.
+    """
 
     def m_v(t):
-        return arr(ell.d1(t)) * arr(tau.d1(t))
+        return ell.d1(t) * tau.d1(t)
+
+    def m_d1(t):
+        return ell.d2(t) * tau.d1(t) + ell.d1(t) * tau.d2(t)
 
     def gamma_v(t):
-        return arr(ell.d2(t)) * arr(tau.d1(t))
+        return ell.d2(t) * tau.d1(t)
 
     def chi_v(t):
-        return 1.0 / arr(ell.d1(t))
+        return 1.0 / ell.d1(t)
+
+    def chi_d1(t):
+        return -ell.d2(t) / ell.d1(t) ** 2
 
     def s_v(t):
         return -h.value(tau.value(t))
 
     def s_d1(t):
-        return -arr(ell.value(t)) * arr(tau.d1(t))
+        return -ell.value(t) * tau.d1(t)
+
+    def s_d2(t):
+        return -(m_v(t) + ell.value(t) * tau.d2(t))
 
     def ss_v(t):
-        return -arr(tau.value(t)) * arr(ell.value(t)) + arr(h.value(tau.value(t)))
+        r = tau.value(t)
+        return -r * ell.value(t) + h.value(r)
 
     def ss_d1(t):
-        return -arr(tau.value(t)) * arr(ell.d1(t))
+        return -tau.value(t) * ell.d1(t)
 
+    def ss_d2(t):
+        return -(m_v(t) + tau.value(t) * ell.d2(t))
+
+    exact = ell.analytic and tau.analytic
     return DerivedFunctions(
         ell=ell,
-        m=ScalarFn(m_v, _fd_d1(m_v), _fd_d2(m_v), I, analytic=False),
-        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v), _fd_d2(gamma_v), I, analytic=False),
-        chi=ScalarFn(chi_v, _fd_d1(chi_v), _fd_d2(chi_v), I, analytic=False),
-        s=ScalarFn(s_v, s_d1, _fd_d1(s_d1), I, analytic=False),
-        s_star=ScalarFn(ss_v, ss_d1, _fd_d1(ss_d1), I, analytic=False),
+        m=ScalarFn(m_v, m_d1, _fd_d1(m_d1, I), I, analytic=False),
+        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v, I), _fd_d2(gamma_v, I), I, analytic=False),
+        chi=ScalarFn(chi_v, chi_d1, _fd_d1(chi_d1, I), I, analytic=False),
+        s=ScalarFn(s_v, s_d1, s_d2, I, analytic=exact),
+        s_star=ScalarFn(ss_v, ss_d1, ss_d2, I, analytic=exact),
     )
 
 
@@ -709,7 +665,6 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
     - a1*(rho-a3)/lam - a2, so that h(r) = h2(lam*r + a3) + a1*r + a2.
     """
     a1, a2, a3, lam = tr.a1, tr.a2, tr.a3, tr.lam
-    der = derived(g)
     h1, tau1 = g.h, g.tau
 
     J2 = Interval(lam * h1.domain.lo + a3 if math.isfinite(h1.domain.lo) else -math.inf,
@@ -729,21 +684,10 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         d2=lambda t: lam * tau1.d2(t),
         domain=g.I, analytic=tau1.analytic)
 
-    ell1 = der.ell
+    ell1 = derived(g).ell
     ell2 = ScalarFn(lambda t: (ell1.value(t) - a1) / lam,
                     lambda t: ell1.d1(t) / lam,
                     lambda t: ell1.d2(t) / lam, g.I, analytic=ell1.analytic)
-    chi2 = ScalarFn(lambda t: lam * der.chi.value(t),
-                    lambda t: lam * der.chi.d1(t),
-                    lambda t: lam * der.chi.d2(t), g.I, analytic=der.chi.analytic)
-    s2 = ScalarFn(lambda t: der.s.value(t) + a1 * tau1.value(t) + a2,
-                  lambda t: der.s.d1(t) + a1 * tau1.d1(t),
-                  lambda t: der.s.d2(t) + a1 * tau1.d2(t), g.I, analytic=der.s.analytic)
-    ss2 = ScalarFn(lambda t: der.s_star.value(t) - (a3 / lam) * (ell1.value(t) - a1) - a2,
-                   lambda t: der.s_star.d1(t) - (a3 / lam) * ell1.d1(t),
-                   lambda t: der.s_star.d2(t) - (a3 / lam) * ell1.d2(t),
-                   g.I, analytic=der.s_star.analytic)
-    der2 = DerivedFunctions(ell=ell2, m=der.m, gamma=der.gamma, chi=chi2, s=s2, s_star=ss2)
 
     lo_e, hi_e = g.ell_range
     rng2 = ((lo_e - a1) / lam, (hi_e - a1) / lam)
@@ -755,7 +699,8 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         def exp_fn2(u):
             return base(lam * np.asarray(u, dtype=float) + a1)
 
-    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, exp_fn2, der2, None)
+    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, exp_fn2,
+                       _derived_from(h2, tau2, ell2, g.I), None)
 
 
 # ----------------------------------------------------------------------------

@@ -79,13 +79,7 @@ class SimConfig:
         return qg.QGaussianParams(self.q, self.d, np.asarray(self.v), S, variant)
 
     def k_schedule(self) -> list[int]:
-        ks = []
-        k = 10
-        while k < self.k_max:
-            ks.append(k)
-            k *= 10
-        ks.append(self.k_max)
-        return sorted(set(ks))
+        return _decades(self.k_max)
 
     def stat_labels(self) -> list[str]:
         labels = [f"F{i + 1}" for i in range(self.d)]
@@ -102,6 +96,16 @@ class SimConfig:
         }
 
 
+def _decades(k_end: int) -> list[int]:
+    """The checkpoints 10, 100, ... below k_end, then k_end itself."""
+    ks = []
+    k = 10
+    while k < k_end:
+        ks.append(k)
+        k *= 10
+    return ks + [k_end]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -116,7 +120,7 @@ class SimReport:
     targets: np.ndarray          # (n_stats,)
     averages: np.ndarray         # (reps, n_checkpoints, n_stats)
     deviations: np.ndarray       # same shape, |avg - target|
-    seed_convention: str = "SeedSequence(seed).spawn(reps)[rep]"
+    seed_convention: str = "SeedSequence(seed, spawn_key=(rep,))"
 
     def exceedance(self, eps: float, stat: int = 0) -> np.ndarray:
         """Fraction of reps with |avg_k - target| > eps, per checkpoint."""
@@ -426,13 +430,7 @@ def borel_cantelli_summability(cfg: SimConfig, eps: float,
     ks = np.arange(1, k_terms + 1, dtype=float)
     terms = ey4 / (ks ** 3 * eps ** 4) + 3.0 * (ks - 1) * ey22 / (ks ** 3 * eps ** 4)
     sums = np.cumsum(terms)
-    checkpoints = []
-    k = 10
-    while k < k_terms:
-        checkpoints.append(k)
-        k *= 10
-    checkpoints.append(k_terms)
-    checkpoints = np.asarray(sorted(set(checkpoints)))
+    checkpoints = np.asarray(_decades(k_terms))
     partial = sums[checkpoints - 1]
     prev = sums[checkpoints[-2] - 1] if checkpoints.size > 1 else sums[0]
     rel_change = float((partial[-1] - prev) / partial[-1])

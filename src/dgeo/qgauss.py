@@ -505,8 +505,8 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     1e-10 |I_2N|); InfeasibleError past 4096 nodes.
     """
     pb, ps = law_big.base, law_small.base
-    if (pb.q, pb.d) != (ps.q, ps.d) or not np.allclose(pb.v, ps.v) \
-            or not np.allclose(pb.S, ps.S):
+    if pb is not ps and ((pb.q, pb.d) != (ps.q, ps.d) or not np.allclose(pb.v, ps.v)
+                         or not np.allclose(pb.S, ps.S)):
         raise DomainError("both laws must share (q, d, v, S)")
     k, d, kp = law_small.k, pb.d, law_big.k - law_small.k
     if kp < 1 or not (math.isfinite(epsabs) and epsabs > 0):

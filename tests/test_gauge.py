@@ -8,6 +8,7 @@ from scipy import integrate
 from dgeo import (
     DomainError,
     EquivalenceTransform,
+    GaugeTriple,
     Interval,
     ScalarFn,
     apply_equivalence,
@@ -95,6 +96,111 @@ def test_scalarfn_derivatives_match_finite_differences(g, rng):
         assert np.allclose(np.asarray(fn.d1(pts), dtype=float), fd1, rtol=1e-5, atol=1e-8)
         fd2 = (np.asarray(fn.d1(pts + h_)) - np.asarray(fn.d1(pts - h_))) / (2 * h_)
         assert np.allclose(np.asarray(fn.d2(pts), dtype=float), fd2, rtol=1e-5, atol=1e-8)
+
+
+def test_fd_stencil_stays_inside_the_domain():
+    # a bare triple has no cached derived functions, so its ell'' (and with
+    # it gamma) comes from a central difference of ell' = 1/t; a stencil
+    # reaching below t = 0 gave -2.8e10 at t = 1e-5 and +3.5e10 at 1e-6
+    kl = builtin_gauge("kl")
+    bare = GaugeTriple(kl.h, kl.tau, kl.I, "bare", kl.ell_range)
+    ts = np.array([1e-6, 1e-5, 1e-3])
+    assert np.allclose(derived(bare).gamma.value(ts), -ts ** -2.0, rtol=1e-6, atol=0)
+    f = ScalarFn.from_value(lambda t: np.sqrt((t - 0.5) * (2.0 - t)), Interval(0.5, 2.0))
+    for t in (0.5 + 1e-6, 2.0 - 1e-6):
+        exact = (2.5 - 2 * t) / (2 * math.sqrt((t - 0.5) * (2.0 - t)))
+        assert f.d1(t) == pytest.approx(exact, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# derived functions against a sympy oracle
+# ---------------------------------------------------------------------------
+
+
+def _sympy_cases():
+    """(gauge, h(r), tau(t)) in sympy for each gauge the oracle covers."""
+    sp = pytest.importorskip("sympy")
+    r, t = sp.symbols("r t", positive=True)
+    R = sp.Rational
+    cases = [("kl", builtin_gauge("kl"), r * sp.log(r), t)]
+    for qf, q in ((0.7, R(7, 10)), (1.5, R(3, 2))):
+        cases.append((f"power({qf:g})", builtin_gauge("power", q=qf),
+                      (r ** (2 - q) - 1) / ((1 - q) * (2 - q)) - (r - 1) / (1 - q), t))
+        ln_q = ((r ** (1 / q)) ** (1 - q) - 1) / (1 - q)
+        cases.append((f"escort({qf:g})", builtin_gauge("escort", q=qf), q * r * ln_q - r, t ** q))
+    for lf, lam in ((0.5, R(1, 2)), (2.0, R(2))):
+        cases.append((f"scaled_log({lf:g})", builtin_gauge("scaled_log", lam=lf),
+                      (r * sp.log(r) - r) / lam, t ** lam))
+    # the pair gauge's h is the integral of ell = log u + u/2 + 1 from a = 1
+    h = r * sp.log(r) + r ** 2 / 4 - R(1, 4)
+    pair = gauge_from_pair(*_log_half_pair(), a=1.0)
+    cases.append(("pair", pair, h, t))
+    a1, a2, a3, lam = R(3, 10), R(-1, 5), R(1, 10), R(3, 2)
+    back = (r - a3) / lam
+    cases.append(("pair~equiv", apply_equivalence(pair, EquivalenceTransform(0.3, -0.2, 0.1, 1.5)),
+                  h.subs(r, back) - a1 * back - a2, lam * t + a3))
+    return sp, r, t, cases
+
+
+# derivatives (name, order) that are central differences by design
+_FD_BACKED = {("m", 2), ("gamma", 1), ("gamma", 2), ("chi", 2)}
+
+
+@pytest.mark.parametrize("name", ["kl", "power(0.7)", "escort(0.7)", "power(1.5)",
+                                  "escort(1.5)", "scaled_log(0.5)", "scaled_log(2)", "pair",
+                                  "pair~equiv"])
+def test_derived_functions_match_sympy(name):
+    """Each of the six derived functions and its first two derivatives
+    against sympy expressions evaluated at 40 digits, on t in [1e-3, 1e3]:
+    chain-rule quantities to 1e-12 relative, values that go through the
+    pair gauges' quadrature (s and s_star) to 1e-10, central differences to
+    1e-6.  Where the exact f^(k)(t) is zero, the error is taken relative
+    to the largest |f^(j)(t)| t^(j-k) over the other orders j <= 2."""
+    mpmath = pytest.importorskip("mpmath")
+    sp, r, t, cases = _sympy_cases()
+    g, h, tau = next(c[1:] for c in cases if c[0] == name)
+    ell = sp.diff(h, r).subs(r, tau)
+    exact = {"ell": ell, "m": sp.diff(ell, t) * sp.diff(tau, t),
+             "gamma": sp.diff(ell, t, 2) * sp.diff(tau, t), "chi": 1 / sp.diff(ell, t),
+             "s": -h.subs(r, tau), "s_star": -tau * ell + h.subs(r, tau)}
+    ts = np.geomspace(1e-3, 1e3, 25)
+    d = derived(g)
+    for fname, expr in exact.items():
+        want = []
+        for k in range(3):
+            f = sp.lambdify(t, sp.diff(expr, t, k), "mpmath")
+            with mpmath.workdps(40):
+                want.append(np.array([float(f(mpmath.mpf(float(x)))) for x in ts]))
+        fn = getattr(d, fname)
+        for k, attr in enumerate(("value", "d1", "d2")):
+            if (fname, k) in _FD_BACKED:
+                tol = 1e-6
+            elif fname in ("s", "s_star") and k == 0 and name.startswith("pair"):
+                tol = 1e-10
+            else:
+                tol = 1e-12
+            scale = np.abs(want[k])
+            alt = np.max([np.abs(want[j]) * ts ** (j - k) for j in range(3) if j != k], axis=0)
+            scale = np.where(scale <= 1e-30 * alt, alt, scale)
+            err = np.abs(np.asarray(getattr(fn, attr)(ts), dtype=float) - want[k]) / scale
+            assert np.all(err <= tol), (name, fname, attr, float(np.max(err)))
+
+
+def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2():
+    tau, ell = _log_half_pair()
+    calls = {"value": 0, "d1": 0, "d2": 0}
+
+    def counted(key):
+        def f(t):
+            calls[key] += 1
+            return getattr(ell, key)(t)
+        return f
+
+    g = gauge_from_pair(tau, ScalarFn(counted("value"), counted("d1"), counted("d2"),
+                                      ell.domain), a=1.0)
+    calls.update(value=0, d1=0, d2=0)
+    derived(g).chi.d1(np.array([0.5, 2.0]))
+    assert calls == {"value": 0, "d1": 1, "d2": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +320,7 @@ def test_exp_rootfinding_relative_accuracy_against_mpmath(tr):
     # of it (ell2 = (ell - a1)/lam); the oracle solves x + e^x/2 + 1 = target
     # for x = log t at 50 digits
     mpmath = pytest.importorskip("mpmath")
-    tau, _ = _kl_pair()
-    ell = ScalarFn(lambda t: np.log(t) + 0.5 * np.asarray(t, float) + 1.0,
-                   lambda t: 1.0 / np.asarray(t, float) + 0.5,
-                   lambda t: -np.asarray(t, float) ** -2.0, tau.domain)
-    g = gauge_from_pair(tau, ell, a=1.0)
+    g = gauge_from_pair(*_log_half_pair(), a=1.0)
     a1, lam = 0.0, 1.0
     if tr is not None:
         g, a1, lam = apply_equivalence(g, tr), tr.a1, tr.lam
@@ -298,6 +400,15 @@ def _kl_pair():
     ell = ScalarFn(lambda t: np.log(t) + 1.0,
                    lambda t: 1.0 / np.asarray(t, float),
                    lambda t: -np.asarray(t, float) ** -2.0, I)
+    return tau, ell
+
+
+def _log_half_pair():
+    """tau = id and ell = log t + t/2 + 1 on (0, inf)."""
+    tau, _ = _kl_pair()
+    ell = ScalarFn(lambda t: np.log(t) + 0.5 * np.asarray(t, float) + 1.0,
+                   lambda t: 1.0 / np.asarray(t, float) + 0.5,
+                   lambda t: -np.asarray(t, float) ** -2.0, tau.domain)
     return tau, ell
 
 

@@ -279,6 +279,19 @@ def test_marginal_requires_shared_parameters():
         qg.marginal_check(law(1.2, k=2), law(1.3, k=1))
 
 
+def test_marginal_shared_base_skips_the_parameter_comparison(monkeypatch):
+    # laws built from one QGaussianParams need no allclose on v and S; laws
+    # from equal but distinct parameters are still compared, and a
+    # mismatch in S alone is still rejected
+    p = qg.QGaussianParams(1.5, 1, np.zeros(1), np.eye(1))
+    with monkeypatch.context() as mp:
+        mp.setattr(qg.np, "allclose", lambda *a, **k: pytest.fail("allclose called"))
+        assert qg.marginal_check(qg.repetition(p, 2), qg.repetition(p, 1)).max_defect <= 1e-5
+    assert qg.marginal_check(law(1.5, k=2), law(1.5, k=1)).max_defect <= 1e-5
+    with pytest.raises(DomainError):
+        qg.marginal_check(law(1.5, k=2, S=[[2.0]]), law(1.5, k=1))
+
+
 def _marginal_integrals(law_big, law_small, xs):
     """marginal_check's integrals themselves: against a zero target its
     defects are the integrals."""
