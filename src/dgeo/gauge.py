@@ -16,20 +16,22 @@ closed-form deformed exponential.  One builder (``_derived_from``) makes
 the derived functions of every gauge by the chain rule, so each value and
 first and second derivative is exact in those of ell and tau, except
 m'', gamma', gamma'' and chi'' (they need ell'''), which are central
-differences.  Custom gauges fall back to safeguarded root-finding and
-adaptive quadrature.
+differences.  Custom gauges fall back to safeguarded root-finding, and a
+pair gauge's h o tau to a vectorised Gauss-Legendre integral in t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize  # noqa: F401  (optimize: perfbench/tracer.py patches it)
+from scipy import integrate, optimize  # noqa: F401  (unused; perfbench/tracer.py patches both)
+from scipy.special import roots_legendre
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
     "Interval",
@@ -372,7 +374,8 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
         raise DomainError(f"unknown gauge kind '{kind}'")
 
     name = kind + "".join(f"({v:g})" for v in params.values())
-    return GaugeTriple(h, tau, I, name, (lo_e, hi_e), exp_fn, _derived_from(h, tau, ell, I),
+    return GaugeTriple(h, tau, I, name, (lo_e, hi_e), exp_fn, _derived_from(
+                       lambda t: h.value(tau.value(t)), tau, ell, I),
                        {"kind": kind, **params, "lo": I.lo, "hi": _json_hi(I.hi)})
 
 
@@ -419,11 +422,11 @@ def derived(g: GaugeTriple) -> DerivedFunctions:
 
     ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1, g.I), g.I,
                    analytic=False)
-    return _derived_from(h, tau, ell, g.I)
+    return _derived_from(lambda t: h.value(tau.value(t)), tau, ell, g.I)
 
 
-def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> DerivedFunctions:
-    """m, gamma, chi, s and s_star from h, tau and ell = h' o tau on I.
+def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn, I: Interval) -> DerivedFunctions:
+    """m, gamma, chi, s and s_star from h o tau (as a function of t), tau and ell = h' o tau.
 
     Values and derivatives follow from those of ell and tau by the chain
     rule: m' = ell'' tau' + ell' tau'', chi' = -ell'' / ell'^2,
@@ -447,9 +450,6 @@ def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> Der
     def chi_d1(t):
         return -ell.d2(t) / ell.d1(t) ** 2
 
-    def s_v(t):
-        return -h.value(tau.value(t))
-
     def s_d1(t):
         return -ell.value(t) * tau.d1(t)
 
@@ -457,8 +457,7 @@ def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> Der
         return -(m_v(t) + ell.value(t) * tau.d2(t))
 
     def ss_v(t):
-        r = tau.value(t)
-        return -r * ell.value(t) + h.value(r)
+        return -tau.value(t) * ell.value(t) + h_tau(t)
 
     def ss_d1(t):
         return -tau.value(t) * ell.d1(t)
@@ -472,7 +471,7 @@ def _derived_from(h: ScalarFn, tau: ScalarFn, ell: ScalarFn, I: Interval) -> Der
         m=ScalarFn(m_v, m_d1, _fd_d1(m_d1, I), I, analytic=False),
         gamma=ScalarFn(gamma_v, _fd_d1(gamma_v, I), _fd_d2(gamma_v, I), I, analytic=False),
         chi=ScalarFn(chi_v, chi_d1, _fd_d1(chi_d1, I), I, analytic=False),
-        s=ScalarFn(s_v, s_d1, s_d2, I, analytic=exact),
+        s=ScalarFn(lambda t: -h_tau(t), s_d1, s_d2, I, analytic=exact),
         s_star=ScalarFn(ss_v, ss_d1, ss_d2, I, analytic=exact),
     )
 
@@ -490,7 +489,7 @@ def d_htau(g: GaugeTriple, t, s):
     ts = g.tau.value(s)
     ht = g.h.value(tt)
     hs = g.h.value(ts)
-    val = np.asarray(ht - hs - (tt - ts) * g.h.d1(ts), dtype=float)
+    val = np.asarray(ht - hs - (tt - ts) * derived(g).ell.value(s), dtype=float)
     scale = 1.0 + np.abs(ht) + np.abs(hs)
     val = np.where((val < 0) & (val > -1e-12 * scale), 0.0, val)
     return val if val.ndim else float(val)
@@ -537,10 +536,10 @@ _X_TABLE = np.concatenate([[-700.0, -350.0, -175.0, -88.0], np.linspace(-44.0, 4
                            [88.0, 175.0, 350.0, 700.0]])
 
 
-def _coordinate(domain: Interval) -> Callable:
+def _coordinate(domain: Interval) -> tuple[Callable, Callable]:
     """x -> (t, dt/dx) onto the domain, exponential toward each finite end (sinh
     on R), so that a step in x is a relative step in t or in its distance
-    to a finite end."""
+    to a finite end; and its inverse t -> x."""
     lo, hi = domain.lo, domain.hi
     if math.isfinite(lo) and math.isfinite(hi):
         width = hi - lo
@@ -549,23 +548,66 @@ def _coordinate(domain: Interval) -> Callable:
             e = np.exp(-np.abs(x))
             s = e / (1.0 + e)
             return np.where(x < 0, lo + width * s, hi - width * s), width * s * (1.0 - s)
-    elif math.isfinite(lo):
+        return tmap, lambda t: np.log((t - lo) / (hi - t))
+    if math.isfinite(lo) or math.isfinite(hi):
+        end, sign = (lo, 1.0) if math.isfinite(lo) else (hi, -1.0)
+
         def tmap(x):
-            e = np.exp(x)
-            return lo + e, e
-    elif math.isfinite(hi):
-        def tmap(x):
-            e = np.exp(-x)
-            return hi - e, e
-    else:
-        def tmap(x):
-            return np.sinh(x), np.cosh(x)
-    return tmap
+            e = np.exp(sign * x)
+            return end + sign * e, e
+        return tmap, lambda t: sign * np.log(sign * (t - end))
+    return (lambda x: (np.sinh(x), np.cosh(x))), np.arcsinh
+
+
+@lru_cache(maxsize=8)
+def _gl_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1], read-only."""
+    x, w = roots_legendre(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _doubling(integral: Callable, n_nodes: int, n_max: int, epsabs: float, epsrel: float,
+              what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(I_2n, |I_2n - I_n|) at the first n = n_nodes, 2 n_nodes, ... where every element
+    has |I_2n - I_n| <= max(epsabs, epsrel |I_2n|); InfeasibleError past n_max nodes."""
+    coarse = integral(n_nodes)
+    while n_nodes < n_max:
+        n_nodes *= 2
+        fine = integral(n_nodes)
+        abserr = np.abs(fine - coarse)
+        if np.all(abserr <= np.maximum(epsabs, epsrel * np.abs(fine))):
+            return fine, abserr
+        coarse = fine
+    raise InfeasibleError(f"{what} unconverged at {n_max} nodes ({np.max(abserr):.3g})")
+
+
+def _gl_integrate(f: Callable, domain: Interval, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Integral of f from a to b inside the domain, with its error estimate, for all
+    elements of a and b at once: Gauss-Legendre in the x of ``_coordinate`` on panels
+    of length <= 2, 16 nodes per panel doubled until |I_2n - I_n| <= max(1e-12,
+    1e-12 |I_2n|) (InfeasibleError past 256)."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    domain.require([a, b], "integration limit")
+    tmap, xmap = _coordinate(domain)
+    xa, xb = xmap(a.ravel()), xmap(b.ravel())
+    n = np.maximum(1, np.ceil(np.abs(xb - xa) / 2.0)).astype(np.intp)  # panels per element
+    row = np.repeat(np.arange(n.size), n)
+    half = ((xb - xa) / (2 * n))[row]
+    mid = xa[row] + (2 * (np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)) + 1) * half
+
+    def integral(n_nodes):
+        u, w = _gl_rule(n_nodes)
+        t, dtdx = tmap(mid[:, None] + half[:, None] * u)
+        return np.bincount(row, (f(t) * dtdx) @ w * half, minlength=n.size)
+
+    val, abserr = _doubling(integral, 16, 256, 1e-12, 1e-12, "Gauss-Legendre quadrature")
+    return val.reshape(a.shape), abserr.reshape(a.shape)
 
 
 def _table(f: Callable, domain: Interval):
     """f on the points of ``_X_TABLE`` where it is not NaN: (tmap, x, f)."""
-    tmap = _coordinate(domain)
+    tmap = _coordinate(domain)[0]
     with np.errstate(all="ignore"):
         F = np.asarray(f(tmap(_X_TABLE)[0]), dtype=float)
     return tmap, _X_TABLE[~np.isnan(F)], F[~np.isnan(F)]
@@ -626,8 +668,7 @@ def legendre_conjugate(g: GaugeTriple, r_star: float) -> float:
     if not (lo_e < r_star < hi_e):
         raise DomainError(f"r_star={r_star} outside the image of h' over tau(I)")
     t = exp_htau(g, r_star)
-    r = float(g.tau.value(t))
-    return r * r_star - float(g.h.value(r))
+    return float(g.tau.value(t)) * r_star + float(derived(g).s.value(t))
 
 
 def conjugate_fn(f: ScalarFn) -> ScalarFn:
@@ -684,10 +725,10 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         d2=lambda t: lam * tau1.d2(t),
         domain=g.I, analytic=tau1.analytic)
 
-    ell1 = derived(g).ell
-    ell2 = ScalarFn(lambda t: (ell1.value(t) - a1) / lam,
-                    lambda t: ell1.d1(t) / lam,
-                    lambda t: ell1.d2(t) / lam, g.I, analytic=ell1.analytic)
+    derived1 = derived(g)
+    ell2 = ScalarFn(lambda t: (derived1.ell.value(t) - a1) / lam,
+                    lambda t: derived1.ell.d1(t) / lam,
+                    lambda t: derived1.ell.d2(t) / lam, g.I, analytic=derived1.ell.analytic)
 
     lo_e, hi_e = g.ell_range
     rng2 = ((lo_e - a1) / lam, (hi_e - a1) / lam)
@@ -699,8 +740,8 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         def exp_fn2(u):
             return base(lam * np.asarray(u, dtype=float) + a1)
 
-    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, exp_fn2,
-                       _derived_from(h2, tau2, ell2, g.I), None)
+    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, exp_fn2, _derived_from(
+        lambda t: -derived1.s.value(t) - a1 * tau1.value(t) - a2, tau2, ell2, g.I), None)
 
 
 # ----------------------------------------------------------------------------
@@ -709,21 +750,19 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
 
 
 def delta_pair(tau: ScalarFn, ell: ScalarFn, t: float, s: float) -> float:
-    """Kernel of a (tau, ell) pair by adaptive quadrature of
-    (ell(u) - ell(s)) * tau'(u) from s to t."""
+    """Kernel of a (tau, ell) pair: the integral of (ell(u) - ell(s)) tau'(u)
+    from s to t by the composite Gauss-Legendre rule of ``_gl_integrate``."""
     tau.domain.require([t, s], "kernel argument")
     ls = float(ell.value(s))
-    val, _ = integrate.quad(lambda u: (float(ell.value(u)) - ls) * float(tau.d1(u)),
-                            s, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    return float(_gl_integrate(lambda u: (ell.value(u) - ls) * tau.d1(u), tau.domain, s, t)[0])
 
 
 def gauge_from_pair(tau: ScalarFn, ell: ScalarFn, a: float) -> GaugeTriple:
     """Recover a gauge from monotone (tau, ell) with base point a in I.
 
-    h is defined on tau(I) by integrating ell * tau' up to tau^{-1}(r);
-    values come from adaptive quadrature, derivatives are exact:
-    h'(r) = ell(tau^{-1}(r)) and h''(r) = ell'(t)/tau'(t) at t = tau^{-1}(r).
+    h o tau is the integral of ell tau' from a to t (``_gl_integrate``), read
+    by s and s_star with no inversion of tau.  h(r) is that integral at
+    t = tau^{-1}(r); h'(r) = ell(t) and h''(r) = ell'(t)/tau'(t) are exact.
     """
     I = tau.domain
     I.require(a, "base point a")
@@ -736,27 +775,18 @@ def gauge_from_pair(tau: ScalarFn, ell: ScalarFn, a: float) -> GaugeTriple:
 
     Jt = Interval(*_image(tau.value, I))
 
-    def tau_inv(r):
-        return _solve_increasing(tau.value, tau.d1, r, I)
-
-    def h_val(r):
-        ub = np.asarray(tau_inv(r))
-        out = np.array([integrate.quad(lambda t: float(ell.value(t)) * float(tau.d1(t)),
-                                       a, float(x), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-                        for x in ub.ravel()]).reshape(ub.shape)
+    def h_tau(t):
+        out = _gl_integrate(lambda u: ell.value(u) * tau.d1(u), I, a, t)[0]
         return out if out.ndim else float(out)
 
-    def h_d1(r):
-        return ell.value(tau_inv(r))
+    def at_inverse(f):  # r -> f(tau^{-1}(r))
+        return lambda r: f(_solve_increasing(tau.value, tau.d1, r, I))
 
-    def h_d2(r):
-        t = tau_inv(r)
-        return ell.d1(t) / tau.d1(t)
-
-    h = ScalarFn(h_val, h_d1, h_d2, Jt, analytic=False)
+    h = ScalarFn(at_inverse(h_tau), at_inverse(ell.value),
+                 at_inverse(lambda t: ell.d1(t) / tau.d1(t)), Jt, analytic=False)
 
     return GaugeTriple(h, tau, I, f"pair(a={a:g})", _image(ell.value, I), None,
-                       _derived_from(h, tau, ell, I), None)
+                       _derived_from(h_tau, tau, ell, I), None)
 
 
 # ----------------------------------------------------------------------------

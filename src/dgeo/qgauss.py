@@ -33,6 +33,7 @@ from scipy import integrate  # noqa: F401  (unused; perfbench/tracer.py patches 
 from scipy.special import gammaln, roots_legendre
 
 from .errors import DomainError, InfeasibleError
+from .gauge import _doubling
 
 __all__ = [
     "QGaussianParams",
@@ -535,15 +536,9 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
         log_g = -a * z if q == 1.0 else a / (1.0 - q) * np.log1p((q - 1.0) * z)
         return np.exp(log_g + ((n - 1) * log_t + log_ws + log_c)).sum(axis=1)
 
-    coarse = integral(64)
-    for n_nodes in (128, 256, 512, 1024, 2048, 4096):
-        fine = integral(n_nodes)
-        abserr = np.abs(fine - coarse)
-        if np.all(abserr <= np.maximum(epsabs, 1e-10 * np.abs(fine))):
-            target = joint_density(law_small, xs.reshape(-1, k, d))
-            return MarginalCheckResult(xs, np.abs(fine - target), abserr)
-        coarse = fine
-    raise InfeasibleError(f"radial quadrature unconverged at 4096 nodes ({np.max(abserr):.3g})")
+    fine, abserr = _doubling(integral, 64, 4096, epsabs, 1e-10, "radial quadrature")
+    target = joint_density(law_small, xs.reshape(-1, k, d))
+    return MarginalCheckResult(xs, np.abs(fine - target), abserr)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,94 @@ def test_pair_swap_symmetry(rng):
             delta_pair(ell, tau, s, t), abs=1e-9)
 
 
+_PAIR_TR = EquivalenceTransform(0.3, -0.2, 0.1, 1.5)
+
+
+@pytest.mark.parametrize("transformed", [False, True], ids=["pair", "transformed"])
+def test_pair_integrals_match_mpmath(transformed):
+    """s = -h o tau, h.value and delta_pair of the pair gauge tau = id,
+    ell = log t + t/2 + 1, whose h(r) = r log r + r^2/4 - 1/4, and of its
+    transform (h2(tau2(t)) = h(t) - a1 t - a2, same kernel), against that
+    closed form at 30 digits for t from 1e-300 to 1e3, to 1e-12 relative.
+    h.value is taken at rho = tau(t) against the exact tau^{-1}(rho), except
+    where rho rounds to the end a3 of tau2(I) (the transform at t < 4.7e-18;
+    see the next test)."""
+    mpmath = pytest.importorskip("mpmath")
+    tau, ell = _log_half_pair()
+    g = gauge_from_pair(tau, ell, a=1.0)
+    a1, a2, a3, lam = 0.0, 0.0, 0.0, 1.0
+    if transformed:
+        g = apply_equivalence(g, _PAIR_TR)
+        a1, a2, a3, lam = _PAIR_TR.a1, _PAIR_TR.a2, _PAIR_TR.a3, _PAIR_TR.lam
+        tau, ell = g.tau, derived(g).ell
+    ts = [1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 2.0, 10.0, 100.0, 1e3]
+    s = derived(g).s.value(np.array(ts))
+    with mpmath.workdps(30):
+        mp = mpmath.mpf
+
+        def h_tau(t):
+            return t * mpmath.log(t) + t ** 2 / 4 - mp(1) / 4 - mp(a1) * t - mp(a2)
+
+        def kernel(t, s0):
+            return h_tau(t) - h_tau(s0) - (t - s0) * (mpmath.log(s0) + s0 / 2 + 1 - mp(a1))
+
+        def rel(got, want):
+            return float(abs((mp(float(got)) - want) / want))
+
+        for t, s_t in zip(ts, s):
+            assert rel(s_t, -h_tau(mp(t))) <= 1e-12, ("s", t)
+            rho = float(g.tau.value(t))
+            t_exact = (mp(rho) - mp(a3)) / mp(lam)
+            if t_exact > 0:
+                assert rel(g.h.value(rho), h_tau(t_exact)) <= 1e-12, ("h", t)
+            for s0 in (0.3, 3.0):
+                assert rel(delta_pair(tau, ell, t, s0), kernel(mp(t), mp(s0))) <= 1e-12, (t, s0)
+
+
+def test_pair_integral_at_an_end_of_I_is_never_nan():
+    """An integration limit at an end of I, or one tau^{-1} cannot reach,
+    raises DomainError or gives the limiting value; NaN limits raise."""
+    tau, ell = _log_half_pair()
+    g = gauge_from_pair(tau, ell, a=1.0)
+    d, h2 = derived(g), apply_equivalence(g, _PAIR_TR).h
+    cases = [(lambda: g.h.value(0.0), -0.25), (lambda: g.h.value(1e-320), -0.25),
+             (lambda: g.h.value(math.inf), math.inf), (lambda: d.s.value(0.0), 0.25),
+             (lambda: d.s_star.value(np.array([0.5, math.inf])), None),
+             (lambda: h2.value(0.1), -0.05), (lambda: delta_pair(tau, ell, 0.0, 1.0), 1.25),
+             (lambda: delta_pair(tau, ell, math.inf, 1.0), math.inf),
+             (lambda: g.h.value(math.nan), None)]
+    for i, (call, limit) in enumerate(cases):
+        try:
+            got = call()
+        except DomainError:
+            continue
+        assert limit is not None and got == pytest.approx(limit, rel=1e-9), (i, got)
+
+
+def test_pair_entropy_integrates_in_t_without_inverting_tau():
+    """s.value on 50 points never calls tau.value (no tau^{-1}) and calls
+    ell.value once per rule doubling; h.value inverts tau, then integrates
+    the same way."""
+    tau, ell = _log_half_pair()
+    calls = {"tau": 0, "ell": 0}
+
+    def counted(fn, key):
+        def f(t):
+            calls[key] += 1
+            return fn(t)
+        return f
+
+    g = gauge_from_pair(ScalarFn(counted(tau.value, "tau"), tau.d1, tau.d2, tau.domain),
+                        ScalarFn(counted(ell.value, "ell"), ell.d1, ell.d2, ell.domain), a=1.0)
+    ts = np.geomspace(1e-3, 1e3, 50)
+    calls.update(tau=0, ell=0)
+    derived(g).s.value(ts)
+    assert calls["tau"] == 0 and 1 <= calls["ell"] <= 4, calls
+    calls.update(tau=0, ell=0)
+    g.h.value(ts)
+    assert calls["tau"] > 0 and 1 <= calls["ell"] <= 4, calls
+
+
 def test_pair_rejects_nonmonotone():
     I = Interval(0.0, math.inf)
     tau = ScalarFn(lambda t: -np.asarray(t, float),
