@@ -334,14 +334,7 @@ def cmd_qgauss_moments(args) -> int:
 
 def _sim_config(args) -> lln.SimConfig:
     if args.config:
-        obj = _load_json_file(args.config)
-        return lln.SimConfig(q=obj["q"], d=obj["d"], v=tuple(obj["v"]),
-                             variant=obj.get("variant", "identity"),
-                             k_max=obj.get("k_max", 10_000),
-                             reps=obj.get("reps", 100),
-                             seed=obj.get("seed", 0),
-                             eps_grid=tuple(obj.get("eps_grid", (0.25, 0.5, 1.0))),
-                             S=obj.get("S"))
+        return lln.SimConfig.from_json(_load_json_file(args.config))
     v = _floats(args.v) if args.v else np.zeros(args.d)
     return lln.SimConfig(q=args.q, d=args.d, v=tuple(v), variant=args.variant,
                          k_max=args.k_max, reps=args.reps, seed=args.seed,
@@ -422,10 +415,7 @@ def validate_spec(path: str) -> list[str]:
     if "q" in obj:
         try:
             if "v" in obj:
-                lln.SimConfig(q=obj["q"], d=obj.get("d", 1), v=tuple(obj["v"]),
-                              variant=obj.get("variant", "identity"),
-                              k_max=obj.get("k_max", 100), reps=obj.get("reps", 100),
-                              seed=obj.get("seed", 0), S=obj.get("S"))
+                lln.SimConfig.from_json(obj)
             else:
                 qg.QGaussianParams(obj["q"], obj.get("d", 1),
                                    np.zeros(obj.get("d", 1)),

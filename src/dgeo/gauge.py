@@ -11,13 +11,20 @@ the deformed exponential (the clipped inverse of ``ell = h' o tau``), the
 derived functions ``(ell, m, gamma, chi, s, s_star)``, equivalence
 transforms that leave the kernel invariant, and Legendre conjugation.
 
-Built-in gauges give h, tau and ell with closed-form derivatives and a
-closed-form deformed exponential.  One builder (``_derived_from``) makes
-the derived functions of every gauge by the chain rule, so each value and
-first and second derivative is exact in those of ell and tau, except
-m'', gamma', gamma'' and chi'' (they need ell'''), which are central
-differences.  Custom gauges fall back to safeguarded root-finding, and a
-pair gauge's h o tau to a vectorised Gauss-Legendre integral in t.
+The four built-in gauges are one family: tau(t) = t**p and ell = ln_q + c,
+with ln_q the deformed logarithm (t**(1-q) - 1)/(1-q) (log t at q = 1):
+
+    kind        kl          power(q)    escort(q)   scaled_log(lam)
+    (p, q, c)   (1, 1, 1)   (1, q, 0)   (q, q, 0)   (lam, 1, 0)
+
+Their tau, ell and clipped deformed exponential exp_q(u - c) come from one
+code path; only h keeps a closed form per kind.  One builder
+(``_derived_from``) makes the derived functions of every gauge by the
+chain rule, so each value and first and second derivative is exact in
+those of ell and tau, except m'', gamma', gamma'' and chi'' (they need
+ell'''), which are central differences.  Custom gauges fall back to
+safeguarded root-finding, and a pair gauge's h o tau to a vectorised
+Gauss-Legendre integral in t.
 """
 
 from __future__ import annotations
@@ -220,7 +227,7 @@ class GaugeTriple:
 
 
 # ----------------------------------------------------------------------------
-# q-logarithm helpers shared by the power / escort builtins
+# Deformed logarithms, shared by every built-in gauge
 # ----------------------------------------------------------------------------
 
 
@@ -242,29 +249,27 @@ def _h_q(r, q: float):
 
 
 def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:
-    def at(t, side):
+    """Image of ln_q over I: ln_q(0+) is -1/(1-q) for q < 1 and ln_q(inf) is
+    1/(q-1) for q > 1, both infinite otherwise."""
+    def at(t):
         if t == 0.0:
-            if q > 1.0:
-                return -math.inf
-            if q == 1.0:
-                return -math.inf
-            return -1.0 / (1.0 - q)
+            return -1.0 / (1.0 - q) if q < 1.0 else -math.inf
         if math.isinf(t):
-            if q > 1.0:
-                return 1.0 / (q - 1.0)
-            return math.inf
+            return 1.0 / (q - 1.0) if q > 1.0 else math.inf
         return float(_ln_q(t, q))
 
-    return at(I.lo, "lo"), at(I.hi, "hi")
+    return at(I.lo), at(I.hi)
 
 
-def _exp_q_factory(q: float, lo_ell: float, hi_ell: float) -> Callable:
+def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable:
+    """exp_q(u - c), the inverse of ell = ln_q + c, clipped to 0 at or below
+    lo_ell and to +inf at or above hi_ell."""
     def exp_q(u):
         u = np.asarray(u, dtype=float)
         if q == 1.0:
-            core = np.exp(u)
+            core = np.exp(u - c)
         else:
-            base = 1.0 + (1.0 - q) * u
+            base = 1.0 + (1.0 - q) * (u - c)
             with np.errstate(over="ignore"):
                 pow_ = np.maximum(base, 1e-300) ** (1.0 / (1.0 - q))
             core = np.where(base > 0, pow_, np.inf if q > 1.0 else 0.0)
@@ -279,130 +284,97 @@ def _exp_q_factory(q: float, lo_ell: float, hi_ell: float) -> Callable:
 # ----------------------------------------------------------------------------
 
 
-def _sf(value, d1, d2, domain):
-    return ScalarFn(value=value, d1=d1, d2=d2, domain=domain)
+def _power_fn(p: float, I: Interval) -> ScalarFn:
+    # t**p
+    return ScalarFn(lambda t: np.asarray(t, dtype=float) ** p,
+                    lambda t: p * np.asarray(t, dtype=float) ** (p - 1.0),
+                    lambda t: p * (p - 1.0) * np.asarray(t, dtype=float) ** (p - 2.0), I)
 
 
-def _identity_fn(I: Interval) -> ScalarFn:
-    return _sf(lambda t: np.asarray(t, dtype=float) + 0.0,
-               lambda t: np.ones_like(np.asarray(t, dtype=float)),
-               lambda t: np.zeros_like(np.asarray(t, dtype=float)), I)
+def _kl(_):
+    # h(r) = r log r
+    return (1.0, 1.0, 1.0), (lambda r: np.asarray(r, float) * np.log(r),
+                             lambda r: np.log(r) + 1.0, lambda r: 1.0 / np.asarray(r, float))
 
 
-def _power_fn(p: float, coeff: float, I: Interval) -> ScalarFn:
-    # coeff * t**p
-    def v(t):
-        return coeff * np.asarray(t, dtype=float) ** p
+def _power(q):
+    # h = the integral of ln_q from 1
+    return (1.0, q, 0.0), (lambda r: _h_q(r, q), lambda r: _ln_q(r, q),
+                           lambda r: np.asarray(r, float) ** (-q))
 
-    def d1(t):
-        return coeff * p * np.asarray(t, dtype=float) ** (p - 1.0)
 
-    def d2(t):
-        return coeff * p * (p - 1.0) * np.asarray(t, dtype=float) ** (p - 2.0)
+def _escort(q):
+    # h(r) = q r ln_q(r^(1/q)) - r
+    def h(r):
+        r = np.asarray(r, dtype=float)
+        return q * r * _ln_q(r ** (1.0 / q), q) - r
 
-    return _sf(v, d1, d2, I)
+    def h_d1(r):
+        r = np.asarray(r, dtype=float)
+        return q * _ln_q(r ** (1.0 / q), q) + r ** (1.0 / q - 1.0) - 1.0
+
+    return (q, q, 0.0), (h, h_d1, lambda r: (1.0 / q) * np.asarray(r, float) ** (1.0 / q - 2.0))
+
+
+def _scaled_log(lam):
+    # h(r) = (r log r - r) / lam
+    def h(r):
+        r = np.asarray(r, dtype=float)
+        return (r * np.log(r) - r) / lam
+
+    return (lam, 1.0, 0.0), (h, lambda r: np.log(r) / lam,
+                             lambda r: 1.0 / (lam * np.asarray(r, float)))
+
+
+# kind -> (name of its parameter, parameter -> ((p, q, c), (h, h', h'')))
+_BUILTINS = {"kl": (None, _kl), "power": ("q", _power), "escort": ("q", _escort),
+             "scaled_log": ("lam", _scaled_log)}
 
 
 def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
                   interval: Interval | None = None) -> GaugeTriple:
     """Construct one of the built-in gauges on ``interval`` (default (0, inf)).
 
-    kind:
-        "kl"                h(r) = r log r,            tau = id
-        "power"    (q)      h = integral of ln_q,      tau = id
-        "escort"   (q)      h = power-escort partner,  tau(t) = t**q
-        "scaled_log" (lam)  h(r) = (r log r - r)/lam,  tau(t) = t**lam
+    Every built-in has tau(t) = t**p and ell = h' o tau = ln_q + c, where
+    ln_q(t) = (t**(1-q) - 1)/(1-q) (log t at q = 1) is the deformed
+    logarithm:
 
-    h, tau and ell carry closed-form derivatives, the derived functions
-    follow by the chain rule (``_derived_from``), and the deformed
-    exponential is a closed form clipped to the image of ``ell`` over the
-    interval.
+        kind                p     q     c     h
+        "kl"                1     1     1     r log r
+        "power"    (q)      1     q     0     integral of ln_q from 1
+        "escort"   (q)      q     q     0     q r ln_q(r**(1/q)) - r
+        "scaled_log" (lam)  lam   1     0     (r log r - r)/lam
+
+    tau, ell, the image of ell over the interval and the deformed
+    exponential exp_q(u - c), clipped to that image, follow from (p, q, c)
+    alone; h keeps a closed form per kind.  h, tau and ell carry
+    closed-form derivatives and the derived functions follow by the chain
+    rule (``_derived_from``).
     """
     I = interval or Interval(0.0, math.inf)
     if I.lo < 0:
         raise DomainError("gauge interval must lie inside (0, inf)")
-    J = Interval(*(sorted((_tau_image(kind, q, lam, I)))))
+    if not isinstance(kind, str) or kind not in _BUILTINS:
+        raise DomainError(f"unknown gauge kind {kind!r}")
+    pname, family = _BUILTINS[kind]
+    a = {"q": q, "lam": lam}.get(pname)
+    if pname and (a is None or not 0.0 < a < math.inf):
+        raise DomainError(f"{kind} gauge requires a finite {pname} > 0, got {a}")
+    (p, q, c), h_fns = family(a)
 
-    if kind in ("kl", "scaled_log"):
-        if kind == "kl":
-            params, shift = {}, 1.0
-            h = _sf(lambda r: np.asarray(r, float) * np.log(r),
-                    lambda r: np.log(r) + 1.0,
-                    lambda r: 1.0 / np.asarray(r, float), J)
-            tau = _identity_fn(I)
-        else:
-            if lam is None or lam <= 0:
-                raise DomainError("scaled_log gauge requires lam > 0")
-            params, shift = {"lam": lam}, 0.0
-            h = _sf(lambda r: (np.asarray(r, float) * np.log(r) - np.asarray(r, float)) / lam,
-                    lambda r: np.log(r) / lam,
-                    lambda r: 1.0 / (lam * np.asarray(r, float)), J)
-            tau = _power_fn(lam, 1.0, I)
-        ell = _sf(lambda t: np.log(t) + shift, lambda t: 1.0 / np.asarray(t, float),
-                  lambda t: -np.asarray(t, float) ** -2.0, I)
-        lo_e = -math.inf if I.lo == 0.0 else math.log(I.lo) + shift
-        hi_e = math.inf if math.isinf(I.hi) else math.log(I.hi) + shift
-        exp_fn = _shifted_exp_factory(1.0, shift, lo_e, hi_e)  # exp(u - shift)
-    elif kind in ("power", "escort"):
-        if q is None or q <= 0:
-            raise DomainError(f"{kind} gauge requires q > 0")
-        params = {"q": q}
-        if kind == "power":
-            h = _sf(lambda r: _h_q(r, q), lambda r: _ln_q(r, q),
-                    lambda r: np.asarray(r, float) ** (-q), J)
-            tau = _identity_fn(I)
-        else:
-            def f_val(r):
-                r = np.asarray(r, dtype=float)
-                return q * r * _ln_q(r ** (1.0 / q), q) - r
-
-            def f_d1(r):
-                r = np.asarray(r, dtype=float)
-                return q * _ln_q(r ** (1.0 / q), q) + r ** (1.0 / q - 1.0) - 1.0
-
-            def f_d2(r):
-                r = np.asarray(r, dtype=float)
-                return (1.0 / q) * r ** (1.0 / q - 2.0)
-
-            h = _sf(f_val, f_d1, f_d2, J)
-            tau = _power_fn(q, 1.0, I)
-        ell = _sf(lambda t: _ln_q(t, q), lambda t: np.asarray(t, float) ** (-q),
-                  lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
-        lo_e, hi_e = _ln_q_range(q, I)
-        exp_fn = _exp_q_factory(q, lo_e, hi_e)
-    else:
-        raise DomainError(f"unknown gauge kind '{kind}'")
-
-    name = kind + "".join(f"({v:g})" for v in params.values())
-    return GaugeTriple(h, tau, I, name, (lo_e, hi_e), exp_fn, _derived_from(
-                       lambda t: h.value(tau.value(t)), tau, ell, I),
-                       {"kind": kind, **params, "lo": I.lo, "hi": _json_hi(I.hi)})
-
-
-def _tau_image(kind, q, lam, I: Interval) -> tuple[float, float]:
-    if kind in ("kl", "power"):
-        return I.lo, I.hi
-    p = q if kind == "escort" else lam
-    if p is None or p <= 0:
-        raise DomainError(f"{kind} gauge requires a positive exponent")
-    lo = 0.0 if I.lo == 0.0 else I.lo ** p
-    hi = math.inf if math.isinf(I.hi) else I.hi ** p
-    return lo, hi
-
-
-def _shifted_exp_factory(scale: float, shift: float, lo_ell: float, hi_ell: float) -> Callable:
-    # inverse of ell(t) = log(t)/scale + shift, i.e. t = exp(scale*(u - shift))
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        core = np.exp(scale * (u - shift))
-        out = np.where(u >= hi_ell, np.inf, np.where(u <= lo_ell, 0.0, core))
-        return out if out.ndim else float(out)
-
-    return f
-
-
-def _json_hi(hi: float):
-    return None if math.isinf(hi) else hi
+    h = ScalarFn(*h_fns, Interval(I.lo ** p, I.hi ** p))
+    tau = _power_fn(p, I)
+    # adding c = 0 would turn ln_q(1) = -0.0 (q > 1) into +0.0
+    ell = ScalarFn((lambda t: _ln_q(t, q) + c) if c else (lambda t: _ln_q(t, q)),
+                   lambda t: np.asarray(t, float) ** (-q),
+                   lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
+    ell_range = tuple(v + c for v in _ln_q_range(q, I))
+    params = {pname: a} if pname else {}
+    return GaugeTriple(h, tau, I, kind + "".join(f"({v:g})" for v in params.values()),
+                       ell_range, _exp_q_factory(q, c, *ell_range),
+                       _derived_from(lambda t: h.value(tau.value(t)), tau, ell, I),
+                       {"kind": kind, **params, "lo": I.lo,
+                        "hi": None if math.isinf(I.hi) else I.hi})
 
 
 # ----------------------------------------------------------------------------
@@ -801,18 +773,16 @@ def gauge_to_json(g: GaugeTriple) -> dict:
 
 
 def gauge_from_json(obj: dict) -> GaugeTriple:
-    """Build a gauge from {"kind": ..., "q"/"lam": ..., "lo": ..., "hi": ...}."""
-    kind = obj.get("kind")
-    lo = obj.get("lo", 0.0) or 0.0
-    hi = obj.get("hi")
-    interval = Interval(float(lo), math.inf if hi is None else float(hi))
-    if kind == "kl":
-        return builtin_gauge("kl", interval=interval)
-    if kind == "power":
-        return builtin_gauge("power", q=float(obj["q"]), interval=interval)
-    if kind == "escort":
-        return builtin_gauge("escort", q=float(obj["q"]), interval=interval)
-    if kind == "scaled_log":
-        return builtin_gauge("scaled_log", lam=float(obj.get("lam", obj.get("lambda", 1.0))),
-                             interval=interval)
-    raise DomainError(f"unknown gauge kind {kind!r}")
+    """Build a gauge from {"kind": ..., "q"/"lam": ..., "lo": ..., "hi": ...}; "lam"
+    may be spelled "lambda" and defaults to 1.  A malformed descriptor raises
+    DomainError."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"gauge descriptor must be a JSON object, not {obj!r}")
+    raw = {"q": obj.get("q"), "lam": obj.get("lam", obj.get("lambda", 1.0)),
+           "lo": obj.get("lo") or 0.0, "hi": obj.get("hi")}
+    try:
+        num = {k: None if v is None else float(v) for k, v in raw.items()}
+    except (TypeError, ValueError):
+        raise DomainError(f"gauge descriptor {obj!r} has a non-numeric parameter") from None
+    hi = math.inf if num["hi"] is None else num["hi"]
+    return builtin_gauge(obj.get("kind"), num["q"], num["lam"], Interval(num["lo"], hi))

@@ -17,7 +17,7 @@ series (the Borel-Cantelli step behind almost-sure convergence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -57,21 +57,36 @@ class SimConfig:
     S: Optional[tuple] = None  # row tuples; defaults to the identity
 
     def __post_init__(self):
-        if self.d * (self.q - 1.0) >= 2.0 or self.q < 1.0:
-            raise DomainError("need q >= 1 and d(q-1) < 2")
-        if self.k_max < 1 or self.reps < 1:
-            raise DomainError("k_max and reps must be positive")
+        # these two first: QGaussianParams would raise ValueError on a wrong length
         if self.variant not in ("identity", "trace_d"):
             raise DomainError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "v", tuple(float(x) for x in np.asarray(self.v).reshape(-1)))
         if len(self.v) != self.d:
             raise DomainError(f"v must have length {self.d}")
-        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
-        if not self.eps_grid or not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
-            raise DomainError("eps_grid must be a non-empty list of positive finite reals")
         if self.S is not None:
             S = np.asarray(self.S, dtype=float)
             object.__setattr__(self, "S", tuple(tuple(row) for row in S))
+        self.params()  # checks q, d, v and S, non-finite values included
+        if self.k_max < 1 or self.reps < 1:
+            raise DomainError("k_max and reps must be positive")
+        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        if not self.eps_grid or not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise DomainError("eps_grid must be a non-empty list of positive finite reals")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SimConfig":
+        """Inverse of ``to_json``: q, d and v are required, other keys default as above."""
+        if not isinstance(obj, dict):
+            raise DomainError("a simulation config must be a JSON object")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+        if missing:
+            raise DomainError(f"simulation config is missing {', '.join(missing)}")
+        try:
+            return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+        except DomainError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+            raise DomainError(f"malformed simulation config: {exc}") from None
 
     def params(self) -> qg.QGaussianParams:
         S = np.eye(self.d) if self.S is None else np.asarray(self.S, dtype=float)
@@ -293,24 +308,29 @@ class BoundValues:
     bound_FF: float
 
 
+def _bound_F(ey4: float, ey22: float, k, eps: float):
+    """Fourth-moment bound E(Y1^4)/(k^3 eps^4) + 3(k-1) E(Y1^2 Y2^2)/(k^3 eps^4)."""
+    return ey4 / (k ** 3 * eps ** 4) + 3.0 * (k - 1) * ey22 / (k ** 3 * eps ** 4)
+
+
+def _bound_FF(ez2: float, ez12: float, k, eps: float):
+    """Second-moment bound E(Z1^2)/(k eps^2) + (k-1) E(Z1 Z2)/(k eps^2)."""
+    return ez2 / (k * eps ** 2) + (k - 1) * ez12 / (k * eps ** 2)
+
+
 def chebyshev_bounds(cfg: SimConfig, k: int, eps: float,
                      i: int = 0, j: int = 0) -> BoundValues:
     """Tail bounds for the averaged statistics at sample length k.
 
-    bound_F uses the fourth-moment inequality
-        E(Y1^4)/(k^3 eps^4) + 3(k-1) E(Y1^2 Y2^2)/(k^3 eps^4)
-    and bound_FF the second-moment inequality
-        E(Z1^2)/(k eps^2) + (k-1) E(Z1 Z2)/(k eps^2),
-    with the moments taken from the one- and two-fold joint laws.
+    bound_F is the fourth-moment inequality (``_bound_F``) for F_i and
+    bound_FF the second-moment inequality (``_bound_FF``) for F_ij, with the
+    moments taken from the one- and two-fold joint laws.
     """
     if k < 1 or eps <= 0:
         raise DomainError("need k >= 1 and eps > 0")
     law2 = qg.repetition(cfg.params(), 2)
-    ey4, ey22 = qg.fi_pair_moments(law2, i)
-    ez2, ez12 = qg.fij_pair_moments(law2, i, j)
-    bound_f = ey4 / (k ** 3 * eps ** 4) + 3.0 * (k - 1) * ey22 / (k ** 3 * eps ** 4)
-    bound_ff = ez2 / (k * eps ** 2) + (k - 1) * ez12 / (k * eps ** 2)
-    return BoundValues(bound_F=float(bound_f), bound_FF=float(bound_ff))
+    return BoundValues(bound_F=float(_bound_F(*qg.fi_pair_moments(law2, i), k, eps)),
+                       bound_FF=float(_bound_FF(*qg.fij_pair_moments(law2, i, j), k, eps)))
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z99) -> tuple[float, float]:
@@ -369,27 +389,22 @@ def verify_bounds(cfg: SimConfig, report: Optional[SimReport] = None) -> BoundTa
         raise DomainError("need reps >= 100 for a meaningful binomial interval")
     if report is None:
         report = run_lln(cfg)
+    law2 = qg.repetition(cfg.params(), 2)
+    pairs = [(a, b) for a in range(cfg.d) for b in range(a, cfg.d)]
     rows = []
     for si, lab in enumerate(report.stat_labels):
-        is_mean_stat = si < cfg.d
-        if is_mean_stat:
-            i = si
-            note = ""
+        if si < cfg.d:  # the bounds' moments, once per statistic
+            bound_of, moments, note = _bound_F, qg.fi_pair_moments(law2, si), ""
         else:
-            flat = si - cfg.d
-            pairs = [(a, b) for a in range(cfg.d) for b in range(a, cfg.d)]
-            i, jj = pairs[flat]
+            bound_of, moments = _bound_FF, qg.fij_pair_moments(law2, *pairs[si - cfg.d])
             note = "no almost-sure guarantee on the trace slice"
         for ci, k in enumerate(report.k_schedule):
             for eps in cfg.eps_grid:
                 exceed = int(np.sum(report.deviations[:, ci, si] > eps))
-                freq = exceed / cfg.reps
                 lo, hi = wilson_interval(exceed, cfg.reps)
-                b = chebyshev_bounds(cfg, k, eps, i=i,
-                                     j=0 if is_mean_stat else jj)
-                bound = b.bound_F if is_mean_stat else b.bound_FF
-                rows.append(BoundRow(k, eps, lab, freq, lo, hi, min(bound, 1.0),
-                                     lo <= min(bound, 1.0) + 1e-12, note))
+                bound = min(float(bound_of(*moments, k, eps)), 1.0)
+                rows.append(BoundRow(k, eps, lab, exceed / cfg.reps, lo, hi, bound,
+                                     lo <= bound + 1e-12, note))
     return BoundTable(rows)
 
 
@@ -425,10 +440,8 @@ def borel_cantelli_summability(cfg: SimConfig, eps: float,
         raise DomainError("k_terms must be at least 2")
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError("eps must be a positive finite real")
-    law2 = qg.repetition(cfg.params(), 2)
-    ey4, ey22 = qg.fi_pair_moments(law2, 0)
     ks = np.arange(1, k_terms + 1, dtype=float)
-    terms = ey4 / (ks ** 3 * eps ** 4) + 3.0 * (ks - 1) * ey22 / (ks ** 3 * eps ** 4)
+    terms = _bound_F(*qg.fi_pair_moments(qg.repetition(cfg.params(), 2), 0), ks, eps)
     sums = np.cumsum(terms)
     checkpoints = np.asarray(_decades(k_terms))
     partial = sums[checkpoints - 1]

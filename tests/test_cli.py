@@ -377,6 +377,29 @@ def test_validate_qgauss_hypothesis(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("desc", ['{"kind":"power"}', '{"kind":"power","q":"abc"}',
+                                  '["kl"]', '{"kind":"escort","q":NaN}'])
+def test_malformed_gauge_descriptor_exits_2(capsys, desc):
+    code = cli.main(["gauge", "eval", "--gauge", desc, "--fn", "ell", "--x", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+
+
+@pytest.mark.parametrize("config", ['{"q": 1.5, "v": [0]}', '{"q": NaN, "d": 1, "v": [0]}',
+                                    '{"q": 1.5, "d": 1, "v": [NaN]}',
+                                    '{"q": 1.5, "d": 0, "v": []}',
+                                    '{"q": 1.5, "d": 1, "v": [0], "S": [[NaN]]}'])
+def test_validate_and_lln_run_agree_on_bad_configs(capsys, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2 and out.splitlines()[0] == "FAIL"
+    problem = out.splitlines()[1].removeprefix("  - ")
+    code = cli.main(["lln", "run", "--config", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"invalid: {problem}"
+
+
 def test_malformed_json_exits_1_with_diagnostic(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"weights": [1, ')

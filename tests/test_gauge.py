@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +63,8 @@ def test_power_ell_closed_form():
     g = builtin_gauge("power", q=1.5)
     # (r^{1-q} - 1)/(1-q) at r=4, q=1.5
     assert derived(g).ell.value(4.0) == pytest.approx(1.0, rel=1e-14)
+    # bit for bit, with no shift added: (1 - 1)/(1 - q) is -0.0 for q > 1
+    assert math.copysign(1.0, derived(g).ell.value(1.0)) == -1.0
 
 
 def test_derived_kl_values():
@@ -83,6 +87,17 @@ def test_invalid_parameters_raise():
         builtin_gauge("nope")
     with pytest.raises(DomainError):
         Interval(2.0, 1.0)
+    for q in (0.0, -1.0, None):
+        with pytest.raises(DomainError, match="escort gauge requires a finite q"):
+            builtin_gauge("escort", q=q)
+    with pytest.raises(DomainError, match="scaled_log gauge requires a finite lam"):
+        builtin_gauge("scaled_log")
+    for bad in (math.nan, math.inf):
+        for kind in ("power", "escort"):
+            with pytest.raises(DomainError, match=f"{kind} gauge requires a finite q"):
+                builtin_gauge(kind, q=bad)
+        with pytest.raises(DomainError, match="scaled_log gauge requires a finite lam"):
+            builtin_gauge("scaled_log", lam=bad)
 
 
 @pytest.mark.parametrize("g", all_builtins(), ids=lambda g: g.name)
@@ -635,6 +650,62 @@ def test_gauge_json_roundtrip():
     assert obj == {"kind": "power", "q": 1.5, "lo": 0.0, "hi": None}
     g2 = gauge_from_json(obj)
     assert d_htau(g2, 2.0, 1.0) == pytest.approx(d_htau(g, 2.0, 1.0), rel=1e-14)
+
+
+ALL_KINDS = [("kl", {}), ("power", {"q": 0.7}), ("power", {"q": 1.5}), ("power", {"q": 2.0}),
+             ("escort", {"q": 0.7}), ("escort", {"q": 1.5}),
+             ("scaled_log", {"lam": 0.5}), ("scaled_log", {"lam": 2.0})]
+INTERVALS = [Interval(0.0, math.inf), Interval(0.5, 2.0), Interval(1e-4, 1e4)]
+
+
+@pytest.mark.parametrize("I", INTERVALS, ids=lambda I: f"({I.lo:g},{I.hi:g})")
+@pytest.mark.parametrize("kind,kw", ALL_KINDS, ids=lambda x: str(x))
+def test_builtin_exp_matches_solver(kind, kw, I):
+    # the closed form exp_q(u - c) against Newton-bisection on the same ell
+    g = builtin_gauge(kind, interval=I, **kw)
+    solver = replace(g, exp_fn=None)
+    ell = derived(g).ell
+    ends = [I.lo * (1 + 1e-9) if I.lo > 0 else 1e-6, I.hi * (1 - 1e-9) if I.hi < math.inf else 1e6]
+    ts = np.concatenate([np.geomspace(*ends, 41), ends])
+    u = np.asarray(ell.value(ts))
+    assert np.allclose(exp_htau(g, u), ts, rtol=1e-10, atol=0)
+    assert np.allclose(exp_htau(solver, u), exp_htau(g, u), rtol=1e-10, atol=0)
+    # at and beyond a finite end of ell's range both clip to 0 and +inf
+    lo_e, hi_e = g.ell_range
+    for e, clipped, outward in ((lo_e, 0.0, -1.0), (hi_e, math.inf, 1.0)):
+        if math.isfinite(e):
+            out = np.array([e, np.nextafter(e, outward * math.inf),
+                            e + outward * 1e-9 * max(1.0, abs(e))])
+            assert np.all(exp_htau(g, out) == clipped)
+            assert np.all(exp_htau(solver, out) == clipped)
+
+
+@pytest.mark.parametrize("I", INTERVALS, ids=lambda I: f"({I.lo:g},{I.hi:g})")
+@pytest.mark.parametrize("kind,kw", ALL_KINDS, ids=lambda x: str(x))
+def test_gauge_json_roundtrip_is_bit_equal(kind, kw, I):
+    g = builtin_gauge(kind, interval=I, **kw)
+    obj = json.loads(json.dumps(gauge_to_json(g)))
+    g2 = gauge_from_json(obj)
+    assert gauge_to_json(g2) == gauge_to_json(g) and g2.name == g.name
+    t = np.geomspace(max(I.lo, 1e-3) * 1.01, min(I.hi, 1e3) * 0.99, 17)
+    assert np.array_equal(d_htau(g2, t, t[::-1]), d_htau(g, t, t[::-1]))
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "power"},                    # no q
+    {"kind": "power", "q": "abc"},
+    {"kind": "escort", "q": [1.5]},
+    {"kind": "escort", "q": math.nan},
+    {"kind": "scaled_log", "lam": math.inf},
+    {"kind": "kl", "hi": "x"},
+    {"q": 1.5},                           # no kind
+    {"kind": ["kl"]},
+    ["kl"],
+    "kl",
+])
+def test_malformed_gauge_descriptor_raises_domain_error(obj):
+    with pytest.raises(DomainError):
+        gauge_from_json(obj)
 
 
 def test_gauge_json_all_kinds():

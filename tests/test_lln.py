@@ -29,6 +29,32 @@ def test_config_validation():
         lln.SimConfig(q=1.5, d=1, v=(0.0,), reps=0)
 
 
+@pytest.mark.parametrize("obj", [
+    {"q": 1.5, "v": [0.0]},                                  # no d
+    {"d": 1, "v": [0.0]},                                    # no q
+    {"q": math.nan, "d": 1, "v": [0.0]},
+    {"q": 1.5, "d": 1, "v": [math.nan]},
+    {"q": 1.5, "d": 0, "v": []},
+    {"q": 1.5, "d": 1, "v": [0.0], "S": [[math.nan]]},
+    {"q": 1.5, "d": 2, "v": [0.0]},                          # v of the wrong length
+    {"q": 1.5, "d": 1, "v": [0.0], "variant": "diag"},
+    {"q": "abc", "d": 1, "v": [0.0]},
+    [1.5, 1, [0.0]],
+])
+def test_config_from_json_rejects_malformed(obj):
+    with pytest.raises(DomainError):
+        lln.SimConfig.from_json(obj)
+
+
+def test_config_from_json_inverts_to_json():
+    cfg = lln.SimConfig(q=1.3, d=2, v=(0.5, -1.0), variant="trace_d", k_max=500, reps=120,
+                        seed=9, eps_grid=(0.5,), S=((1.5, 0.2), (0.2, 0.5)))
+    assert lln.SimConfig.from_json(cfg.to_json()) == cfg
+    # keys left out take the class defaults
+    assert lln.SimConfig.from_json({"q": 1.5, "d": 1, "v": [0.0]}) == \
+        lln.SimConfig(q=1.5, d=1, v=(0.0,))
+
+
 @pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.5, math.nan), (math.inf,)])
 def test_config_rejects_bad_eps_grid(grid):
     with pytest.raises(DomainError, match="eps_grid"):
@@ -308,6 +334,35 @@ def test_trace_variant_rows_carry_note():
     notes = {r.stat: r.note for r in table.rows}
     assert notes["F1"] == ""
     assert "no almost-sure guarantee" in notes["F11"]
+
+
+def test_verify_bounds_takes_moments_once_per_statistic(monkeypatch):
+    cfg = lln.SimConfig(q=1.2, d=2, v=(0.3, -0.2), variant="trace_d",
+                        k_max=100, reps=100, seed=4, eps_grid=(0.5, 1.0))
+    report = lln.run_lln(cfg)
+    calls = {"repetition": 0, "moments": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qg, "repetition", counted("repetition", qg.repetition))
+    for fname in ("fi_pair_moments", "fij_pair_moments"):
+        monkeypatch.setattr(qg, fname, counted("moments", getattr(qg, fname)))
+    table = lln.verify_bounds(cfg, report)
+    assert len(table.rows) == 5 * 2 * 2
+    assert calls == {"repetition": 1, "moments": 5}
+    monkeypatch.undo()
+    # the same numbers as one chebyshev_bounds call per cell
+    pairs = {"F11": (0, 0), "F12": (0, 1), "F22": (1, 1)}
+    for r in table.rows:
+        if r.stat in pairs:
+            want = lln.chebyshev_bounds(cfg, r.k, r.eps, *pairs[r.stat]).bound_FF
+        else:
+            want = lln.chebyshev_bounds(cfg, r.k, r.eps, i=int(r.stat[1]) - 1).bound_F
+        assert r.bound == min(want, 1.0)
 
 
 def test_bound_table_csv_shape():
