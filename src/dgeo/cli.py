@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand is a thin mapping onto one library operation; no
-numerics live here.  Results print as JSON (floats in shortest
-round-trip form), optional --out bundles artifacts with a SHA-256
-manifest so seeded runs can be reproduced byte for byte.
+numerics live here.  Results print as JSON, with floats in shortest
+round-trip form; CSV tables of samples and points write floats as .17g,
+which round-trips but is not shortest (0.1 is 0.10000000000000001).
+Optional --out bundles artifacts with a SHA-256 manifest so seeded runs
+can be reproduced byte for byte.  Each verb takes only the flags it reads.
 
 Exit codes: 0 success, 2 validation failure or an identity whose
 hypothesis does not hold, 1 runtime error (including malformed input
@@ -258,7 +260,7 @@ def _coord_names(k: int, d: int) -> list[str]:
 
 
 def _csv(header: list[str], rows) -> str:
-    """CSV text of rows of floats in shortest round-trip form."""
+    """CSV text of rows of floats as .17g, which round-trips but is not shortest."""
     lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -399,31 +401,22 @@ def cmd_lln_summability(args) -> int:
 def validate_spec(path: str) -> list[str]:
     """Diagnostics for a family-spec or simulation-config JSON file."""
     obj = _load_json_file(path)
-    problems: list[str] = []
-    if "weights" in obj or "T" in obj:
-        for key in ("weights", "gauge", "T", "c"):
-            if key not in obj:
-                problems.append(f"missing field '{key}'")
-        if problems:
-            return problems
-        # the gauge constructor checks tau' > 0 and h'' > 0 on I
-        try:
+    if not isinstance(obj, dict) or not {"weights", "T", "q"} & obj.keys():
+        return ["unrecognized file: expected a family spec or a simulation config"]
+    try:
+        if "weights" in obj or "T" in obj:
+            # the gauge constructor checks tau' > 0 and h'' > 0 on I
             dc.spec_from_json(obj)
-        except DomainError as exc:
-            return [str(exc)]
-        return []
-    if "q" in obj:
-        try:
-            if "v" in obj:
-                lln.SimConfig.from_json(obj)
-            else:
-                qg.QGaussianParams(obj["q"], obj.get("d", 1),
-                                   np.zeros(obj.get("d", 1)),
-                                   np.eye(obj.get("d", 1)))
-        except DomainError as exc:
-            return [str(exc)]
-        return []
-    return ["unrecognized file: expected a family spec or a simulation config"]
+        elif "v" in obj:
+            lln.SimConfig.from_json(obj)
+        else:
+            d = obj.get("d", 1)
+            qg.QGaussianParams(obj["q"], d, np.zeros(d), np.eye(d))
+    except DomainError as exc:
+        return [str(exc)]
+    except (TypeError, ValueError) as exc:  # only raw q-Gaussian parameters get here
+        return [f"malformed q-Gaussian parameters: {exc}"]
+    return []
 
 
 def cmd_validate(args) -> int:
@@ -442,42 +435,79 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="directory for artifact bundle")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-# flags shared by the qgauss verbs; a (name, keywords) entry in a verb's
-# tuple is a flag of that verb alone or one that differs from the shared one
-_QGAUSS_FLAGS = {
-    "q": dict(type=float, required=True),
-    "d": dict(type=int, default=1),
-    "k": dict(type=int, required=True),
-    "v": dict(default=None),
-    "S": dict(default=None),
+# Every flag a verb may take.  A _VERBS row lists, in Namespace order, the
+# flags its cmd_* function reads; a (name, keywords) entry overrides _FLAGS.
+_FLOAT_LIST = dict(required=True, help="comma separated floats")
+_FLAGS = {
+    "--gauge": dict(required=True),
+    "--x": dict(type=float, required=True),
+    "--spec": dict(required=True, help="family spec JSON file"),
+    "--theta": _FLOAT_LIST, "--theta2": _FLOAT_LIST, "--rho": _FLOAT_LIST,
+    "--q": dict(type=float, required=True),
+    "--d": dict(type=int, default=1),
+    "--k": dict(type=int, required=True),
+    "--v": dict(default=None),
+    "--S": dict(default=None, help="rows separated by ';'"),
+    "--eps": dict(type=float, required=True),
+    "--out": dict(default=None, help="directory for artifact bundle"),
+    "--seed": dict(type=int, default=0),
+    "--workers": dict(type=int, default=1),
+    "--tol": dict(type=float, default=1e-10),
+    "--format": dict(choices=("json", "csv"), default="json"),
 }
-_QGAUSS_VERBS = (
-    ("density", cmd_qgauss_density,
-     ("q", "d", "v", ("S", dict(default=None, help="rows separated by ';'")),
-      ("x", dict(required=True)))),
-    ("lambda", cmd_qgauss_lambda, ("q", "d", "S")),
-    ("marginal-check", cmd_qgauss_marginal_check,
-     ("q", "d", "k", ("kprime", dict(type=int, required=True)), "v", "S",
-      ("grid", dict(default=None)))),
-    ("sample", cmd_qgauss_sample,
-     ("q", "d", "k", ("n", dict(type=int, required=True)), "v", "S")),
-    ("mle", cmd_qgauss_mle,
-     ("q", "d", "k", ("data", dict(default=None, help="CSV file of shape (k, d)")),
-      ("x", dict(default=None, help="inline comma separated data")),
-      ("header", dict(action="store_true")),
-      ("family", dict(choices=("identity_mean_only", "full"),
-                      default="identity_mean_only")))),
-    ("moments", cmd_qgauss_moments,
-     ("q", "d", ("k", dict(type=int, default=2)), ("i", dict(type=int, default=0)),
-      "v", "S")),
+# the simulation flags that every lln verb turns into a SimConfig
+_SIM = (("--config", dict(default=None, help="simulation config JSON file")),
+        ("--q", dict(type=float, default=1.5)), "--d", "--v",
+        ("--variant", dict(choices=("identity", "trace_d"), default="identity")),
+        ("--k-max", dict(type=int, default=10_000)), ("--reps", dict(type=int, default=100)),
+        ("--eps-grid", dict(default="0.25,0.5,1.0")))
+_FMT = ("--out", "--format")
+_VERBS = (
+    ("gauge", "eval", cmd_gauge_eval,
+     ("--gauge", ("--fn", dict(required=True, choices=("ell", "m", "gamma", "chi", "s",
+                                                      "s_star", "exp", "d"))),
+      "--x", ("--y", dict(type=float, default=None)))),
+    ("gauge", "conjugate", cmd_gauge_conjugate, ("--gauge", "--x")),
+    ("gauge", "equiv-check", cmd_gauge_equiv_check,
+     ("--gauge", *((f"--a{i}", dict(type=float, default=0.0)) for i in (1, 2, 3)),
+      ("--lam", dict(type=float, default=1.0)), ("--n", dict(type=int, default=20)),
+      "--out", "--seed", "--format")),
+    ("discrete", "normalize", cmd_discrete_normalize, ("--spec", "--theta", *_FMT)),
+    ("discrete", "divergence", cmd_discrete_divergence, ("--spec", "--theta", "--theta2", *_FMT)),
+    ("discrete", "geometry", cmd_discrete_geometry, ("--spec", "--theta", *_FMT)),
+    ("discrete", "hessian-check", cmd_discrete_hessian_check, ("--spec", "--theta", *_FMT)),
+    ("discrete", "canonical-check", cmd_discrete_canonical_check,
+     ("--spec", "--theta", "--theta2", *_FMT)),
+    ("discrete", "conformal-check", cmd_discrete_conformal_check,
+     ("--spec", "--theta", "--theta2", *_FMT)),
+    ("discrete", "project", cmd_discrete_project,
+     ("--spec", "--rho", "--out", "--tol", "--format")),
+    ("discrete", "entropy-max", cmd_discrete_entropy_max, ("--spec", "--rho", *_FMT)),
+    ("qgauss", "density", cmd_qgauss_density,
+     ("--q", "--d", "--v", "--S", ("--x", dict(required=True)), *_FMT)),
+    ("qgauss", "lambda", cmd_qgauss_lambda, ("--q", "--d", "--S", *_FMT)),
+    ("qgauss", "marginal-check", cmd_qgauss_marginal_check,
+     ("--q", "--d", "--k", ("--kprime", dict(type=int, required=True)), "--v", "--S",
+      ("--grid", dict(default=None)), "--out", "--tol", "--format")),
+    ("qgauss", "sample", cmd_qgauss_sample,
+     ("--q", "--d", "--k", ("--n", dict(type=int, required=True)), "--v", "--S",
+      "--out", "--seed")),
+    ("qgauss", "mle", cmd_qgauss_mle,
+     ("--q", "--d", "--k", ("--data", dict(default=None, help="CSV file of shape (k, d)")),
+      ("--x", dict(default=None, help="inline comma separated data")),
+      ("--header", dict(action="store_true")),
+      ("--family", dict(choices=("identity_mean_only", "full"), default="identity_mean_only")),
+      *_FMT)),
+    ("qgauss", "moments", cmd_qgauss_moments,
+     ("--q", "--d", ("--k", dict(type=int, default=2)), ("--i", dict(type=int, default=0)),
+      "--v", "--S", *_FMT)),
+    ("lln", "run", cmd_lln_run, (*_SIM, "--out", "--seed", "--workers", "--format")),
+    ("lln", "bounds", cmd_lln_bounds, (*_SIM, "--k", "--eps", "--out", "--seed", "--format")),
+    ("lln", "verify", cmd_lln_verify, (*_SIM, "--out", "--seed", "--workers", "--format")),
+    ("lln", "summability", cmd_lln_summability,
+     (*_SIM, "--eps", ("--k-terms", dict(type=int, default=100_000)), "--out", "--seed",
+      "--format")),
+    ("validate", None, cmd_validate, (("path", {}),)),
 )
 
 
@@ -485,87 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dgeo", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="verb", required=True)
-
-    g = sub.add_parser("gauge").add_subparsers(dest="action", required=True)
-    p = g.add_parser("eval")
-    p.add_argument("--gauge", required=True)
-    p.add_argument("--fn", required=True,
-                   choices=("ell", "m", "gamma", "chi", "s", "s_star", "exp", "d"))
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_gauge_eval)
-    p = g.add_parser("conjugate")
-    p.add_argument("--gauge", required=True)
-    p.add_argument("--x", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gauge_conjugate)
-    p = g.add_parser("equiv-check")
-    p.add_argument("--gauge", required=True)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=0.0)
-    p.add_argument("--a3", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=cmd_gauge_equiv_check)
-
-    d = sub.add_parser("discrete").add_subparsers(dest="action", required=True)
-    for action, func, extra in (
-        ("normalize", cmd_discrete_normalize, ("theta",)),
-        ("divergence", cmd_discrete_divergence, ("theta", "theta2")),
-        ("geometry", cmd_discrete_geometry, ("theta",)),
-        ("hessian-check", cmd_discrete_hessian_check, ("theta",)),
-        ("canonical-check", cmd_discrete_canonical_check, ("theta", "theta2")),
-        ("conformal-check", cmd_discrete_conformal_check, ("theta", "theta2")),
-        ("project", cmd_discrete_project, ("rho",)),
-        ("entropy-max", cmd_discrete_entropy_max, ("rho",)),
-    ):
-        p = d.add_parser(action)
-        p.add_argument("--spec", required=True, help="family spec JSON file")
-        for name in extra:
-            p.add_argument(f"--{name}", required=True, help="comma separated floats")
-        _add_common(p)
-        p.set_defaults(func=func)
-
-    q = sub.add_parser("qgauss").add_subparsers(dest="action", required=True)
-    for action, func, flags in _QGAUSS_VERBS:
-        p = q.add_parser(action)
+    actions = {}
+    for verb, action, func, flags in _VERBS:
+        if action is None:
+            p = sub.add_parser(verb)
+        else:
+            if verb not in actions:
+                actions[verb] = sub.add_parser(verb).add_subparsers(dest="action", required=True)
+            p = actions[verb].add_parser(action)
         for flag in flags:
-            name, kwargs = flag if isinstance(flag, tuple) else (flag, _QGAUSS_FLAGS[flag])
-            p.add_argument(f"--{name}", **kwargs)
-        _add_common(p)
+            name, kwargs = flag if isinstance(flag, tuple) else (flag, _FLAGS[flag])
+            p.add_argument(name, **kwargs)
         p.set_defaults(func=func)
-
-    l = sub.add_parser("lln").add_subparsers(dest="action", required=True)
-    for action, func, needs in (
-        ("run", cmd_lln_run, ()),
-        ("bounds", cmd_lln_bounds, ("k", "eps")),
-        ("verify", cmd_lln_verify, ()),
-        ("summability", cmd_lln_summability, ("eps",)),
-    ):
-        p = l.add_parser(action)
-        p.add_argument("--config", default=None, help="simulation config JSON file")
-        p.add_argument("--q", type=float, default=1.5)
-        p.add_argument("--d", type=int, default=1)
-        p.add_argument("--v", default=None)
-        p.add_argument("--variant", choices=("identity", "trace_d"), default="identity")
-        p.add_argument("--k-max", dest="k_max", type=int, default=10_000)
-        p.add_argument("--reps", type=int, default=100)
-        p.add_argument("--eps-grid", dest="eps_grid", default="0.25,0.5,1.0")
-        if "k" in needs:
-            p.add_argument("--k", type=int, required=True)
-        if "eps" in needs:
-            p.add_argument("--eps", type=float, required=True)
-        if action == "summability":
-            p.add_argument("--k-terms", dest="k_terms", type=int, default=100_000)
-        _add_common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("validate")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
     return top
 
 

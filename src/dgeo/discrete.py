@@ -591,9 +591,12 @@ def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2, thetas=None,
 
 
 def spec_from_json(obj) -> DiscreteFamilySpec:
-    """Family spec from {"weights", "gauge", "T", "c", "theta_box"?}."""
+    """Family spec from {"weights", "gauge", "T", "c", "theta_box"?}.  A malformed
+    spec raises DomainError."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise DomainError("a family spec must be a JSON object")
     try:
         weights = obj["weights"]
         gauge = gauge_from_json(obj["gauge"])
@@ -602,9 +605,14 @@ def spec_from_json(obj) -> DiscreteFamilySpec:
     except KeyError as exc:
         raise DomainError(f"family spec is missing field {exc}") from exc
     box = obj.get("theta_box")
-    return DiscreteFamilySpec(DiscreteBase(np.asarray(weights, dtype=float)), gauge,
-                              np.asarray(T, dtype=float), np.asarray(c, dtype=float),
-                              None if box is None else np.asarray(box, dtype=float))
+    try:
+        return DiscreteFamilySpec(DiscreteBase(np.asarray(weights, dtype=float)), gauge,
+                                  np.asarray(T, dtype=float), np.asarray(c, dtype=float),
+                                  None if box is None else np.asarray(box, dtype=float))
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. a string where a number belongs
+        raise DomainError(f"malformed family spec: {exc}") from None
 
 
 def spec_to_json(spec: DiscreteFamilySpec) -> dict:

@@ -362,7 +362,10 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
         raise DomainError(f"{kind} gauge requires a finite {pname} > 0, got {a}")
     (p, q, c), h_fns = family(a)
 
-    h = ScalarFn(*h_fns, Interval(I.lo ** p, I.hi ** p))
+    try:
+        h = ScalarFn(*h_fns, Interval(I.lo ** p, I.hi ** p))
+    except OverflowError:
+        raise DomainError(f"tau(I) = I**{p:g} overflows on I = ({I.lo:g}, {I.hi:g})") from None
     tau = _power_fn(p, I)
     # adding c = 0 would turn ln_q(1) = -0.0 (q > 1) into +0.0
     ell = ScalarFn((lambda t: _ln_q(t, q) + c) if c else (lambda t: _ln_q(t, q)),

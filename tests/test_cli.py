@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -298,9 +300,12 @@ def test_lln_run_workers_bit_identical(tmp_path, capsys):
     assert files["1"] == files["2"]
 
 
+# Per former common flag: its default, a value given on the command line and
+# the Namespace entry that value gives.
+COMMON = {"out": (None, "o", "o"), "seed": (0, "3", 3), "workers": (1, "2", 2),
+          "tol": (1e-10, "1e-8", 1e-8), "format": ("json", "csv", "csv")}
 # Per qgauss verb: its required flags, the Namespace entries they and the
 # defaults give, then every flag of the verb set and the entries that gives.
-COMMON_DEFAULTS = dict(out=None, seed=0, workers=1, tol=1e-10, format="json")
 QGAUSS_ARGV = {
     "density": (["--q", "1.5", "--x", "0.3"],
                 dict(q=1.5, d=1, v=None, S=None, x="0.3"),
@@ -331,21 +336,84 @@ QGAUSS_ARGV = {
 }
 
 
+# The former common flags (--out --seed --workers --tol --format) each verb
+# keeps: the ones its cmd_* function reads.
+_DISCRETE = ("normalize", "divergence", "geometry", "hessian-check", "canonical-check",
+             "conformal-check", "entropy-max")
+KEPT = {
+    "gauge eval": "", "gauge conjugate": "", "validate": "",
+    "gauge equiv-check": "out seed format",
+    **{f"discrete {action}": "out format" for action in _DISCRETE},
+    "discrete project": "out tol format",
+    **{f"qgauss {action}": "out format" for action in ("density", "lambda", "mle", "moments")},
+    "qgauss marginal-check": "out tol format",
+    "qgauss sample": "out seed",
+    "lln run": "out seed workers format", "lln verify": "out seed workers format",
+    "lln bounds": "out seed format", "lln summability": "out seed format",
+}
+
+
 @pytest.mark.parametrize("action", list(QGAUSS_ARGV))
 def test_qgauss_parser_namespaces(action):
     required, defaults, full, given = QGAUSS_ARGV[action]
     func = getattr(cli, "cmd_qgauss_" + action.replace("-", "_"))
-    full += ["--out", "o", "--seed", "3", "--workers", "2", "--tol", "1e-8",
-             "--format", "csv"]
-    common = dict(out="o", seed=3, workers=2, tol=1e-8, format="csv")
-    for argv, expected in ((required, {**COMMON_DEFAULTS, **defaults}),
-                           (full, {**common, **given})):
+    kept = KEPT["qgauss " + action].split()
+    full += [arg for name in kept for arg in (f"--{name}", COMMON[name][1])]
+    for argv, expected in ((required, {**{n: COMMON[n][0] for n in kept}, **defaults}),
+                           (full, {**{n: COMMON[n][2] for n in kept}, **given})):
         ns = cli.build_parser().parse_args(["qgauss", action, *argv])
         assert vars(ns) == dict(verb="qgauss", action=action, func=func, **expected)
     for flag in required[::2]:
         i = required.index(flag)
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["qgauss", action, *required[:i], *required[i + 2:]])
+
+
+def _row_id(row) -> str:
+    return " ".join(filter(None, row[:2]))
+
+
+@pytest.mark.parametrize("row", cli._VERBS, ids=_row_id)
+def test_verbs_take_only_the_common_flags_they_read(row, capsys):
+    verb, action, func, flags = row
+    argv = [verb] + ([action] if action else [])
+    for flag in flags:
+        name, kwargs = flag if isinstance(flag, tuple) else (flag, cli._FLAGS[flag])
+        if not name.startswith("--"):
+            argv.append("x.json")
+        elif kwargs.get("required"):
+            argv += [name, kwargs.get("choices", ["1"])[0]]
+    parser = cli.build_parser()
+    assert parser.parse_args(argv).func is func
+    kept = KEPT[_row_id(row)].split()
+    for name, (_, text, value) in COMMON.items():
+        if name in kept:
+            assert getattr(parser.parse_args(argv + [f"--{name}", text]), name) == value
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + [f"--{name}", text])
+
+
+def test_manifest_records_only_flags_the_verb_has(capsys, coin_file, tmp_path):
+    out_dir = tmp_path / "norm"
+    code, _ = run(capsys, "discrete", "normalize", "--spec", coin_file, "--theta", "0.0",
+                  "--out", str(out_dir))
+    assert code == 0
+    manifest = json.load(open(out_dir / "manifest.json"))
+    assert manifest["config"] == {"verb": "discrete", "action": "normalize", "spec": coin_file,
+                                  "theta": "0.0", "out": str(out_dir), "format": "json"}
+    assert manifest["seed"] is None
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    verbs = set()
+    for line in block.splitlines():
+        if line.startswith("dgeo "):
+            ns = cli.build_parser().parse_args(shlex.split(line)[1:])
+            verbs.add(" ".join(filter(None, (ns.verb, getattr(ns, "action", None)))))
+    assert verbs == set(KEPT)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +446,34 @@ def test_validate_qgauss_hypothesis(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("desc", ['{"kind":"power"}', '{"kind":"power","q":"abc"}',
-                                  '["kl"]', '{"kind":"escort","q":NaN}'])
+                                  '["kl"]', '{"kind":"escort","q":NaN}',
+                                  '{"kind":"escort","q":200,"lo":1e-4,"hi":1e4}'])
 def test_malformed_gauge_descriptor_exits_2(capsys, desc):
     code = cli.main(["gauge", "eval", "--gauge", desc, "--fn", "ell", "--x", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("invalid:")
+
+
+@pytest.mark.parametrize("spec", ['{"weights":[1,1],"gauge":{"kind":"kl"},"T":[[1,0]],"c":"x"}',
+                                  '[1,2]'])
+def test_malformed_family_spec_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code = cli.main(["discrete", "normalize", "--spec", str(path), "--theta", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("invalid:")
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2 and out.splitlines()[0] == "FAIL"
+
+
+@pytest.mark.parametrize("params", ['{"q": "abc", "d": 1}', '{"q": 1.5, "d": "x"}'])
+def test_validate_malformed_qgauss_params_exits_2(capsys, tmp_path, params):
+    path = tmp_path / "params.json"
+    path.write_text(params)
+    code, out = run(capsys, "validate", str(path))
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 2 and lines[0] == "FAIL"
+    assert lines[1].startswith("  - malformed q-Gaussian parameters:")
 
 
 @pytest.mark.parametrize("config", ['{"q": 1.5, "v": [0]}', '{"q": NaN, "d": 1, "v": [0]}',

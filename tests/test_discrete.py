@@ -493,3 +493,17 @@ def test_spec_json_roundtrip():
 def test_spec_json_missing_field():
     with pytest.raises(DomainError):
         dc.spec_from_json({"weights": [1, 1]})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "[1, 2]", 5,
+                                 {"weights": [1, 1], "gauge": {"kind": "kl"}, "T": [[1, 0]],
+                                  "c": "x"},
+                                 {"weights": [1, "a"], "gauge": {"kind": "kl"}, "T": [[1, 0]],
+                                  "c": [0, 0]},
+                                 {"weights": [1, 1, 1], "gauge": {"kind": "kl"},
+                                  "T": [[1, 0, 0], [1]], "c": [0, 0, 0]},
+                                 {"weights": [1, 1], "gauge": {"kind": "kl"}, "T": [[1, 0]],
+                                  "c": [0, 0], "theta_box": {"a": 1}}])
+def test_spec_json_malformed_raises_domain_error(obj):
+    with pytest.raises(DomainError):
+        dc.spec_from_json(obj)

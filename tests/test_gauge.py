@@ -98,6 +98,9 @@ def test_invalid_parameters_raise():
                 builtin_gauge(kind, q=bad)
         with pytest.raises(DomainError, match="scaled_log gauge requires a finite lam"):
             builtin_gauge("scaled_log", lam=bad)
+    for kind, a in (("escort", dict(q=200.0)), ("scaled_log", dict(lam=1e5))):
+        with pytest.raises(DomainError, match="overflows"):
+            builtin_gauge(kind, interval=Interval(1e-4, 1e4), **a)
 
 
 @pytest.mark.parametrize("g", all_builtins(), ids=lambda g: g.name)
