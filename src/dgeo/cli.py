@@ -335,7 +335,11 @@ def cmd_qgauss_moments(args) -> int:
 
 
 def _sim_config(args) -> lln.SimConfig:
+    given = [f"--{k.replace('_', '-')}" for k in _SIM_DEFAULTS if getattr(args, k) is not None]
+    vars(args).update({k: v for k, v in _SIM_DEFAULTS.items() if getattr(args, k) is None})
     if args.config:
+        if given:
+            raise DomainError(f"--config would ignore {', '.join(given)}")
         return lln.SimConfig.from_json(_load_json_file(args.config))
     v = _floats(args.v) if args.v else np.zeros(args.d)
     return lln.SimConfig(q=args.q, d=args.d, v=tuple(v), variant=args.variant,
@@ -455,12 +459,15 @@ _FLAGS = {
     "--tol": dict(type=float, default=1e-10),
     "--format": dict(choices=("json", "csv"), default="json"),
 }
-# the simulation flags that every lln verb turns into a SimConfig
+# the simulation flags that every lln verb turns into a SimConfig; they parse
+# to None and _sim_config fills in _SIM_DEFAULTS, so that a flag given beside
+# --config shows even at its default value
+_SIM_DEFAULTS = {"q": 1.5, "d": 1, "v": None, "variant": "identity", "k_max": 10_000,
+                 "reps": 100, "eps_grid": "0.25,0.5,1.0"}
 _SIM = (("--config", dict(default=None, help="simulation config JSON file")),
-        ("--q", dict(type=float, default=1.5)), "--d", "--v",
-        ("--variant", dict(choices=("identity", "trace_d"), default="identity")),
-        ("--k-max", dict(type=int, default=10_000)), ("--reps", dict(type=int, default=100)),
-        ("--eps-grid", dict(default="0.25,0.5,1.0")))
+        ("--q", dict(type=float)), ("--d", dict(type=int)), "--v",
+        ("--variant", dict(choices=("identity", "trace_d"))), ("--k-max", dict(type=int)),
+        ("--reps", dict(type=int)), ("--eps-grid", {}))
 _FMT = ("--out", "--format")
 _VERBS = (
     ("gauge", "eval", cmd_gauge_eval,

@@ -366,6 +366,10 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
         h = ScalarFn(*h_fns, Interval(I.lo ** p, I.hi ** p))
     except OverflowError:
         raise DomainError(f"tau(I) = I**{p:g} overflows on I = ({I.lo:g}, {I.hi:g})") from None
+    for t in (I.lo, I.hi):
+        for e in (p - 1.0, -q):  # tau' = p t**(p-1) and ell' = t**(-q)
+            if 0.0 < t < math.inf and abs(e * math.log(t)) >= math.log(np.finfo(float).max):
+                raise DomainError(f"t**{e:g} leaves double range at t = {t:g} on I")
     tau = _power_fn(p, I)
     # adding c = 0 would turn ln_q(1) = -0.0 (q > 1) into +0.0
     ell = ScalarFn((lambda t: _ln_q(t, q) + c) if c else (lambda t: _ln_q(t, q)),

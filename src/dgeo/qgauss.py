@@ -7,25 +7,26 @@ constants (a_k, q_k, beta_k, nu_k); the joints are mutually consistent
 (integrating out trailing coordinates recovers the shorter joint), which
 defines dependent, identically distributed sequences.
 
-Numerically every joint with q > 1 is an elliptical Student-t law on
-R^{dk}: matching the quadratic form and the exponent gives degrees of
-freedom nu = 2 a_k/(q-1) - dk = 2/(q-1) + 3d (independent of k) and a
-per-coordinate scale that is also k-independent, which is how sampling,
-moments and escort integrals are computed here.  For q = 1 everything
-degenerates to i.i.d. Gaussians.
+The joint (a = a_k) and its escort rho^{q_k} (a = a_k q_k) are one law,
+exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk}.  For q > 1, with s = a/(q-1)
+and t = 1 + (q-1) nu_k, it is an elliptical Student-t law (Kotz and
+Nadarajah, Multivariate t Distributions, 2004) with dof = 2s - dk and
+scale I_k (x) B for the one d-by-d block B = t/((q-1) beta_k dof) S^{-1};
+its mass is t^{dk/2-s} det((q-1) beta_k S/pi)^{-k/2} Gamma(s-dk/2)/Gamma(s),
+which is 1 for the joint.  The joint's dof is 2/(q-1) + 3d and its B the
+same for every k.  For q = 1 both are i.i.d. Gaussians: B = S^{-1}/(2 beta_k),
+dof = inf and mass 1.
 
-Every joint law (and its escort) has scale I_k (x) B for one d-by-d block
-B, so the library works on (dof, B) alone: log-determinants are k times
-the block's, and moments are read by index.  The dense dk-by-dk matrices
-are built only by the public views embed_joint, joint_t_params and
-escort_cov.
+_t_form builds (mass, dof, B) once per law and form, and sampling, moments
+and escort integrals read it by index.  The dense dk-by-dk matrices are
+built only by the public views embed_joint, joint_t_params and escort_cov.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -97,10 +98,10 @@ class QGaussianParams:
             raise DomainError("d must be a positive integer")
         if self.d * (self.q - 1.0) >= 2.0:
             raise DomainError("need d(q-1) < 2")
-        v = np.asarray(self.v, dtype=float).reshape(self.d)
+        v = np.array(self.v, dtype=float).reshape(self.d)
         if not np.all(np.isfinite(v)):
             raise DomainError("v must be finite")
-        S = _check_spd(self.S)
+        S = _check_spd(np.array(self.S, dtype=float))
         if S.shape != (self.d, self.d):
             raise DomainError(f"S must be ({self.d}, {self.d})")
         if self.variant == "identity" and not np.allclose(S, np.eye(self.d), atol=1e-12):
@@ -109,17 +110,19 @@ class QGaussianParams:
             raise DomainError("trace_d variant requires tr S = d")
         if self.variant not in ("full", "identity", "trace_d"):
             raise DomainError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "S", S)
+        for name, arr in (("v", v), ("S", S)):  # private read-only copies stay valid
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def lambda_q(q: float, d: int, S) -> float:
     """Normalizer making exp_q(-|x-v|^2_S - lambda) integrate to one."""
-    S = _check_spd(S)
-    if S.shape != (d, d):
-        raise DomainError(f"S must be ({d}, {d})")
-    if not math.isfinite(q) or q < 1.0 or d * (q - 1.0) >= 2.0:
-        raise DomainError("need finite q >= 1 and d(q-1) < 2")
+    p = QGaussianParams(q, d, [0.0] * d, S)
+    return _lambda(p.q, p.d, p.S)
+
+
+def _lambda(q: float, d: int, S: np.ndarray) -> float:
+    """lambda_q for parameters that are already checked."""
     sign, logdet = np.linalg.slogdet(S / math.pi)
     if q == 1.0:
         return -0.5 * logdet
@@ -139,7 +142,7 @@ def density(params: QGaussianParams, x) -> np.ndarray | float:
         raise DomainError(f"points must have trailing dimension {params.d}")
     dx = pts - params.v
     Q = np.einsum("...i,ij,...j->...", dx, params.S, dx)
-    lam = lambda_q(params.q, params.d, params.S)
+    lam = _lambda(params.q, params.d, params.S)
     out = _exp_q_pow(-Q - lam, params.q, 1.0)
     return float(out[0]) if squeeze else out
 
@@ -176,6 +179,15 @@ class RepetitionLaw:
     nu_k: float
     nu_dof: float
 
+    # the t forms of the joint and of its escort, each built on first use
+    @cached_property
+    def _joint(self) -> _TForm:
+        return _t_form(self, self.a_k)
+
+    @cached_property
+    def _escort(self) -> _TForm:
+        return _t_form(self, self.a_k * self.q_k)
+
 
 def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, float, float]:
     a_k = 1.0 + (k + 3) * d * (q - 1.0) / 2.0
@@ -196,19 +208,10 @@ def repetition(params: QGaussianParams, k: int) -> RepetitionLaw:
     """Constants (a_k, q_k, beta_k, nu_k) and the t degrees of freedom."""
     if k < 1:
         raise DomainError("k must be a positive integer")
-    q, d, S = params.q, params.d, params.S
-    a_k, q_k, beta_k, nu_k = _constants(q, d, k, S)
-    if q == 1.0:
-        nu_dof = math.inf
-    else:
-        nu_dof = 2.0 * a_k / (q - 1.0) - d * k
-        if nu_dof <= 2.0:
-            raise DomainError("joint law lacks second moments; hypothesis d(q-1) < 2 violated")
-    # det(beta_k(S) S) must not depend on S
-    _, logdet_s = np.linalg.slogdet(beta_k * S)
-    beta_i = _constants(q, d, k, np.eye(d))[2]
-    if abs(logdet_s - d * math.log(beta_i)) > 1e-10 * max(1.0, abs(logdet_s)):
-        raise DomainError("internal constant check failed: det(beta_k(S) S) depends on S")
+    q, d = params.q, params.d
+    a_k, q_k, beta_k, nu_k = _constants(q, d, k, params.S)
+    # d(q-1) < 2 makes nu_dof = 2/(q-1) + 3d > 4
+    nu_dof = math.inf if q == 1.0 else 2.0 * a_k / (q - 1.0) - d * k
     return RepetitionLaw(params, k, a_k, q_k, beta_k, nu_k, nu_dof)
 
 
@@ -240,50 +243,79 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
     return V, Sigma, law.a_k * law.nu_k
 
 
-def _joint_block(law: RepetitionLaw) -> tuple[float, np.ndarray]:
-    """(dof, B) of the joint t law, whose scale on R^{dk} is I_k (x) B.
+@dataclass(frozen=True)
+class _TForm:
+    """The law exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law: its
+    mass, dof and the block B of its scale I_k (x) B (see the module doc)."""
 
-    For q > 1, B = (1 + (q-1) nu_k) / ((q-1) beta_k nu_dof) * S^{-1}, the
-    same for every k (that equality is the marginal-consistency property).
-    For q = 1, B is the Gaussian covariance block and dof is inf.
-    """
+    mass: float
+    dof: float
+    block: np.ndarray
+    k: int
+
+    def entry(self, a: int, b: int) -> float:
+        """Entry (a, b) of I_k (x) B, read without forming the matrix."""
+        d = self.block.shape[0]
+        if not (0 <= a < self.k * d and 0 <= b < self.k * d):
+            raise DomainError(f"coordinate index out of range 0..{self.k * d - 1}")
+        return float(self.block[a % d, b % d]) if a // d == b // d else 0.0
+
+    def second(self, x):
+        """Covariance from scale entries x: x dof/(dof-2)."""
+        if math.isinf(self.dof):
+            return x
+        if self.dof <= 2.0:
+            raise InfeasibleError("second moments diverge")
+        return x * self.dof / (self.dof - 2.0)
+
+    def fourth(self, x):
+        """Fourth moment from its Isserlis sum x of scale entries."""
+        if math.isinf(self.dof):
+            return x
+        if self.dof <= 4.0:
+            raise InfeasibleError("fourth moments diverge")
+        return x * self.dof * self.dof / ((self.dof - 2.0) * (self.dof - 4.0))
+
+
+def _t_form(law: RepetitionLaw, a: float) -> _TForm:
+    """exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law; a = a_k gives
+    the joint and a = a_k q_k the escort."""
     p = law.base
     S_inv = np.linalg.inv(p.S)
     if p.q == 1.0:
-        return math.inf, S_inv / (2.0 * law.beta_k)
-    c = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * law.nu_dof)
-    return law.nu_dof, c * S_inv
-
-
-def _entry(block: np.ndarray, k: int, a: int, b: int) -> float:
-    """Entry (a, b) of I_k (x) block, read without forming the matrix."""
-    d = block.shape[0]
-    if not (0 <= a < k * d and 0 <= b < k * d):
-        raise DomainError(f"coordinate index out of range 0..{k * d - 1}")
-    return float(block[a % d, b % d]) if a // d == b // d else 0.0
+        return _TForm(1.0, math.inf, S_inv / (2.0 * law.beta_k), law.k)
+    D = p.d * law.k
+    s = a / (p.q - 1.0)
+    dof = 2.0 * s - D  # > 0: s - D/2 >= 1/(q-1) + 3d/2 for a >= a_k
+    _, logdet = np.linalg.slogdet((p.q - 1.0) * law.beta_k * p.S / math.pi)
+    log_mass = (D / 2.0 - s) * math.log1p((p.q - 1.0) * law.nu_k) - 0.5 * law.k * logdet \
+        + gammaln(s - D / 2.0) - gammaln(s)
+    block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * dof) * S_inv
+    return _TForm(math.exp(log_mass), dof, block, law.k)
 
 
 def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
     """Student-t form (dof, location, scale) of the joint on R^{dk}.
 
-    The scale is I_k (x) B with the block B of _joint_block; for q = 1 it
-    is the Gaussian covariance and dof is inf.  The scale is a dense
-    O((kd)^2) view kept for callers; the library itself never builds it.
+    The scale is I_k (x) B; for q = 1 it is the Gaussian covariance and dof
+    is inf.  The scale is a dense O((kd)^2) view kept for callers; the
+    library itself never builds it.
     """
-    dof, block = _joint_block(law)
-    return dof, np.tile(law.base.v, law.k), np.kron(np.eye(law.k), block)
+    f = law._joint
+    return f.dof, np.tile(law.base.v, law.k), np.kron(np.eye(law.k), f.block)
 
 
 def joint_factor(law: RepetitionLaw) -> tuple[float, np.ndarray]:
     """(dof, A) of the t representation of the joint.
 
-    A is the lower Cholesky factor of the block B of _joint_block, so one
-    joint draw is x_m = v + sqrt(dof/W) A z_m for m = 1..k, with z_m i.i.d.
-    standard normal in R^d and one chi-square(dof) variable W shared by
-    the whole draw; for q = 1, dof is inf and the factor sqrt(dof/W) is 1.
+    A is the lower Cholesky factor of the block B of the joint's scale
+    I_k (x) B, so one joint draw is x_m = v + sqrt(dof/W) A z_m for
+    m = 1..k, with z_m i.i.d. standard normal in R^d and one
+    chi-square(dof) variable W shared by the whole draw; for q = 1, dof is
+    inf and the factor sqrt(dof/W) is 1.
     """
-    dof, block = _joint_block(law)
-    return dof, np.linalg.cholesky(block)
+    f = law._joint
+    return f.dof, np.linalg.cholesky(f.block)
 
 
 def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
@@ -311,47 +343,9 @@ def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _escort_block(law: RepetitionLaw) -> tuple[float, float, np.ndarray]:
-    """(mass, dof, B) of the escort law rho^{q_k} / mass, whose scale on
-    R^{dk} is I_k (x) B.
-
-    On the embedding Sigma = a_k beta_k (I_k (x) S), lam = a_k nu_k, the
-    escort is a t law with dof 2 q_k/(q_k-1) - dk, scale
-    (1 + (q_k-1) lam)/(dof (q_k-1)) Sigma^{-1}, and
-    logdet((q_k-1) Sigma/pi) = k logdet((q_k-1) a_k beta_k S/pi).
-    """
-    p = law.base
-    if p.q == 1.0:
-        dof, block = _joint_block(law)
-        return 1.0, dof, block
-    D = p.d * law.k
-    qp = law.q_k
-    lam = law.a_k * law.nu_k
-    sig = law.a_k * law.beta_k
-    s = qp / (qp - 1.0)
-    if s - D / 2.0 <= 0:
-        raise InfeasibleError("escort integral diverges")
-    _, logdet = np.linalg.slogdet((qp - 1.0) * sig * p.S / math.pi)
-    log_mass = (-s + D / 2.0) * math.log1p((qp - 1.0) * lam) - 0.5 * law.k * logdet \
-        + gammaln(s - D / 2.0) - gammaln(s)
-    nu_e = 2.0 * s - D
-    block = (1.0 + (qp - 1.0) * lam) / (nu_e * (qp - 1.0)) * np.linalg.inv(p.S) / sig
-    return math.exp(log_mass), nu_e, block
-
-
-def _escort_cov_block(law: RepetitionLaw) -> tuple[float, np.ndarray]:
-    """(mass, C) with the escort covariance I_k (x) C."""
-    mass, nu_e, block = _escort_block(law)
-    if math.isinf(nu_e):
-        return mass, block
-    if nu_e <= 2.0:
-        raise InfeasibleError("escort law lacks second moments")
-    return mass, block * nu_e / (nu_e - 2.0)
-
-
 def escort_mass(law: RepetitionLaw) -> float:
     """Integral of rho^{q_k}; independent of v and of the scale of S."""
-    return _escort_block(law)[0]
+    return law._escort.mass
 
 
 def escort_mean(law: RepetitionLaw) -> np.ndarray:
@@ -364,7 +358,8 @@ def escort_cov(law: RepetitionLaw) -> np.ndarray:
     A dense O((kd)^2) view kept for callers; the library itself never
     builds it.
     """
-    return np.kron(np.eye(law.k), _escort_cov_block(law)[1])
+    f = law._escort
+    return np.kron(np.eye(law.k), f.second(f.block))
 
 
 def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
@@ -373,15 +368,15 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
     idx=None gives the escort mass, (a,) the first moment of flat
     coordinate a, and (a, b) the second moment; all unnormalized.
     """
-    mass, C = _escort_cov_block(law)
+    f = law._escort
     if idx is None:
-        return mass
+        return f.mass
     V = escort_mean(law)
     if len(idx) == 1:
-        return mass * float(V[idx[0]])
+        return f.mass * float(V[idx[0]])
     if len(idx) == 2:
         a, b = idx
-        return mass * float(V[a] * V[b] + _entry(C, law.k, a, b))
+        return f.mass * float(V[a] * V[b] + f.second(f.entry(a, b)))
     raise DomainError("idx must be None, (a,) or (a, b)")
 
 
@@ -393,28 +388,14 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
 def central_second(law: RepetitionLaw, a: int, b: int) -> float:
     """E[Y_a Y_b] for the centered joint coordinates; exactly 0.0 across
     repetitions."""
-    dof, block = _joint_block(law)
-    s_ab = _entry(block, law.k, a, b)
-    if math.isinf(dof):
-        return s_ab
-    if dof <= 2:
-        raise InfeasibleError("second moments diverge")
-    return s_ab * dof / (dof - 2.0)
+    f = law._joint
+    return f.second(f.entry(a, b))
 
 
 def central_fourth(law: RepetitionLaw, a: int, b: int, c: int, d: int) -> float:
     """E[Y_a Y_b Y_c Y_d]; elliptical-t closed form (Isserlis at q = 1)."""
-    dof, block = _joint_block(law)
-
-    def s(i, j):
-        return _entry(block, law.k, i, j)
-
-    pairs = s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c)
-    if math.isinf(dof):
-        return pairs
-    if dof <= 4:
-        raise InfeasibleError("fourth moments diverge")
-    return pairs * dof * dof / ((dof - 2.0) * (dof - 4.0))
+    s = law._joint.entry
+    return law._joint.fourth(s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c))
 
 
 @dataclass(frozen=True)
@@ -442,9 +423,8 @@ def fi_pair_moments(law: RepetitionLaw, i: int = 0) -> tuple[float, float]:
     """(E[Y1^4], E[Y1^2 Y2^2]) for coordinate i across two repetitions."""
     if law.k < 2:
         raise DomainError("pair moments need k >= 2")
-    a = i
     b = law.base.d + i
-    return central_fourth(law, a, a, a, a), central_fourth(law, a, a, b, b)
+    return central_fourth(law, i, i, i, i), central_fourth(law, i, i, b, b)
 
 
 def fij_pair_moments(law: RepetitionLaw, i: int = 0, j: int = 0) -> tuple[float, float]:
@@ -453,14 +433,12 @@ def fij_pair_moments(law: RepetitionLaw, i: int = 0, j: int = 0) -> tuple[float,
         raise DomainError("pair moments need k >= 2")
     d = law.base.d
     vi, vj = float(law.base.v[i]), float(law.base.v[j])
-    a, b = i, j
-    a2, b2 = d + i, d + j
-    W_ij = central_second(law, a, b)
-    W_ii = central_second(law, a, a)
-    W_jj = central_second(law, b, b)
+    W_ij = central_second(law, i, j)
+    W_ii = central_second(law, i, i)
+    W_jj = central_second(law, j, j)
     ez2 = (vi * vi * W_jj + vj * vj * W_ii + 2 * vi * vj * W_ij
-           + central_fourth(law, a, b, a, b) - W_ij ** 2)
-    ez12 = central_fourth(law, a, b, a2, b2) - W_ij ** 2
+           + central_fourth(law, i, j, i, j) - W_ij ** 2)
+    ez12 = central_fourth(law, i, j, d + i, d + j) - W_ij ** 2
     return ez2, ez12
 
 
@@ -593,36 +571,33 @@ class MLEResult:
     converged: bool
 
 
-def _slice_tangents(q: float, d: int, k: int, v: np.ndarray, S: np.ndarray,
-                    family: str, step: float = 1e-6) -> list[np.ndarray]:
+def _slice_tangents(law: RepetitionLaw, family: str) -> list[np.ndarray]:
     """Tangent directions of the fitted family in one block of the ambient
     statistic space (linear parts then quadratic parts i <= j).  The full
-    tangent repeats this block k times, once per repetition."""
+    tangent repeats this block k times, once per repetition.
 
-    def theta_of(vv, SS):
-        a_k, _, beta_k, _ = _constants(q, d, k, SS)
-        Sig = a_k * beta_k * SS
-        iu = np.triu_indices(d)
-        return np.concatenate([2.0 * Sig @ vv, -(2.0 - (iu[0] == iu[1])) * Sig[iu]])
-
-    tangents = []
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = step
-        tangents.append((theta_of(v + e, S) - theta_of(v - e, S)) / (2 * step))
+    The block is [2 Sig v, -(2 - delta_ij) Sig_ij] with Sig = a_k beta_k S.
+    A move e of v gives [2 Sig e, 0].  As beta_k is proportional to
+    det(S)^(-1/d), a move E of S moves Sig by a_k beta_k (E - tr(S^-1 E)/d S).
+    """
+    p, d = law.base, law.base.d
+    c = law.a_k * law.beta_k
+    iu = np.triu_indices(d)
+    Sig = c * p.S
+    tangents = [np.concatenate([2.0 * Sig[:, l], np.zeros(iu[0].size)]) for l in range(d)]
     if family == "full" and d >= 2:
-        # symmetric trace-free directions of S
-        for a in range(d):
-            for b in range(a, d):
-                E = np.zeros((d, d))
-                if a == b:
-                    if a == d - 1:
-                        continue
-                    E[a, a], E[d - 1, d - 1] = 1.0, -1.0
-                else:
-                    E[a, b] = E[b, a] = 1.0
-                tangents.append((theta_of(v, S + step * E) - theta_of(v, S - step * E))
-                                / (2 * step))
+        S_inv = np.linalg.inv(p.S)
+        # symmetric trace-free directions of S: E_ab + E_ba, and E_aa - E_dd
+        for a, b in zip(*iu):
+            if a == b == d - 1:
+                continue
+            E = np.zeros((d, d))
+            E[a, b] = E[b, a] = 1.0
+            if a == b:
+                E[d - 1, d - 1] = -1.0
+            dSig = c * (E - np.trace(S_inv @ E) / d * p.S)
+            tangents.append(np.concatenate([2.0 * dSig @ p.v,
+                                            -(2.0 - (iu[0] == iu[1])) * dSig[iu]]))
     return tangents
 
 
@@ -638,13 +613,13 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, family: str) -> floa
     """
     p = law.base
     d, k = p.d, law.k
-    mass, C = _escort_cov_block(law)
+    f = law._escort
     iu = np.triu_indices(d)
-    second = np.outer(p.v, p.v) + C
-    r = mass * np.concatenate([k * p.v - x.sum(axis=0), (k * second - x.T @ x)[iu]])
+    second = np.outer(p.v, p.v) + f.second(f.block)
+    r = f.mass * np.concatenate([k * p.v - x.sum(axis=0), (k * second - x.T @ x)[iu]])
 
     defect = 0.0
-    for u in _slice_tangents(p.q, d, k, p.v, p.S, family):
+    for u in _slice_tangents(law, family):
         nrm = float(np.linalg.norm(u)) * math.sqrt(k)
         if nrm > 0:
             defect = max(defect, abs(float(u @ r)) / nrm)
@@ -672,15 +647,14 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
 
     v = x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
-        S = np.eye(d)
-        law = repetition(QGaussianParams(q, d, v, S, "identity"), k)
-        return MLEResult(v, S, _stationarity_defect(law, x, family), 0, True)
-
-    centered = x - v
-    M = centered.T @ centered
-    if np.min(np.linalg.eigvalsh(M)) <= 1e-12 * max(1.0, float(np.max(np.abs(M)))):
-        raise InfeasibleError("scatter matrix is singular; full-family fit undetermined")
-    S = np.linalg.inv(M)
-    S *= d / np.trace(S)
-    law = repetition(QGaussianParams(q, d, v, S, "trace_d"), k)
-    return MLEResult(v, S, _stationarity_defect(law, x, "full"), 0, True)
+        S, variant = np.eye(d), "identity"
+    else:
+        centered = x - v
+        M = centered.T @ centered
+        if np.min(np.linalg.eigvalsh(M)) <= 1e-12 * max(1.0, float(np.max(np.abs(M)))):
+            raise InfeasibleError("scatter matrix is singular; full-family fit undetermined")
+        S = np.linalg.inv(M)
+        S *= d / np.trace(S)
+        variant = "trace_d"
+    law = repetition(QGaussianParams(q, d, v, S, variant), k)
+    return MLEResult(v, S, _stationarity_defect(law, x, family), 0, True)

@@ -266,6 +266,22 @@ def test_lln_bounds_matches_library(capsys):
     assert payload["bound_FF"] == b.bound_FF
 
 
+def test_lln_config_rejects_simulation_flags(capsys, tmp_path):
+    # each simulation flag beside --config is named, even at its default value;
+    # without one the config's run is unchanged
+    path = tmp_path / "cfg.json"
+    path.write_text('{"q": 1.5, "d": 1, "v": [0.0]}')
+    base = ["lln", "bounds", "--config", str(path), "--k", "100", "--eps", "0.5"]
+    code, out = run(capsys, *base)
+    assert code == 0 and json.loads(out)["bound_F"] == 6.44011734364753e-05
+    for flag, value in (("--q", "2.0"), ("--d", "1"), ("--v", "0"), ("--variant", "identity"),
+                        ("--k-max", "10"), ("--reps", "10"), ("--eps-grid", "0.5")):
+        assert cli.main(base + [flag, value]) == 2
+        assert capsys.readouterr().err.strip() == f"invalid: --config would ignore {flag}"
+    assert cli.main(["lln", "run", "--config", str(path), "--q", "2.0", "--k-max", "5"]) == 2
+    assert capsys.readouterr().err.strip() == "invalid: --config would ignore --q, --k-max"
+
+
 def test_lln_verify(capsys):
     code, out = run(capsys, "lln", "verify", "--q", "1.5", "--d", "1", "--v", "0.0",
                     "--k-max", "100", "--reps", "150", "--seed", "3",

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,20 @@ def test_invalid_parameters_raise():
     for kind, a in (("escort", dict(q=200.0)), ("scaled_log", dict(lam=1e5))):
         with pytest.raises(DomainError, match="overflows"):
             builtin_gauge(kind, interval=Interval(1e-4, 1e4), **a)
+
+
+def test_builtin_derivative_out_of_double_range_is_named():
+    # tau' = 200 t**199 underflows and ell' = t**-200 overflows at t = 1e-4;
+    # both are reported as such, with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"t\*\*199 leaves double range at t = 0\.0001"):
+            builtin_gauge("escort", q=200.0, interval=Interval(1e-4, 2.0))
+        with pytest.raises(DomainError, match=r"t\*\*-400 leaves double range at t = 0\.0001"):
+            builtin_gauge("power", q=400.0, interval=Interval(1e-4, 2.0))
+        with pytest.raises(DomainError, match=r"t\*\*-400 leaves double range at t = 1e\+10"):
+            builtin_gauge("power", q=400.0, interval=Interval(1.0, 1e10))
+        builtin_gauge("escort", q=200.0, interval=Interval(0.5, 2.0))
 
 
 @pytest.mark.parametrize("g", all_builtins(), ids=lambda g: g.name)

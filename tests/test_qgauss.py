@@ -63,6 +63,18 @@ def test_non_finite_s_rejected():
         qg.QGaussianParams(1.2, 1, [0.0], [[math.inf]])
 
 
+def test_params_keep_private_read_only_arrays():
+    # density and the cached t forms trust the checked v and S, so neither the
+    # caller's arrays nor writes into p.v and p.S may change them afterwards
+    v, S = np.zeros(2), np.eye(2)
+    p = qg.QGaussianParams(1.2, 2, v, S)
+    v[0], S[0, 0] = 5.0, -1.0
+    assert p.v[0] == 0.0 and p.S[0, 0] == 1.0
+    for arr in (p.v, p.S):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+
+
 # ---------------------------------------------------------------------------
 # lambda_q
 # ---------------------------------------------------------------------------
@@ -167,6 +179,49 @@ def test_dof_independent_of_k(k):
 def test_dof_formula_2d():
     l = law(1.4, d=2, k=3)
     assert l.nu_dof == pytest.approx(2.0 / 0.4 + 6.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.01, 1.2, 1.5, 2.5])
+def test_det_beta_k_s_independent_of_s(q):
+    # beta_k(S) is proportional to det(S)^(-1/d), so det(beta_k(S) S) = beta_k(I)^d
+    rng = np.random.default_rng(int(q * 100))
+    for d in (1, 2, 3):
+        if d * (q - 1.0) >= 2.0:
+            continue
+        A = rng.normal(size=(d, d))
+        S = A @ A.T + 0.5 * np.eye(d)
+        for k in (1, 2, 7):
+            beta = law(q, d=d, k=k, S=S).beta_k
+            assert np.linalg.det(beta * S) == pytest.approx(law(q, d=d, k=k).beta_k ** d,
+                                                            rel=1e-12)
+
+
+def test_validation_and_t_forms_run_once(monkeypatch):
+    """density trusts the S that QGaussianParams checked, repetition computes
+    its constants once, and each law builds its joint and escort t forms at
+    most once however many moments are read."""
+    calls = {}
+
+    def count(name):
+        real = getattr(qg, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(qg, name, counted)
+
+    p = qg.QGaussianParams(1.3, 2, [0.1, -0.2], [[1.2, 0.3], [0.3, 0.8]])
+    for name in ("_check_spd", "_constants", "_t_form"):
+        count(name)
+    qg.density(p, np.zeros((4, 2)))
+    l = qg.repetition(p, 2)
+    assert calls == {"_constants": 1}
+    qg.fij_pair_moments(l, 0, 1)
+    assert calls["_t_form"] == 1
+    qg.fi_pair_moments(l, 1), qg.coordinate_moments(l), qg.joint_factor(l)
+    qg.escort_mass(l), qg.escort_cov(l), qg.escort_moment(l, (0, 1))
+    assert calls == {"_constants": 1, "_t_form": 2}
 
 
 def test_embedding_normalizer_identity():
@@ -760,3 +815,113 @@ def test_mle_scale_k_1e5(family):
     assert res.v == pytest.approx(x.mean(axis=0), abs=1e-10)
     assert res.defect <= 1e-6
     assert res.iterations == 0
+
+
+def test_slice_tangents_match_finite_differences():
+    # the exact tangents against central differences of natural_params of
+    # (v, a_k beta_k(S) S), each constant recomputed from the moved S
+    q, d, k = 1.4, 3, 5
+    v = np.array([0.3, -0.1, 0.6])
+    S = np.array([[1.5, 0.2, -0.1], [0.2, 0.9, 0.3], [-0.1, 0.3, 0.6]])
+    l = qg.repetition(qg.QGaussianParams(q, d, v, S), k)
+    iu = np.triu_indices(d)
+
+    def theta(vv, SS):
+        a_k, _, beta_k, _ = qg._constants(q, d, k, SS)
+        return qg.natural_params(vv, a_k * beta_k * SS)[: d + iu[0].size]
+
+    h = 1e-6
+    fd = [(theta(v + h * e, S) - theta(v - h * e, S)) / (2 * h) for e in np.eye(d)]
+    for a, b in zip(*iu):
+        if a == b == d - 1:
+            continue
+        E = np.zeros((d, d))
+        E[a, b] = E[b, a] = 1.0
+        if a == b:
+            E[d - 1, d - 1] = -1.0
+        fd.append((theta(v, S + h * E) - theta(v, S - h * E)) / (2 * h))
+    exact = qg._slice_tangents(l, "full")
+    assert len(exact) == len(fd) == d + d * (d + 1) // 2 - 1
+    for u, ref in zip(exact, fd):
+        np.testing.assert_allclose(u, ref, rtol=1e-7, atol=1e-7 * np.abs(ref).max())
+
+
+# ---------------------------------------------------------------------------
+# closed forms against 50-digit radial quadrature
+# ---------------------------------------------------------------------------
+
+
+ORACLE_GRID = [(q, d, k) for q in (1.01, 1.2, 1.5, 2.5) for d in (1, 2, 3) for k in (1, 2, 7)
+               if d * (q - 1.0) < 2.0]
+
+
+def oracle_params(q, d):
+    S = np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d))
+    S[0, 0] = 1.7
+    return qg.QGaussianParams(q, d, np.linspace(0.4, -0.2, d), S)
+
+
+def radial(f, D, det_M, r0):
+    """Integral over R^D of f(y^T M y), det M = det_M, as a 1-D integral in
+    the radius r = |y|_M: 2 pi^{D/2}/Gamma(D/2) det(M)^{-1/2} times
+    int_0^inf f(r^2) r^{D-1} dr, by mpmath.quad in x = r/r0.  With r0 near
+    the peak of the integrand, degree 5 is good to ~1e-14 on ORACLE_GRID."""
+    import mpmath
+
+    area = 2 * mpmath.pi ** (mpmath.mpf(D) / 2) / mpmath.gamma(mpmath.mpf(D) / 2)
+    inner = mpmath.quad(lambda x: f((r0 * x) ** 2) * (r0 * x) ** (D - 1), [0, mpmath.inf],
+                        maxdegree=5)
+    return area / mpmath.sqrt(det_M) * r0 * inner
+
+
+@pytest.mark.parametrize("q,d", sorted({(q, d) for q, d, _ in ORACLE_GRID}))
+def test_lambda_q_normalizes_density_mpmath(q, d):
+    import mpmath
+
+    p = oracle_params(q, d)
+    with mpmath.workdps(50):
+        mq, lam = mpmath.mpf(q), mpmath.mpf(qg.lambda_q(q, d, p.S))
+        mass = radial(lambda Q: (1 + (mq - 1) * (Q + lam)) ** (-1 / (mq - 1)), d,
+                      mpmath.mpf(np.linalg.det(p.S)), mpmath.sqrt(d))
+    assert abs(mass - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("q,d,k", ORACLE_GRID)
+def test_joint_constants_normalize_mpmath(q, d, k):
+    """(a_k, q_k, beta_k, nu_k) make exp_{q_k}(-a_k (beta_k Q + nu_k)) a
+    probability density on R^{dk}."""
+    import mpmath
+
+    l = qg.repetition(oracle_params(q, d), k)
+    D = d * k
+    with mpmath.workdps(50):
+        a, qk, beta, nu = (mpmath.mpf(c) for c in (l.a_k, l.q_k, l.beta_k, l.nu_k))
+        mass = radial(lambda Q: (1 + (qk - 1) * a * (beta * Q + nu)) ** (-1 / (qk - 1)), D,
+                      mpmath.mpf(np.linalg.det(l.base.S)) ** k, mpmath.sqrt(D / (a * beta)))
+    # _constants takes gammaln(1/(q_k - 1)) from the rounded q_k: at q = 1.01 that
+    # leaves the mass 5.3e-12 off 1, against 1.4e-13 with 1/(q_k - 1) = a_k/(q - 1)
+    assert abs(mass - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("q,d,k", ORACLE_GRID)
+def test_escort_mass_and_second_moment_mpmath(q, d, k):
+    """The escort integrals of 1 and of Q = |x - v|^2 in one complex quadrature.
+    Within a block E[(x - v)_a (x - v)_b] = (S^-1)_ab E[Q]/(d k); across
+    blocks it is 0."""
+    import mpmath
+
+    p = oracle_params(q, d)
+    l = qg.repetition(p, k)
+    D = d * k
+    with mpmath.workdps(50):
+        mq, a, qk, beta, nu = (mpmath.mpf(c) for c in (q, l.a_k, l.q_k, l.beta_k, l.nu_k))
+        # rho^{q_k} = (1 + (q-1)(beta_k Q + nu_k))^(-a_k q_k/(q-1))
+        both = radial(lambda Q: (1 + (mq - 1) * (beta * Q + nu)) ** (-a * qk / (mq - 1))
+                      * mpmath.mpc(1, Q), D, mpmath.mpf(np.linalg.det(p.S)) ** k,
+                      mpmath.sqrt(D / (a * beta)))
+    mass, mQ = float(both.real), float(both.imag)
+    assert qg.escort_mass(l) == pytest.approx(mass, rel=1e-12)
+    S_inv, V = np.linalg.inv(p.S), np.tile(p.v, k)
+    for i, j in {(0, 0), (0, d - 1), (0, D - 1), (D - 1, D - 1)}:
+        cov = S_inv[i % d, j % d] * mQ / D if i // d == j // d else 0.0
+        assert qg.escort_moment(l, (i, j)) == pytest.approx(mass * V[i] * V[j] + cov, rel=1e-12)
