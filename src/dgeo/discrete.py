@@ -25,8 +25,8 @@ import numpy as np
 from scipy import optimize  # noqa: F401  (unused; perfbench/tracer.py patches it)
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
-from .gauge import (GaugeTriple, _rtsafe, derived, d_htau, exp_htau, gauge_from_json,
-                    gauge_to_json)
+from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _rtsafe, derived,
+                    d_htau, exp_htau, gauge_from_json, gauge_to_json)
 
 __all__ = [
     "DiscreteBase",
@@ -151,22 +151,103 @@ def density_vector(spec: DiscreteFamilySpec, values, tol: float = 1e-10) -> np.n
 _NO_MEMBER = "no member at this theta: the mass cannot reach one with every density value inside I"
 
 
+_FLAT_ITER = 40    # flat Newton steps before a row falls back to the bracketed path
+_FLAT_DX = 4.0     # cap on each flat Newton step, in the x of gauge._coordinate
+
+
 def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
-               psi0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               warm=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi (B,), densities (B, |X|) and a has-a-member flag for each row of thetas.
 
-    -log mass is increasing in psi with slope sum mu chi(p) / mass.  With
-    u = <theta, T> - c and e = ell(1 / sum(mu)), every p is >= (<=)
-    1 / sum(mu) at psi = min u - e (max u - e), which brackets the root.
-    Rows start from psi0 or from the mu-mean of u minus e.
+    With u = <theta, T> - c, a gauge with a closed-form exp_fn takes the
+    bracketed path (``_psi_bracketed``) for every row.  Any other gauge
+    takes the flat Newton of ``_psi_flat`` on (p, psi); rows it does not
+    settle, or whose result fails the member test, take the bracketed
+    path, so the flags mean the same on either path.  warm is None or a
+    first-order (psi, p) from a nearby member (``Member.warm``); a row
+    starts cold, from p = 1 / sum(mu) and psi = the mu-mean of u minus
+    ell(1 / sum(mu)), when there is none or its warm p is not inside I.
     """
     g = spec.gauge
     w = spec.base.weights
     U = np.atleast_2d(thetas) @ spec.T - spec.c
     if not g.I.contains(1.0 / w.sum()):   # the mass lies between sum(mu)*lo and sum(mu)*hi
         return np.full(len(U), np.nan), np.full(U.shape, np.nan), np.zeros(len(U), dtype=bool)
-    d = derived(g)
-    c = float(d.ell.value(1.0 / w.sum()))
+    c = float(derived(g).ell.value(1.0 / w.sum()))
+
+    def cold():
+        return U @ w / w.sum() - c
+
+    def member(P):
+        return np.all(np.isfinite(P) & (P > g.I.lo) & (P < g.I.hi), axis=1) \
+            & (np.abs(P @ w - 1.0) <= 1e-12)
+
+    psi0 = cold() if warm is None else np.broadcast_to(warm[0], (len(U),))
+    if g.exp_fn is not None:
+        psi, P = _psi_bracketed(g, w, U, psi0, c)
+        return psi, P, member(P)
+    P0 = np.full(U.shape, 1.0 / w.sum())
+    start = cold()
+    if warm is not None:
+        Pw = np.broadcast_to(warm[1], U.shape)
+        inside = np.all(g.I.contains(Pw), axis=1)
+        P0[inside], start[inside] = Pw[inside], psi0[inside]
+    psi, P = _psi_flat(g, w, U, start, P0)
+    rest = ~member(P)
+    if rest.any():
+        psi[rest], P[rest] = _psi_bracketed(g, w, U[rest], psi0[rest], c)
+    return psi, P, member(P)
+
+
+def _psi_flat(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi: np.ndarray,
+              P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on ell(p) = u - psi and sum mu p = 1 together, for all rows at once.
+
+    With r = ell(p) - u + psi and chi = 1/ell'(p) the step is closed form:
+    dpsi = (sum mu p - 1 - sum mu chi r) / sum mu chi and dp = -chi (r + dpsi).
+    It is taken in the x of ``_coordinate`` (dx = dp / (dt/dx), capped at
+    _FLAT_DX), so p stays inside I.  A row is settled by a step whose |dx|
+    and |dpsi| / max(1, |psi|) are all below _NEWTON_SETTLED; that step is
+    still taken, which leaves an error of about its square.  Rows that are
+    not settled after _FLAT_ITER steps, or whose x leaves the range of
+    ``_X_TABLE``, stop with NaN densities.
+    """
+    ell = derived(g).ell
+    tmap, xmap = _coordinate(g.I)
+    psi = psi.copy()
+    out = np.full(U.shape, np.nan)
+    live = np.arange(len(U))
+    with np.errstate(all="ignore"):
+        x = xmap(P)
+        for _ in range(_FLAT_ITER):
+            t, dtdx = tmap(x)
+            chi = 1.0 / np.asarray(ell.d1(t), dtype=float)
+            r = np.asarray(ell.value(t), dtype=float) - U[live] + psi[live, None]
+            dpsi = (t @ w - 1.0 - (chi * r) @ w) / (chi @ w)
+            dx = -chi * (r + dpsi[:, None]) / dtdx
+            settled = np.all(np.abs(dx) <= _NEWTON_SETTLED, axis=1) \
+                & (np.abs(dpsi) <= _NEWTON_SETTLED * np.maximum(1.0, np.abs(psi[live])))
+            x = x + np.clip(dx, -_FLAT_DX, _FLAT_DX)
+            psi[live] += dpsi
+            lost = ~np.all((x >= _X_TABLE[0]) & (x <= _X_TABLE[-1]), axis=1)  # NaN too
+            if settled.any():
+                out[live[settled & ~lost]] = tmap(x[settled & ~lost])[0]
+            keep = ~(settled | lost)
+            live, x = live[keep], x[keep]
+            if live.size == 0:
+                break
+    return psi, out
+
+
+def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarray,
+                   c: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi by safeguarded Newton-bisection on -log mass, with p = exp_htau(u - psi).
+
+    -log mass is increasing in psi with slope sum mu chi(p) / mass.  With
+    c = ell(1 / sum(mu)), every p is >= (<=) 1 / sum(mu) at psi = min u - c
+    (max u - c), which brackets the root.
+    """
+    chi = derived(g).chi
     lo_e, hi_e = g.ell_range
     a = np.maximum(U.min(axis=1) - c, U.max(axis=1) - hi_e)
     b = np.minimum(U.max(axis=1) - c, U.min(axis=1) - lo_e)
@@ -174,19 +255,15 @@ def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
     def evaluate(x, live):
         P = np.asarray(exp_htau(g, U[live] - x[:, None]), dtype=float)
         mass = P @ w
-        return -np.log(mass), (np.asarray(d.chi.value(P), dtype=float) @ w) / mass
+        return -np.log(mass), (np.asarray(chi.value(P), dtype=float) @ w) / mass
 
-    x0 = U @ w / w.sum() - c if psi0 is None else np.broadcast_to(psi0, a.shape)
-    psi = _rtsafe(evaluate, x0, a, b)
+    psi = _rtsafe(evaluate, psi0, a, b)
     with np.errstate(all="ignore"):
-        P = np.asarray(exp_htau(g, U - psi[:, None]), dtype=float)
-    ok = np.all(np.isfinite(P) & (P > g.I.lo) & (P < g.I.hi), axis=1) \
-        & (np.abs(P @ w - 1.0) <= 1e-12)
-    return psi, P, ok
+        return psi, np.asarray(exp_htau(g, U - psi[:, None]), dtype=float)
 
 
-def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, psi0=None) -> tuple[float, np.ndarray]:
-    psi, P, ok = _solve_psi(spec, th[None], psi0)
+def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, warm=None) -> tuple[float, np.ndarray]:
+    psi, P, ok = _solve_psi(spec, th[None], warm)
     if not ok[0]:
         raise InfeasibleError(_NO_MEMBER)
     return float(psi[0]), P[0]
@@ -195,11 +272,14 @@ def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, psi0=None) -> tuple[flo
 def normalize(spec: DiscreteFamilySpec, theta) -> tuple[float, np.ndarray]:
     """The normalizer psi and density for a natural parameter.
 
-    psi is the unique root of sum_x exp_g(<theta,T(x)> - c(x) - psi) mu(x) = 1,
-    found by safeguarded Newton-bisection (the mass is strictly decreasing
-    in psi).  If the mass cannot reach one with every density value
-    strictly inside I, the family has no member at this theta and an
-    InfeasibleError is raised.
+    psi is the unique root of sum_x exp_g(<theta,T(x)> - c(x) - psi) mu(x) = 1
+    (the mass is strictly decreasing in psi).  A gauge with a closed-form
+    deformed exponential finds it by safeguarded Newton-bisection on psi.
+    Any other gauge solves for psi and the density together by one flat
+    Newton iteration, and falls back to the bracketed search, which
+    inverts ell at every step, where that does not settle.  If the mass
+    cannot reach one with every density value strictly inside I, the
+    family has no member at this theta and an InfeasibleError is raised.
     """
     return _solve_one(spec, _theta_vec(spec, theta))
 
@@ -256,13 +336,18 @@ class Member:
         d_itau = self.resid @ (self.spec.base.weights * self.taup * self.chi)
         return np.einsum("ij,k->ijk", -self.psi_hessian(), d_itau)
 
-    def warm_psi(self, thetas: np.ndarray):  # first-order psi at nearby thetas
-        return self.psi + (thetas - self.theta) @ self.grad
+    def warm(self, thetas: np.ndarray):
+        """First-order psi and p at nearby thetas: dpsi = dtheta grad and
+        dp = chi dtheta resid.  p is None for a gauge with exp_fn, whose
+        solve starts from psi alone."""
+        dth = thetas - self.theta
+        p = None if self.spec.gauge.exp_fn else self.p + self.chi * (dth @ self.resid)
+        return self.psi + dth @ self.grad, p
 
 
-def _member(spec: DiscreteFamilySpec, theta, psi0=None) -> Member:
+def _member(spec: DiscreteFamilySpec, theta, warm=None) -> Member:
     th = _theta_vec(spec, theta)
-    psi, p = _solve_one(spec, th, psi0)
+    psi, p = _solve_one(spec, th, warm)
     d = derived(spec.gauge)
     w = spec.base.weights
     chi = np.asarray(d.chi.value(p), dtype=float)
@@ -340,7 +425,7 @@ def _itau_spread(spec: DiscreteFamilySpec, m: Member, step: float = 0.01) -> flo
     probes = th + np.vstack([-np.eye(th.size), np.eye(th.size)]) \
         * (step * np.maximum(1.0, np.abs(th)))
     probes = probes[_in_box(spec, probes)]
-    _, P, ok = _solve_psi(spec, probes, m.warm_psi(probes))
+    _, P, ok = _solve_psi(spec, probes, m.warm(probes))
     vals = np.append(_tau_mass(spec, P[ok]), _tau_mass(spec, m.p))
     return float(np.max(vals) - np.min(vals))
 
@@ -358,7 +443,7 @@ def _fd_hessian(m: Member, base_step: float = 1e-4) -> np.ndarray:
     pts = th + np.concatenate([offsets * h, offsets * (h / 2.0)])
     if not np.all(_in_box(m.spec, pts)):
         raise DomainError("theta outside theta_box")
-    psi, P, ok = _solve_psi(m.spec, pts, m.warm_psi(pts))
+    psi, P, ok = _solve_psi(m.spec, pts, m.warm(pts))
     if not np.all(ok):
         raise InfeasibleError(_NO_MEMBER)
     f0 = m.potential()
@@ -403,7 +488,7 @@ def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float
     m = _member(spec, theta)
     if _itau_spread(spec, m) > 1e-8:
         raise DomainError("canonical divergence check needs a constant tau-mass")
-    psi2, p2 = _solve_one(spec, th2, m.warm_psi(th2))
+    psi2, p2 = _solve_one(spec, th2, m.warm(th2))
     canon = float(_potential(spec, psi2, p2)) - m.potential() \
         + float((m.theta - th2) @ _tau_moments(spec, m.p))
     return abs(canon - divergence(spec, m.p, p2))
@@ -431,7 +516,7 @@ def conformal_check(spec: DiscreteFamilySpec, theta, theta2) -> ConformalCheck:
         raise DomainError("conformal check needs tau/chi constant on I")
     th2 = _theta_vec(spec, theta2)
     m = _member(spec, theta)
-    psi2, p2 = _solve_one(spec, th2, m.warm_psi(th2))
+    psi2, p2 = _solve_one(spec, th2, m.warm(th2))
     w = spec.base.weights
     tau_p = np.asarray(spec.gauge.tau.value(m.p), dtype=float)
     itau = float(w @ tau_p)
@@ -475,7 +560,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     scale = max(1.0, float(np.max(np.abs(target))))
 
     def F_and_J(th, near=None):
-        m = _member(spec, th, None if near is None else near.warm_psi(th))
+        m = _member(spec, th, None if near is None else near.warm(th))
         F = _tau_moments(spec, m.p) - target
         J = (spec.T * (w * m.taup * m.chi)) @ m.resid.T
         return F, J, m

@@ -22,9 +22,13 @@ code path; only h keeps a closed form per kind.  One builder
 (``_derived_from``) makes the derived functions of every gauge by the
 chain rule, so each value and first and second derivative is exact in
 those of ell and tau, except m'', gamma', gamma'' and chi'' (they need
-ell'''), which are central differences.  Custom gauges fall back to
-safeguarded root-finding, and a pair gauge's h o tau to a vectorised
-Gauss-Legendre integral in t.
+ell'''), which are central differences.  Custom gauges invert ell by
+safeguarded root-finding (``exp_htau``); the normalizers in ``discrete``
+call it only as a fallback, since they solve for psi and the density
+together by one flat Newton step per iteration in the coordinate of
+``_coordinate``.  A pair gauge's h o tau is a vectorised Gauss-Legendre
+integral in t, and the kernel reads it in t (as -s), with no inversion
+of tau.
 """
 
 from __future__ import annotations
@@ -461,14 +465,15 @@ def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn, I: Interval) ->
 
 
 def d_htau(g: GaugeTriple, t, s):
-    """Divergence kernel d(t, s) >= 0 with equality iff t == s."""
+    """Divergence kernel d(t, s) >= 0 with equality iff t == s.
+
+    h(tau(t)) is read as -s(t), a function of t, so no gauge inverts tau here."""
     g.I.require(t, "t")
     g.I.require(s, "s")
-    tt = g.tau.value(t)
-    ts = g.tau.value(s)
-    ht = g.h.value(tt)
-    hs = g.h.value(ts)
-    val = np.asarray(ht - hs - (tt - ts) * derived(g).ell.value(s), dtype=float)
+    d = derived(g)
+    ht = -d.s.value(t)
+    hs = -d.s.value(s)
+    val = np.asarray(ht - hs - (g.tau.value(t) - g.tau.value(s)) * d.ell.value(s), dtype=float)
     scale = 1.0 + np.abs(ht) + np.abs(hs)
     val = np.where((val < 0) & (val > -1e-12 * scale), 0.0, val)
     return val if val.ndim else float(val)

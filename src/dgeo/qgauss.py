@@ -246,7 +246,9 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
 @dataclass(frozen=True)
 class _TForm:
     """The law exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law: its
-    mass, dof and the block B of its scale I_k (x) B (see the module doc)."""
+    mass, dof and the block B of its scale I_k (x) B (see the module doc).
+    Every law ``repetition`` builds has dof > 4d, so its second and fourth
+    moments are finite."""
 
     mass: float
     dof: float
@@ -264,16 +266,12 @@ class _TForm:
         """Covariance from scale entries x: x dof/(dof-2)."""
         if math.isinf(self.dof):
             return x
-        if self.dof <= 2.0:
-            raise InfeasibleError("second moments diverge")
         return x * self.dof / (self.dof - 2.0)
 
     def fourth(self, x):
         """Fourth moment from its Isserlis sum x of scale entries."""
         if math.isinf(self.dof):
             return x
-        if self.dof <= 4.0:
-            raise InfeasibleError("fourth moments diverge")
         return x * self.dof * self.dof / ((self.dof - 2.0) * (self.dof - 4.0))
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgeo.errors import DomainError, InfeasibleError
-from dgeo.gauge import Interval, builtin_gauge, derived
+from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivalence,
+                        builtin_gauge, derived, gauge_from_pair)
 from dgeo import discrete as dc
 
 
@@ -157,6 +160,123 @@ def test_geometry_checks_batch_their_solves(monkeypatch):
     calls.clear()
     assert dc.canonical_divergence_check(spec, th, th2) <= 1e-7
     assert len(calls) <= 3
+
+
+# ---------------------------------------------------------------------------
+# flat Newton on (p, psi) for gauges without a closed-form exp
+# ---------------------------------------------------------------------------
+
+
+def pair_gauge(b=0.5, c=1.0, I=Interval(0.0, math.inf)):
+    """gauge_from_pair of tau = id and ell = log t + b t + c on I (b = 0.5,
+    c = 1 is the benchmark's custom gauge)."""
+    tau = ScalarFn(lambda t: np.asarray(t, float) + 0.0,
+                   lambda t: np.ones_like(np.asarray(t, float)),
+                   lambda t: np.zeros_like(np.asarray(t, float)), I)
+    ell = ScalarFn(lambda t: np.log(t) + b * np.asarray(t, float) + c,
+                   lambda t: 1.0 / np.asarray(t, float) + b,
+                   lambda t: -np.asarray(t, float) ** -2.0, I)
+    return gauge_from_pair(tau, ell, a=1.0)
+
+
+BENCH_TRANSFORM = EquivalenceTransform(0.3, -0.2, 0.1, 1.5)
+
+
+def random_spec(gauge, rng, m):
+    w = rng.uniform(0.5, 1.5, size=m)
+    return dc.DiscreteFamilySpec(dc.DiscreteBase(w / w.sum()), gauge, rng.normal(size=(1, m)),
+                                 np.zeros(m))
+
+
+def solve_bracketed(spec, thetas):
+    """_solve_psi with the flat Newton switched off, so every row takes the
+    bracketed path that inverts ell at each psi step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_FLAT_ITER", 0)
+        return dc._solve_psi(spec, thetas)
+
+
+def assert_same_solve(a, b):
+    (psi, P, ok), (psi_b, P_b, ok_b) = a, b
+    assert np.array_equal(ok, ok_b)
+    assert np.all(np.abs(psi[ok] - psi_b[ok]) <= 1e-13 * np.maximum(1.0, np.abs(psi_b[ok])))
+    assert np.all(np.abs(P[ok] - P_b[ok]) <= 1e-13 * P_b[ok])
+
+
+@pytest.mark.parametrize("tr", [None, BENCH_TRANSFORM], ids=["pair", "transformed"])
+def test_flat_solve_takes_few_ell_points(tr):
+    # cold solves of 4-atom families: the flat Newton takes ell (and ell' at
+    # the same points) at 4-5 steps x 4 atoms per row, plus ell(1 / sum mu)
+    # once per call; the bracketed path inverts ell for every atom at every
+    # psi step
+    g = pair_gauge() if tr is None else apply_equivalence(pair_gauge(), tr)
+    d = derived(g)
+    points = [0]
+
+    def value(t):
+        points[0] += np.size(t)
+        return d.ell.value(t)
+
+    g = replace(g, derived_fns=replace(d, ell=replace(d.ell, value=value)))
+    rng = np.random.default_rng(5)
+    flat = nested = 0
+    for _ in range(10):
+        spec = random_spec(g, rng, 4)
+        thetas = rng.normal(scale=0.3, size=(5, 1))
+        points[0] = 0
+        assert dc._solve_psi(spec, thetas)[2].all()
+        flat, points[0] = flat + points[0], 0
+        assert solve_bracketed(spec, thetas)[2].all()
+        nested += points[0]
+    assert flat / 50 <= 20
+    assert nested >= 3 * flat
+
+
+@given(b=st.floats(0.05, 3.0), c=st.floats(-2.0, 2.0), bounded=st.booleans(),
+       tr=st.one_of(st.none(), st.builds(EquivalenceTransform, st.floats(-1.0, 1.0),
+                                         st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                         st.floats(0.5, 3.0))),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25)
+def test_flat_solve_matches_bracketed(b, c, bounded, tr, seed):
+    # on I = (0.5, 10) every density value must exceed 0.5, so some rows
+    # have no member; both paths must flag the same rows
+    g = pair_gauge(b, c, Interval(0.5, 10.0) if bounded else Interval(0.0, math.inf))
+    if tr is not None:
+        g = apply_equivalence(g, tr)
+    rng = np.random.default_rng(seed)
+    spec = random_spec(g, rng, int(rng.integers(2, 7)))
+    thetas = rng.normal(scale=float(rng.choice([0.1, 0.5, 3.0])), size=(6, 1))
+    assert_same_solve(dc._solve_psi(spec, thetas), solve_bracketed(spec, thetas))
+
+
+def test_flat_solve_falls_back_when_unsettled(monkeypatch):
+    # two flat steps settle no row; every row then takes the bracketed path
+    spec = random_spec(pair_gauge(), np.random.default_rng(7), 4)
+    thetas = np.array([[-0.4], [0.3], [0.7]])
+    bracketed = solve_bracketed(spec, thetas)
+    assert bracketed[2].all()
+    monkeypatch.setattr(dc, "_FLAT_ITER", 2)
+    psi, P, ok = dc._solve_psi(spec, thetas)
+    assert ok.all()
+    assert np.array_equal(psi, bracketed[0]) and np.array_equal(P, bracketed[1])
+
+
+@pytest.mark.parametrize("tr", [None, BENCH_TRANSFORM], ids=["pair", "transformed"])
+def test_flat_solve_warm_start(tr):
+    # the first-order (psi, p) of a nearby member gives the cold answer; a
+    # row whose warm p leaves I starts cold and is solved all the same
+    g = pair_gauge() if tr is None else apply_equivalence(pair_gauge(), tr)
+    rng = np.random.default_rng(6)
+    spec = random_spec(g, rng, 6)
+    m = dc._member(spec, [0.2])
+    thetas = np.array([[0.19], [0.25], [0.6], [-1.0]])
+    cold = dc._solve_psi(spec, thetas)
+    assert cold[2].all()
+    warm_psi, warm_p = m.warm(thetas)
+    assert_same_solve(dc._solve_psi(spec, thetas, (warm_psi, warm_p)), cold)
+    warm_p[1] = -1.0
+    assert_same_solve(dc._solve_psi(spec, thetas, (warm_psi, warm_p)), cold)
 
 
 def test_psi_monotone_in_nonnegative_directions():

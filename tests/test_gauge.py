@@ -455,21 +455,38 @@ def test_pair_reconstructs_kl(rng):
 
 
 def test_pair_kernel_evaluates_h_once_per_argument():
-    # on a pair gauge every h.value call is one adaptive quadrature per point
-    from dataclasses import replace
-
+    # on a pair gauge every evaluation of h o tau is one quadrature per point;
+    # the kernel reads it in t as -s, once per argument, and never calls
+    # h.value, which would first invert tau
     tau, ell = _kl_pair()
     g = gauge_from_pair(tau, ell, a=1.0)
-    calls = []
+    d = derived(g)
+    calls = {"h": [], "s": []}
 
-    def value(u):
-        calls.append(np.size(u))
-        return g.h.value(u)
+    def counted(key, f):
+        def value(u):
+            calls[key].append(np.size(u))
+            return f(u)
+        return value
 
-    counted = replace(g, h=ScalarFn(value, g.h.d1, g.h.d2, g.h.domain, g.h.analytic))
+    s_fn = replace(d.s, value=counted("s", d.s.value))
+    probe = replace(g, h=replace(g.h, value=counted("h", g.h.value)),
+                    derived_fns=replace(d, s=s_fn))
     t, s = np.array([0.5, 1.0, 2.5]), np.array([1.5, 1.0, 0.7])
-    assert np.array_equal(d_htau(counted, t, s), d_htau(g, t, s))
-    assert calls == [3, 3]
+    assert np.array_equal(d_htau(probe, t, s), d_htau(g, t, s))
+    assert calls == {"h": [], "s": [3, 3]}
+
+
+@pytest.mark.parametrize("tr", [None, EquivalenceTransform(0.3, -0.2, 0.1, 1.5)],
+                         ids=["pair", "transformed"])
+def test_pair_kernel_near_zero(tr):
+    # tau2(1e-20) = 1.5e-20 + 0.1 rounds to 0.1, where h2's back map would ask
+    # for h at the end of I; read in t, the kernel needs no back map
+    g = gauge_from_pair(*_log_half_pair(), a=1.0)
+    if tr is not None:
+        g = apply_equivalence(g, tr)
+    # h(r) = r log r + r^2/4 - 1/4, so d(0+, s) = h(0) - h(s) + s h'(s) = s + s^2/4
+    assert d_htau(g, 1e-20, 0.5) == pytest.approx(0.5625, rel=1e-13)
 
 
 def test_pair_kernel_zero_on_diagonal():
