@@ -31,7 +31,9 @@ print("  metric eigenvalues:", np.linalg.eigvalsh(dc.metric(fam, th)))
 print("  connection sup-norm:", np.max(np.abs(dc.connection_raw(fam, th))),
       "(natural coordinates are affine)")
 
-# the potential's Hessian reproduces the metric
+# the potential's Hessian reproduces the metric: its gradient is the vector
+# eta of tau-moments, so first differences of eta are compared with the
+# metric and first differences of the potential with eta
 rep = dc.hessian_check(fam, th)
 print("  Hessian-potential defect:", rep.max_defect)
 

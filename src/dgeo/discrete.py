@@ -9,9 +9,9 @@ have densities
 where exp_g is the gauge's deformed exponential and psi(theta) is the
 unique normalizer making the weighted mass one.  The module computes
 densities, divergences, entropies, the induced metric and connection in
-theta coordinates, verifies the Hessian-potential and canonical-divergence
-identities, projects external densities onto the family by moment
-matching, and checks affine reparametrization invariance.
+theta coordinates, verifies the Hessian-potential identity g = d eta / d theta
+by first differences of eta = grad Phi, and the canonical-divergence identity,
+projects by moment matching and checks affine reparametrization invariance.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+_FD_STEP = 1e-4    # hessian_check's difference step, relative to max(1, |theta_i|)
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,7 @@ _NO_MEMBER = "no member at this theta: the mass cannot reach one with every dens
 
 _FLAT_ITER = 40    # flat Newton steps before a row falls back to the bracketed path
 _FLAT_DX = 4.0     # cap on each flat Newton step, in the x of gauge._coordinate
+_MASS_TOL = 1e-12  # |sum mu p - 1| allowed of a member
 
 
 def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
@@ -180,7 +182,7 @@ def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
 
     def member(P):
         return np.all(np.isfinite(P) & (P > g.I.lo) & (P < g.I.hi), axis=1) \
-            & (np.abs(P @ w - 1.0) <= 1e-12)
+            & (np.abs(P @ w - 1.0) <= _MASS_TOL)
 
     psi0 = cold() if warm is None else np.broadcast_to(warm[0], (len(U),))
     if g.exp_fn is not None:
@@ -413,6 +415,11 @@ def _tau_mass(spec: DiscreteFamilySpec, P: np.ndarray):
     return np.asarray(spec.gauge.tau.value(P), dtype=float) @ spec.base.weights
 
 
+def _tau_moments(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
+    """eta = sum_x mu T tau(p), for one density or a batch of rows."""
+    return (np.asarray(spec.gauge.tau.value(P), dtype=float) * spec.base.weights) @ spec.T.T
+
+
 def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
     """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows."""
     s_star = np.asarray(derived(spec.gauge).s_star.value(P), dtype=float)
@@ -430,41 +437,30 @@ def _itau_spread(spec: DiscreteFamilySpec, m: Member, step: float = 0.01) -> flo
     return float(np.max(vals) - np.min(vals))
 
 
-def _fd_hessian(m: Member, base_step: float = 1e-4) -> np.ndarray:
-    """Richardson-extrapolated central-difference Hessian of the potential,
-    with the stencils of both step sizes normalized in one batch."""
-    th, n = m.theta, m.theta.size
-    E = np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    offsets = np.array([s * E[i] for i in range(n) for s in (1.0, -1.0)]
-                       + [si * E[i] + sj * E[j] for i, j in pairs
-                          for si in (1.0, -1.0) for sj in (1.0, -1.0)])
-    h = base_step * np.maximum(1.0, np.abs(th))
-    pts = th + np.concatenate([offsets * h, offsets * (h / 2.0)])
+def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray]:
+    """d eta_j / d theta_i and the gradient of the potential, by Richardson
+    central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i."""
+    h = _FD_STEP * np.maximum(1.0, np.abs(m.theta))
+    pts = m.theta + np.concatenate([s * np.diag(h) for s in (1.0, -1.0, 0.5, -0.5)])
     if not np.all(_in_box(m.spec, pts)):
         raise DomainError("theta outside theta_box")
     psi, P, ok = _solve_psi(m.spec, pts, m.warm(pts))
     if not np.all(ok):
         raise InfeasibleError(_NO_MEMBER)
-    f0 = m.potential()
-
-    def hess_at(f, h):
-        H = np.diag((f[0:2 * n:2] - 2 * f0 + f[1:2 * n:2]) / h ** 2)
-        for k, (i, j) in enumerate(pairs):
-            pp, pm, mp, mm = f[2 * n + 4 * k: 2 * n + 4 * k + 4]
-            H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4 * h[i] * h[j])
-        return H
-
-    coarse, fine = np.split(_potential(m.spec, psi, P), 2)
-    return (4.0 * hess_at(fine, h / 2.0) - hess_at(coarse, h)) / 3.0
+    f = np.column_stack([_tau_moments(m.spec, P), _potential(m.spec, psi, P)])
+    up, down, up2, down2 = np.split(f, 4)
+    d = (4.0 * (up2 - down2) / h[:, None] - (up - down) / (2.0 * h[:, None])) / 3.0
+    return d[:, :-1], d[:, -1]
 
 
-def hessian_check(spec: DiscreteFamilySpec, theta, fd_step: float = 1e-4) -> GeometryReport:
-    """Compare the finite-difference Hessian of the potential with the metric.
+def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
+    """Compare the metric g with the Hessian of the potential Phi.
 
-    Applicable only when the tau-mass is constant across the family
-    (automatic for tau = id); otherwise the report carries status
-    "not_applicable" and no Hessian is attempted.
+    grad Phi is the tau-moment vector eta, so first differences on the 4n axis
+    rows around theta give max_defect = the larger of |d eta / d theta - g|
+    (d eta / d theta is hess_potential) and |grad Phi - eta|.  Applicable only
+    when the tau-mass is constant across the family (automatic for tau = id);
+    otherwise the status is "not_applicable" and no Hessian is attempted.
     """
     m = _member(spec, theta)
     G = m.metric()
@@ -476,8 +472,8 @@ def hessian_check(spec: DiscreteFamilySpec, theta, fd_step: float = 1e-4) -> Geo
                               float(np.max(np.abs(gamma))), spread, "not_applicable",
                               "tau-mass varies across the family; the Hessian-potential "
                               "identity requires it constant")
-    H = _fd_hessian(m, fd_step)
-    defect = float(np.max(np.abs(H - G)))
+    H, grad = _first_differences(m)
+    defect = float(max(np.max(np.abs(H - G)), np.max(np.abs(grad - _tau_moments(spec, m.p)))))
     return GeometryReport(m.theta, G, gamma, pot, H, defect,
                           float(np.max(np.abs(gamma))), spread, "ok")
 
@@ -517,12 +513,10 @@ def conformal_check(spec: DiscreteFamilySpec, theta, theta2) -> ConformalCheck:
     th2 = _theta_vec(spec, theta2)
     m = _member(spec, theta)
     psi2, p2 = _solve_one(spec, th2, m.warm(th2))
-    w = spec.base.weights
-    tau_p = np.asarray(spec.gauge.tau.value(m.p), dtype=float)
-    itau = float(w @ tau_p)
+    itau = float(_tau_mass(spec, m.p))
     canon = psi2 - m.psi + float((m.theta - th2) @ m.grad)
     defect = abs(canon - divergence(spec, m.p, p2) / itau)
-    grad_escort = (spec.T @ (w * tau_p)) / itau
+    grad_escort = _tau_moments(spec, m.p) / itau
     return ConformalCheck(defect, float(np.max(np.abs(m.grad - grad_escort))), itau)
 
 
@@ -538,11 +532,6 @@ class ProjectionResult:
     moment_residual: float
     itau_residual: float
     iterations: int
-
-
-def _tau_moments(spec: DiscreteFamilySpec, p: np.ndarray) -> np.ndarray:
-    tau = np.asarray(spec.gauge.tau.value(p), dtype=float)
-    return spec.T @ (spec.base.weights * tau)
 
 
 def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
@@ -588,8 +577,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
             if best is None or norm < best[0]:
                 best = (norm, th.copy(), m.p)
             if norm <= tol * scale:
-                itau_res = abs(float(w @ spec.gauge.tau.value(m.p))
-                               - float(w @ spec.gauge.tau.value(rho)))
+                itau_res = abs(float(_tau_mass(spec, m.p)) - float(_tau_mass(spec, rho)))
                 return ProjectionResult(th, m.p, norm, itau_res, total_iter)
             try:
                 step = np.linalg.solve(J, -F)

@@ -142,8 +142,8 @@ def test_batched_solve_flags_rows_without_a_member():
 
 
 def test_geometry_checks_batch_their_solves(monkeypatch):
-    # the member, the tau-mass probes and the FD stencil (both step sizes)
-    # are one solver call each
+    # the member, the tau-mass probes and the 2n axis rows of the first
+    # differences (both step sizes) are one solver call each
     spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
     calls = []
     solve = dc._solve_psi
@@ -156,7 +156,7 @@ def test_geometry_checks_batch_their_solves(monkeypatch):
     th, th2 = np.array([0.2, -0.1, 0.15]), np.array([-0.1, 0.3, 0.05])
     rep = dc.hessian_check(spec, th)
     assert rep.status == "ok" and rep.max_defect <= 1e-5
-    assert len(calls) <= 3 and sum(calls) == 1 + 6 + 36
+    assert len(calls) <= 3 and sum(calls) == 1 + 6 + 12
     calls.clear()
     assert dc.canonical_divergence_check(spec, th, th2) <= 1e-7
     assert len(calls) <= 3
@@ -435,6 +435,25 @@ def test_power_hessian_structure_four_atoms():
     assert rep.status == "ok"
     assert rep.max_defect <= 1e-5
     assert rep.connection_max <= 1e-8
+
+
+@given(kind=st.sampled_from(["kl", "power", "pair", "transformed"]), q=st.floats(1.2, 1.8),
+       m=st.integers(2, 50), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40)
+def test_hessian_check_resolves_the_metric(kind, q, m, n, seed):
+    # first differences of eta and of the potential leave rounding only, so
+    # a relative error of 1e-8 in the metric shows; q stays away from 1,
+    # where ln_q's cancellation costs about eps / |1 - q| in every density
+    g = {"kl": lambda: builtin_gauge("kl"), "power": lambda: builtin_gauge("power", q=q),
+         "pair": pair_gauge,
+         "transformed": lambda: apply_equivalence(pair_gauge(), BENCH_TRANSFORM)}[kind]()
+    rng = np.random.default_rng(seed)
+    n = min(n, m - 1)
+    w = rng.uniform(0.5, 1.5, size=m)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w / w.sum()), g, rng.normal(size=(n, m)),
+                                 np.zeros(m))
+    rep = dc.hessian_check(spec, rng.normal(scale=0.3, size=n))
+    assert rep.status == "ok" and rep.max_defect <= 1e-10
 
 
 def test_escort_hessian_not_applicable():
