@@ -48,8 +48,11 @@ esc = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(3)),
                             builtin_gauge("escort", q=1.5), T, np.zeros(3))
 res = dc.conformal_check(esc, th, [-0.1, 0.4])
 print("\nescort(1.5) conformal defect:", res.defect, " tau-mass:", res.itau)
-print("hessian_check on escort:", dc.hessian_check(esc, th).status,
-      "(tau-mass varies, the direct Hessian identity does not apply)")
+# tau = t^q makes the tau-mass vary: its exact gradient at th is nonzero, so
+# d eta / d theta is the metric plus a grad psi term and the check declines
+rep = dc.hessian_check(esc, th)
+print("hessian_check on escort:", rep.status, " max |d tau-mass / d theta|:",
+      rep.itau_gradient)
 
 # --- projection and entropy maximization ----------------------------------------
 sub = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(3)), builtin_gauge("kl"),

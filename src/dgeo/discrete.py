@@ -11,7 +11,8 @@ unique normalizer making the weighted mass one.  The module computes
 densities, divergences, entropies, the induced metric and connection in
 theta coordinates, verifies the Hessian-potential identity g = d eta / d theta
 by first differences of eta = grad Phi, and the canonical-divergence identity,
-projects by moment matching and checks affine reparametrization invariance.
+where the exact gradient of the tau-mass vanishes, projects by moment matching
+and checks affine reparametrization invariance.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _FD_STEP = 1e-4    # hessian_check's difference step, relative to max(1, |theta_i|)
+_ITAU_FLAT = 1e-8  # largest |d I_tau / d theta_i| taken for a constant tau-mass
 
 
 @dataclass(frozen=True)
@@ -311,8 +313,9 @@ def entropy(spec: DiscreteFamilySpec, p) -> float:
 
 @dataclass(frozen=True)
 class Member:
-    """A member p_theta with chi, chi' and tau' at p, the escort mean grad of T
-    (the gradient of psi) and resid = T - grad."""
+    """A member p_theta with chi and chi' at p, the tau-escort weights
+    mu tau' chi, the escort mean grad of T (the gradient of psi) and
+    resid = T - grad."""
 
     spec: DiscreteFamilySpec
     theta: np.ndarray
@@ -320,7 +323,7 @@ class Member:
     p: np.ndarray
     chi: np.ndarray
     chi1: np.ndarray
-    taup: np.ndarray
+    tau_w: np.ndarray
     grad: np.ndarray
     resid: np.ndarray
 
@@ -329,14 +332,18 @@ class Member:
         return (self.resid * (w * self.chi * self.chi1)) @ self.resid.T / float(w @ self.chi)
 
     def metric(self) -> np.ndarray:
-        return (self.resid * (self.spec.base.weights * self.taup * self.chi)) @ self.resid.T
+        return (self.resid * self.tau_w) @ self.resid.T
 
     def potential(self) -> float:
         return float(_potential(self.spec, self.psi, self.p))
 
+    def itau_gradient(self) -> np.ndarray:
+        """d I_tau / d theta = sum mu tau' chi (T - grad psi), since dp / d theta
+        = chi (T - grad psi)."""
+        return self.resid @ self.tau_w
+
     def connection(self) -> np.ndarray:
-        d_itau = self.resid @ (self.spec.base.weights * self.taup * self.chi)
-        return np.einsum("ij,k->ijk", -self.psi_hessian(), d_itau)
+        return np.einsum("ij,k->ijk", -self.psi_hessian(), self.itau_gradient())
 
     def warm(self, thetas: np.ndarray):
         """First-order psi and p at nearby thetas: dpsi = dtheta grad and
@@ -355,7 +362,8 @@ def _member(spec: DiscreteFamilySpec, theta, warm=None) -> Member:
     chi = np.asarray(d.chi.value(p), dtype=float)
     grad = (spec.T @ (w * chi)) / float(w @ chi)
     return Member(spec, th, psi, p, chi, np.asarray(d.chi.d1(p), dtype=float),
-                  np.asarray(spec.gauge.tau.d1(p), dtype=float), grad, spec.T - grad[:, None])
+                  w * np.asarray(spec.gauge.tau.d1(p), dtype=float) * chi, grad,
+                  spec.T - grad[:, None])
 
 
 def psi_gradient(spec: DiscreteFamilySpec, theta) -> np.ndarray:
@@ -391,7 +399,7 @@ class GeometryReport:
     hess_potential: Optional[np.ndarray]
     max_defect: float
     connection_max: float
-    itau_spread: float
+    itau_gradient: float  # max_i |d I_tau / d theta_i|
     status: str  # "ok" or "not_applicable"
     message: str = ""
 
@@ -405,7 +413,7 @@ class GeometryReport:
             else self.hess_potential.tolist(),
             "max_defect": self.max_defect,
             "connection_max": self.connection_max,
-            "itau_spread": self.itau_spread,
+            "itau_gradient": self.itau_gradient,
             "status": self.status,
             "message": self.message,
         }
@@ -424,17 +432,6 @@ def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
     """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows."""
     s_star = np.asarray(derived(spec.gauge).s_star.value(P), dtype=float)
     return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
-
-
-def _itau_spread(spec: DiscreteFamilySpec, m: Member, step: float = 0.01) -> float:
-    """Range of the tau-mass over m and the 2n probes around it that have a member."""
-    th = m.theta
-    probes = th + np.vstack([-np.eye(th.size), np.eye(th.size)]) \
-        * (step * np.maximum(1.0, np.abs(th)))
-    probes = probes[_in_box(spec, probes)]
-    _, P, ok = _solve_psi(spec, probes, m.warm(probes))
-    vals = np.append(_tau_mass(spec, P[ok]), _tau_mass(spec, m.p))
-    return float(np.max(vals) - np.min(vals))
 
 
 def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray]:
@@ -456,33 +453,39 @@ def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray]:
 def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
     """Compare the metric g with the Hessian of the potential Phi.
 
-    grad Phi is the tau-moment vector eta, so first differences on the 4n axis
-    rows around theta give max_defect = the larger of |d eta / d theta - g|
-    (d eta / d theta is hess_potential) and |grad Phi - eta|.  Applicable only
-    when the tau-mass is constant across the family (automatic for tau = id);
-    otherwise the status is "not_applicable" and no Hessian is attempted.
+    Since dp / d theta_i = chi (T_i - d_i psi), the tau-moments eta and the
+    tau-mass I_tau satisfy d eta_j / d theta_i = g_ij + d_i I_tau d_j psi and
+    grad Phi = eta + psi grad I_tau.  Where the exact gradient of I_tau
+    (``Member.itau_gradient``) vanishes, as it does everywhere for tau = id,
+    g is therefore the Hessian of Phi and eta its gradient.  First
+    differences on the 4n axis rows around theta then give max_defect = the
+    larger of |d eta / d theta - g| (d eta / d theta is hess_potential) and
+    |grad Phi - eta|.  Where some |d I_tau / d theta_i| exceeds _ITAU_FLAT
+    the status is "not_applicable" and nothing is differenced;
+    itau_gradient is the largest |d I_tau / d theta_i| either way.
     """
     m = _member(spec, theta)
     G = m.metric()
     gamma = m.connection()
     pot = m.potential()
-    spread = _itau_spread(spec, m)
-    if spread > 1e-8:
+    d_itau = float(np.max(np.abs(m.itau_gradient())))
+    if d_itau > _ITAU_FLAT:
         return GeometryReport(m.theta, G, gamma, pot, None, math.nan,
-                              float(np.max(np.abs(gamma))), spread, "not_applicable",
+                              float(np.max(np.abs(gamma))), d_itau, "not_applicable",
                               "tau-mass varies across the family; the Hessian-potential "
                               "identity requires it constant")
     H, grad = _first_differences(m)
     defect = float(max(np.max(np.abs(H - G)), np.max(np.abs(grad - _tau_moments(spec, m.p)))))
     return GeometryReport(m.theta, G, gamma, pot, H, defect,
-                          float(np.max(np.abs(gamma))), spread, "ok")
+                          float(np.max(np.abs(gamma))), d_itau, "ok")
 
 
 def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float:
-    """|Phi(th') - Phi(th) + <th - th', grad Phi(th)> - D(p, p')|."""
+    """|Phi(th') - Phi(th) + <th - th', grad Phi(th)> - D(p, p')|; a DomainError
+    where the tau-mass is not constant, as ``hessian_check`` reads it."""
     th2 = _theta_vec(spec, theta2)
     m = _member(spec, theta)
-    if _itau_spread(spec, m) > 1e-8:
+    if np.max(np.abs(m.itau_gradient())) > _ITAU_FLAT:
         raise DomainError("canonical divergence check needs a constant tau-mass")
     psi2, p2 = _solve_one(spec, th2, m.warm(th2))
     canon = float(_potential(spec, psi2, p2)) - m.potential() \
@@ -545,13 +548,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     """
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
-    w = spec.base.weights
     scale = max(1.0, float(np.max(np.abs(target))))
 
     def F_and_J(th, near=None):
         m = _member(spec, th, None if near is None else near.warm(th))
         F = _tau_moments(spec, m.p) - target
-        J = (spec.T * (w * m.taup * m.chi)) @ m.resid.T
+        J = (spec.T * m.tau_w) @ m.resid.T
         return F, J, m
 
     rng = np.random.default_rng(seed)

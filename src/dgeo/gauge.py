@@ -142,25 +142,18 @@ def _fd_d2(f: Callable, domain: Interval) -> Callable:
 
 @dataclass(frozen=True)
 class ScalarFn:
-    """A real function with first and second derivatives on an open domain.
-
-    ``analytic`` is True when both d1 and d2 are exact (closed forms, or the
-    chain rule applied to exact derivatives) and False when either comes
-    from central differences, which are accurate only to about 1e-10
-    relative and should not feed tolerance-critical paths.
-    """
+    """A real function with first and second derivatives on an open domain."""
 
     value: Callable
     d1: Callable
     d2: Callable
     domain: Interval
-    analytic: bool = True
 
     @classmethod
     def from_value(cls, value: Callable, domain: Interval) -> "ScalarFn":
         """Wrap a plain callable, deriving d1/d2 by central differences."""
         return cls(value=value, d1=_fd_d1(value, domain), d2=_fd_d2(value, domain),
-                   domain=domain, analytic=False)
+                   domain=domain)
 
     def __call__(self, t):
         return self.value(t)
@@ -236,10 +229,12 @@ class GaugeTriple:
 
 
 def _ln_q(r, q: float):
+    # expm1 keeps full precision as q -> 1, where r**(1-q) - 1 cancels;
+    # + 0.0 keeps ln_q(1) = 0.0 / (1 - q), which is -0.0 for q > 1
     r = np.asarray(r, dtype=float)
     if q == 1.0:
         return np.log(r)
-    return (r ** (1.0 - q) - 1.0) / (1.0 - q)
+    return (np.expm1((1.0 - q) * np.log(r)) + 0.0) / (1.0 - q)
 
 
 def _h_q(r, q: float):
@@ -249,7 +244,7 @@ def _h_q(r, q: float):
         return r * np.log(r) - r + 1.0
     if q == 2.0:
         return (r - 1.0) - np.log(r)
-    return (r ** (2.0 - q) - 1.0) / ((1.0 - q) * (2.0 - q)) - (r - 1.0) / (1.0 - q)
+    return (r * _ln_q(r, q) - (r - 1.0)) / (2.0 - q)
 
 
 def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:
@@ -272,11 +267,11 @@ def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable
         u = np.asarray(u, dtype=float)
         if q == 1.0:
             core = np.exp(u - c)
-        else:
-            base = 1.0 + (1.0 - q) * (u - c)
-            with np.errstate(over="ignore"):
-                pow_ = np.maximum(base, 1e-300) ** (1.0 / (1.0 - q))
-            core = np.where(base > 0, pow_, np.inf if q > 1.0 else 0.0)
+        else:  # (1 + a)**(1/(1-q)) through log1p(a), full precision as q -> 1
+            a = (1.0 - q) * (u - c)
+            with np.errstate(over="ignore", divide="ignore"):  # log1p(-1) = -inf
+                pow_ = np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
+            core = np.where(a > -1.0, pow_, np.inf if q > 1.0 else 0.0)
         out = np.where(u >= hi_ell, np.inf, np.where(u <= lo_ell, 0.0, core))
         return out if out.ndim else float(out)
 
@@ -403,8 +398,7 @@ def derived(g: GaugeTriple) -> DerivedFunctions:
     def ell_d1(t):
         return h.d2(tau.value(t)) * tau.d1(t)
 
-    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1, g.I), g.I,
-                   analytic=False)
+    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1, g.I), g.I)
     return _derived_from(lambda t: h.value(tau.value(t)), tau, ell, g.I)
 
 
@@ -448,14 +442,13 @@ def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn, I: Interval) ->
     def ss_d2(t):
         return -(m_v(t) + tau.value(t) * ell.d2(t))
 
-    exact = ell.analytic and tau.analytic
     return DerivedFunctions(
         ell=ell,
-        m=ScalarFn(m_v, m_d1, _fd_d1(m_d1, I), I, analytic=False),
-        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v, I), _fd_d2(gamma_v, I), I, analytic=False),
-        chi=ScalarFn(chi_v, chi_d1, _fd_d1(chi_d1, I), I, analytic=False),
-        s=ScalarFn(lambda t: -h_tau(t), s_d1, s_d2, I, analytic=exact),
-        s_star=ScalarFn(ss_v, ss_d1, ss_d2, I, analytic=exact),
+        m=ScalarFn(m_v, m_d1, _fd_d1(m_d1, I), I),
+        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v, I), _fd_d2(gamma_v, I), I),
+        chi=ScalarFn(chi_v, chi_d1, _fd_d1(chi_d1, I), I),
+        s=ScalarFn(lambda t: -h_tau(t), s_d1, s_d2, I),
+        s_star=ScalarFn(ss_v, ss_d1, ss_d2, I),
     )
 
 
@@ -675,7 +668,7 @@ def conjugate_fn(f: ScalarFn) -> ScalarFn:
     def d2(y):
         return 1.0 / f.d2(d1(y))
 
-    return ScalarFn(value, d1, d2, dom, analytic=False)
+    return ScalarFn(value, d1, d2, dom)
 
 
 # ----------------------------------------------------------------------------
@@ -702,17 +695,17 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         value=lambda rho: h1.value(back(rho)) - a1 * back(rho) - a2,
         d1=lambda rho: (h1.d1(back(rho)) - a1) / lam,
         d2=lambda rho: h1.d2(back(rho)) / lam ** 2,
-        domain=J2, analytic=h1.analytic)
+        domain=J2)
     tau2 = ScalarFn(
         value=lambda t: lam * tau1.value(t) + a3,
         d1=lambda t: lam * tau1.d1(t),
         d2=lambda t: lam * tau1.d2(t),
-        domain=g.I, analytic=tau1.analytic)
+        domain=g.I)
 
     derived1 = derived(g)
     ell2 = ScalarFn(lambda t: (derived1.ell.value(t) - a1) / lam,
                     lambda t: derived1.ell.d1(t) / lam,
-                    lambda t: derived1.ell.d2(t) / lam, g.I, analytic=derived1.ell.analytic)
+                    lambda t: derived1.ell.d2(t) / lam, g.I)
 
     lo_e, hi_e = g.ell_range
     rng2 = ((lo_e - a1) / lam, (hi_e - a1) / lam)
@@ -767,7 +760,7 @@ def gauge_from_pair(tau: ScalarFn, ell: ScalarFn, a: float) -> GaugeTriple:
         return lambda r: f(_solve_increasing(tau.value, tau.d1, r, I))
 
     h = ScalarFn(at_inverse(h_tau), at_inverse(ell.value),
-                 at_inverse(lambda t: ell.d1(t) / tau.d1(t)), Jt, analytic=False)
+                 at_inverse(lambda t: ell.d1(t) / tau.d1(t)), Jt)
 
     return GaugeTriple(h, tau, I, f"pair(a={a:g})", _image(ell.value, I), None,
                        _derived_from(h_tau, tau, ell, I), None)

@@ -90,8 +90,7 @@ class SimConfig:
 
     def params(self) -> qg.QGaussianParams:
         S = np.eye(self.d) if self.S is None else np.asarray(self.S, dtype=float)
-        variant = "identity" if self.variant == "identity" else "trace_d"
-        return qg.QGaussianParams(self.q, self.d, np.asarray(self.v), S, variant)
+        return qg.QGaussianParams(self.q, self.d, np.asarray(self.v), S, self.variant)
 
     def k_schedule(self) -> list[int]:
         return _decades(self.k_max)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgeo.errors import DomainError, InfeasibleError
 from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivalence,
@@ -142,8 +142,9 @@ def test_batched_solve_flags_rows_without_a_member():
 
 
 def test_geometry_checks_batch_their_solves(monkeypatch):
-    # the member, the tau-mass probes and the 2n axis rows of the first
-    # differences (both step sizes) are one solver call each
+    # the member and the 4n axis rows of the first differences (both step
+    # sizes) are one solver call each; the tau-mass gate reads the exact
+    # gradient at the member and solves nothing
     spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
     calls = []
     solve = dc._solve_psi
@@ -156,10 +157,14 @@ def test_geometry_checks_batch_their_solves(monkeypatch):
     th, th2 = np.array([0.2, -0.1, 0.15]), np.array([-0.1, 0.3, 0.05])
     rep = dc.hessian_check(spec, th)
     assert rep.status == "ok" and rep.max_defect <= 1e-5
-    assert len(calls) <= 3 and sum(calls) == 1 + 6 + 12
+    assert len(calls) == 2 and sum(calls) == 1 + 12
     calls.clear()
     assert dc.canonical_divergence_check(spec, th, th2) <= 1e-7
-    assert len(calls) <= 3
+    assert calls == [1, 1]
+    calls.clear()
+    assert dc.hessian_check(simplex_spec(builtin_gauge("escort", q=1.5), m=4),
+                            th).status == "not_applicable"
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -437,30 +442,70 @@ def test_power_hessian_structure_four_atoms():
     assert rep.connection_max <= 1e-8
 
 
-@given(kind=st.sampled_from(["kl", "power", "pair", "transformed"]), q=st.floats(1.2, 1.8),
-       m=st.integers(2, 50), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40)
-def test_hessian_check_resolves_the_metric(kind, q, m, n, seed):
-    # first differences of eta and of the potential leave rounding only, so
-    # a relative error of 1e-8 in the metric shows; q stays away from 1,
-    # where ln_q's cancellation costs about eps / |1 - q| in every density
+def bench_family(kind, seed, m=12, n=2, q=1.5):
+    """A benchmark-style family (weights in [0.5, 1.5], T and theta normal) on
+    the named gauge, and its theta."""
     g = {"kl": lambda: builtin_gauge("kl"), "power": lambda: builtin_gauge("power", q=q),
-         "pair": pair_gauge,
+         "escort": lambda: builtin_gauge("escort", q=q),
+         "scaled_log": lambda: builtin_gauge("scaled_log", lam=2.0), "pair": pair_gauge,
          "transformed": lambda: apply_equivalence(pair_gauge(), BENCH_TRANSFORM)}[kind]()
     rng = np.random.default_rng(seed)
-    n = min(n, m - 1)
     w = rng.uniform(0.5, 1.5, size=m)
     spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w / w.sum()), g, rng.normal(size=(n, m)),
                                  np.zeros(m))
-    rep = dc.hessian_check(spec, rng.normal(scale=0.3, size=n))
+    return spec, rng.normal(scale=0.3, size=n)
+
+
+@given(kind=st.sampled_from(["kl", "power", "pair", "transformed"]), q=st.floats(0.9, 1.8),
+       m=st.integers(2, 50), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="power", q=0.999, m=50, n=3, seed=1)
+@example(kind="power", q=1.001, m=50, n=3, seed=2)
+@settings(max_examples=40)
+def test_hessian_check_resolves_the_metric(kind, q, m, n, seed):
+    # first differences of eta and of the potential leave rounding only, so
+    # a relative error of 1e-8 in the metric shows; near q = 1 this needs
+    # ln_q and exp_q free of the cancellation in r**(1-q) - 1
+    rep = dc.hessian_check(*bench_family(kind, seed, m, min(n, m - 1), q))
     assert rep.status == "ok" and rep.max_defect <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["kl", "power", "escort", "scaled_log", "pair",
+                                  "transformed"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_itau_gradient_matches_differences_of_the_tau_mass(kind, seed):
+    # oracle: Richardson central differences of I_tau over members normalized
+    # one at a time at theta +- h e_i and theta +- (h/2) e_i
+    spec, th = bench_family(kind, seed)
+    h = 1e-3
+    rows = th + np.concatenate([s * h * np.eye(th.size) for s in (1.0, -1.0, 0.5, -0.5)])
+    itau = np.array([dc._tau_mass(spec, dc.normalize(spec, row)[1]) for row in rows])
+    up, down, up2, down2 = np.split(itau, 4)
+    oracle = (4.0 * (up2 - down2) / h - (up - down) / (2.0 * h)) / 3.0
+    np.testing.assert_allclose(dc._member(spec, th).itau_gradient(), oracle,
+                               rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["escort", "scaled_log"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eta_jacobian_is_metric_plus_itau_term(kind, seed):
+    # d eta_j / d theta_i = g_ij + d_i I_tau d_j psi and grad Phi = eta +
+    # psi grad I_tau, on gauges whose tau-mass varies
+    spec, th = bench_family(kind, seed, m=50, n=3)
+    m = dc._member(spec, th)
+    d_itau = m.itau_gradient()
+    assert np.max(np.abs(d_itau)) > 1e-3
+    H, grad_phi = dc._first_differences(m)
+    tol = 1e-10 * max(1.0, np.max(np.abs(H)))
+    np.testing.assert_allclose(H, m.metric() + np.outer(d_itau, m.grad), rtol=0, atol=tol)
+    np.testing.assert_allclose(grad_phi, dc._tau_moments(spec, m.p) + m.psi * d_itau,
+                               rtol=0, atol=tol)
 
 
 def test_escort_hessian_not_applicable():
     spec = simplex_spec(builtin_gauge("escort", q=1.5))
     rep = dc.hessian_check(spec, [0.1, 0.1])
     assert rep.status == "not_applicable"
-    assert rep.itau_spread > 1e-8
+    assert rep.itau_gradient > 1e-8
 
 
 def test_canonical_divergence_zero_at_equal():
