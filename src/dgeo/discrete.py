@@ -11,8 +11,8 @@ unique normalizer making the weighted mass one.  The module computes
 densities, divergences, entropies, the induced metric and connection in
 theta coordinates, verifies the Hessian-potential identity g = d eta / d theta
 by first differences of eta = grad Phi, and the canonical-divergence identity,
-where the exact gradient of the tau-mass vanishes, projects by moment matching
-and checks affine reparametrization invariance.
+where the tau-mass is constant as its exact gradient reads it, projects by
+moment matching and checks affine reparametrization invariance.
 """
 
 from __future__ import annotations
@@ -342,6 +342,9 @@ class Member:
         = chi (T - grad psi)."""
         return self.resid @ self.tau_w
 
+    def flat(self) -> bool:
+        return bool(np.max(np.abs(self.itau_gradient())) <= _ITAU_FLAT)
+
     def connection(self) -> np.ndarray:
         return np.einsum("ij,k->ijk", -self.psi_hessian(), self.itau_gradient())
 
@@ -404,19 +407,8 @@ class GeometryReport:
     message: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta.tolist(),
-            "g": self.g.tolist(),
-            "christoffel_raw": self.christoffel_raw.tolist(),
-            "potential": self.potential,
-            "hess_potential": None if self.hess_potential is None
-            else self.hess_potential.tolist(),
-            "max_defect": self.max_defect,
-            "connection_max": self.connection_max,
-            "itau_gradient": self.itau_gradient,
-            "status": self.status,
-            "message": self.message,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(self).items()}
 
 
 def _tau_mass(spec: DiscreteFamilySpec, P: np.ndarray):
@@ -434,9 +426,18 @@ def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
     return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
 
 
-def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray]:
+def _itau_gradients(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
+    """``Member.itau_gradient`` at each row of P: grad psi is sum mu chi T / sum mu chi."""
+    w = spec.base.weights
+    chi = np.asarray(derived(spec.gauge).chi.value(P), dtype=float)
+    tau_w = w * np.asarray(spec.gauge.tau.d1(P), dtype=float) * chi
+    return tau_w @ spec.T.T - ((w * chi) @ spec.T.T) * (tau_w.sum(1) / (chi @ w))[:, None]
+
+
+def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray, float]:
     """d eta_j / d theta_i and the gradient of the potential, by Richardson
-    central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i."""
+    central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i,
+    and the largest |d I_tau / d theta_i| on those rows."""
     h = _FD_STEP * np.maximum(1.0, np.abs(m.theta))
     pts = m.theta + np.concatenate([s * np.diag(h) for s in (1.0, -1.0, 0.5, -0.5)])
     if not np.all(_in_box(m.spec, pts)):
@@ -447,50 +448,51 @@ def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray]:
     f = np.column_stack([_tau_moments(m.spec, P), _potential(m.spec, psi, P)])
     up, down, up2, down2 = np.split(f, 4)
     d = (4.0 * (up2 - down2) / h[:, None] - (up - down) / (2.0 * h[:, None])) / 3.0
-    return d[:, :-1], d[:, -1]
+    return d[:, :-1], d[:, -1], float(np.max(np.abs(_itau_gradients(m.spec, P))))
 
 
 def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
     """Compare the metric g with the Hessian of the potential Phi.
 
-    Since dp / d theta_i = chi (T_i - d_i psi), the tau-moments eta and the
-    tau-mass I_tau satisfy d eta_j / d theta_i = g_ij + d_i I_tau d_j psi and
-    grad Phi = eta + psi grad I_tau.  Where the exact gradient of I_tau
-    (``Member.itau_gradient``) vanishes, as it does everywhere for tau = id,
-    g is therefore the Hessian of Phi and eta its gradient.  First
-    differences on the 4n axis rows around theta then give max_defect = the
-    larger of |d eta / d theta - g| (d eta / d theta is hess_potential) and
-    |grad Phi - eta|.  Where some |d I_tau / d theta_i| exceeds _ITAU_FLAT
-    the status is "not_applicable" and nothing is differenced;
-    itau_gradient is the largest |d I_tau / d theta_i| either way.
+    Since dp / d theta_i = chi (T_i - d_i psi), d eta_j / d theta_i = g_ij +
+    d_i I_tau d_j psi and grad Phi = eta + psi grad I_tau, so g is the Hessian
+    of Phi where the tau-mass I_tau is constant (for tau = id, everywhere).
+    A zero gradient at theta alone is not enough, as psi times the Hessian
+    of I_tau remains; so the exact gradient is read at theta and, when it is
+    at most _ITAU_FLAT there, on the 4n axis rows that the first differences
+    solve.  If some entry read exceeds _ITAU_FLAT the status is
+    "not_applicable", and itau_gradient is the largest entry read.  Otherwise
+    max_defect is the larger of |d eta / d theta - g| (d eta / d theta is
+    hess_potential) and |grad Phi - eta|.
     """
     m = _member(spec, theta)
     G = m.metric()
     gamma = m.connection()
-    pot = m.potential()
     d_itau = float(np.max(np.abs(m.itau_gradient())))
+    if d_itau <= _ITAU_FLAT:
+        H, grad, d_rows = _first_differences(m)
+        d_itau = max(d_itau, d_rows)
     if d_itau > _ITAU_FLAT:
-        return GeometryReport(m.theta, G, gamma, pot, None, math.nan,
+        return GeometryReport(m.theta, G, gamma, m.potential(), None, math.nan,
                               float(np.max(np.abs(gamma))), d_itau, "not_applicable",
                               "tau-mass varies across the family; the Hessian-potential "
                               "identity requires it constant")
-    H, grad = _first_differences(m)
     defect = float(max(np.max(np.abs(H - G)), np.max(np.abs(grad - _tau_moments(spec, m.p)))))
-    return GeometryReport(m.theta, G, gamma, pot, H, defect,
+    return GeometryReport(m.theta, G, gamma, m.potential(), H, defect,
                           float(np.max(np.abs(gamma))), d_itau, "ok")
 
 
 def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float:
     """|Phi(th') - Phi(th) + <th - th', grad Phi(th)> - D(p, p')|; a DomainError
-    where the tau-mass is not constant, as ``hessian_check`` reads it."""
+    where some |d I_tau / d theta_i| at th or th' exceeds _ITAU_FLAT, so that
+    the tau-mass is not taken for constant."""
     th2 = _theta_vec(spec, theta2)
     m = _member(spec, theta)
-    if np.max(np.abs(m.itau_gradient())) > _ITAU_FLAT:
+    m2 = _member(spec, th2, m.warm(th2)) if m.flat() else None
+    if m2 is None or not m2.flat():
         raise DomainError("canonical divergence check needs a constant tau-mass")
-    psi2, p2 = _solve_one(spec, th2, m.warm(th2))
-    canon = float(_potential(spec, psi2, p2)) - m.potential() \
-        + float((m.theta - th2) @ _tau_moments(spec, m.p))
-    return abs(canon - divergence(spec, m.p, p2))
+    canon = m2.potential() - m.potential() + float((m.theta - th2) @ _tau_moments(spec, m.p))
+    return abs(canon - divergence(spec, m.p, m2.p))
 
 
 @dataclass(frozen=True)

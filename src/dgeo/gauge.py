@@ -238,13 +238,16 @@ def _ln_q(r, q: float):
 
 
 def _h_q(r, q: float):
-    # integral of ln_q from 1 to r
+    # integral of ln_q from 1 to r; r**(2-q) - r stands for r expm1(x) where that overflows
     r = np.asarray(r, dtype=float)
     if q == 1.0:
         return r * np.log(r) - r + 1.0
     if q == 2.0:
         return (r - 1.0) - np.log(r)
-    return (r * _ln_q(r, q) - (r - 1.0)) / (2.0 - q)
+    with np.errstate(all="ignore"):  # both branches are evaluated
+        x = (1.0 - q) * np.log(r)
+        r_ell = np.where(x < 700.0, r * np.expm1(x), r ** (2.0 - q) - r) / (1.0 - q)
+    return (r_ell - (r - 1.0)) / (2.0 - q)
 
 
 def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:

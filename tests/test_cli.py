@@ -119,6 +119,17 @@ def test_discrete_hessian_check_not_applicable(capsys, escort_file):
     assert json.loads(out)["status"] == "not_applicable"
 
 
+def test_discrete_checks_decline_a_flat_escort_member(capsys, escort_file):
+    # at theta = 0 the escort tau-mass has zero gradient but is not constant
+    code, out = run(capsys, "discrete", "hessian-check", "--spec", escort_file,
+                    "--theta", "0,0")
+    assert code == 2
+    assert json.loads(out)["status"] == "not_applicable"
+    code, _ = run(capsys, "discrete", "canonical-check", "--spec", escort_file,
+                  "--theta", "0,0", "--theta2", "0.2,-0.1")
+    assert code == 2
+
+
 def test_discrete_canonical_check(capsys, coin_file):
     code, out = run(capsys, "discrete", "canonical-check", "--spec", coin_file,
                     "--theta", "0.0", "--theta2", "1.0986122886681098")

@@ -144,7 +144,7 @@ def test_batched_solve_flags_rows_without_a_member():
 def test_geometry_checks_batch_their_solves(monkeypatch):
     # the member and the 4n axis rows of the first differences (both step
     # sizes) are one solver call each; the tau-mass gate reads the exact
-    # gradient at the member and solves nothing
+    # gradient on those rows and solves nothing of its own
     spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
     calls = []
     solve = dc._solve_psi
@@ -494,7 +494,7 @@ def test_eta_jacobian_is_metric_plus_itau_term(kind, seed):
     m = dc._member(spec, th)
     d_itau = m.itau_gradient()
     assert np.max(np.abs(d_itau)) > 1e-3
-    H, grad_phi = dc._first_differences(m)
+    H, grad_phi, _ = dc._first_differences(m)
     tol = 1e-10 * max(1.0, np.max(np.abs(H)))
     np.testing.assert_allclose(H, m.metric() + np.outer(d_itau, m.grad), rtol=0, atol=tol)
     np.testing.assert_allclose(grad_phi, dc._tau_moments(spec, m.p) + m.psi * d_itau,
@@ -506,6 +506,36 @@ def test_escort_hessian_not_applicable():
     rep = dc.hessian_check(spec, [0.1, 0.1])
     assert rep.status == "not_applicable"
     assert rep.itau_gradient > 1e-8
+
+
+@pytest.mark.parametrize("make", [
+    lambda: simplex_spec(builtin_gauge("escort", q=1.5)),
+    lambda: bench_family("escort", 4, m=50, n=3, q=0.7)[0],
+    lambda: bench_family("scaled_log", 5, m=50, n=3)[0],
+], ids=["escort-simplex", "escort0.7", "scaled_log"])
+def test_critical_point_of_a_varying_tau_mass_is_not_applicable(monkeypatch, make):
+    # with c = 0 the density at theta = 0 is flat, where the gradient of a
+    # varying tau-mass vanishes; on the axis rows it is about h times the
+    # Hessian of I_tau, which the gate reads
+    spec = make()
+    th = np.zeros(spec.dim)
+    assert np.max(np.abs(dc._member(spec, th).itau_gradient())) <= 1e-15
+    calls = []
+    solve = dc._solve_psi
+
+    def counted(spec, thetas, psi0=None):
+        calls.append(np.atleast_2d(thetas).shape[0])
+        return solve(spec, thetas, psi0)
+
+    monkeypatch.setattr(dc, "_solve_psi", counted)
+    rep = dc.hessian_check(spec, th)
+    assert rep.status == "not_applicable" and rep.hess_potential is None
+    assert rep.itau_gradient > 1e-6
+    assert calls == [1, 4 * spec.dim]
+    with pytest.raises(DomainError):
+        dc.canonical_divergence_check(spec, th, np.full(spec.dim, 0.1))
+    with pytest.raises(DomainError):
+        dc.canonical_divergence_check(spec, np.full(spec.dim, 0.1), th)
 
 
 def test_canonical_divergence_zero_at_equal():

@@ -68,6 +68,27 @@ def test_power_ell_closed_form():
     assert math.copysign(1.0, derived(g).ell.value(1.0)) == -1.0
 
 
+@pytest.mark.parametrize("q", [0.3, 0.999, 1.5, 2.5, 3.0])
+def test_power_h_keeps_its_range_against_mpmath(q):
+    # h_q(r) = (r**(2-q) - 1) / ((1-q)(2-q)) - (r - 1) / (1-q) is finite at
+    # r = 1e-160 for q = 3 although r**(1-q) there overflows
+    mpmath = pytest.importorskip("mpmath")
+    d = derived(builtin_gauge("power", q=q))
+    rs = np.geomspace(1e-300, 1e300, 121)
+    with np.errstate(over="ignore"):
+        got = -np.asarray(d.s.value(rs), dtype=float)
+    with mpmath.workdps(40):
+        mq = mpmath.mpf(q)
+        want = np.array([float((mpmath.mpf(r) ** (2 - mq) - 1) / ((1 - mq) * (2 - mq))
+                               - (mpmath.mpf(r) - 1) / (1 - mq)) for r in rs])
+    finite = np.isfinite(want)
+    assert finite.sum() > 80
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12)
+    if q == 3.0:
+        assert d_htau(builtin_gauge("power", q=q), 1e-160, 1.0) == pytest.approx(5e159, rel=1e-14)
+
+
 def test_derived_kl_values():
     d = derived(builtin_gauge("kl"))
     assert d.m.value(2.0) == pytest.approx(0.5, rel=1e-14)
