@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Every subcommand is a thin mapping onto one library operation; no
-numerics live here.  Results print as JSON, with floats in shortest
-round-trip form; CSV tables of samples and points write floats as .17g,
-which round-trips but is not shortest (0.1 is 0.10000000000000001).
-Optional --out bundles artifacts with a SHA-256 manifest so seeded runs
-can be reproduced byte for byte.  Each verb takes only the flags it reads.
+numerics live here.  One output rule: stdout is JSON, with floats in
+shortest round-trip form, or CSV under --format csv; --out bundles the
+printed text, or the verb's named files, plus a SHA-256 manifest, so
+seeded runs can be reproduced byte for byte.  All of it is _emit.  Only
+`gauge eval`/`conjugate` (a bare float), `validate` (PASS/FAIL) and
+`sample` without --out (its CSV) print elsewhere.  CSV tables of samples
+and points write floats as .17g, which round-trips but is not shortest
+(0.1 is 0.10000000000000001).  Each verb takes only the flags it reads.
 
 Exit codes: 0 success, 2 validation failure or an identity whose
 hypothesis does not hold, 1 runtime error (including malformed input
@@ -64,20 +67,18 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args, csv=None, files=None, config=None) -> None:
+    """Print a result and, with --out, bundle it: the one output rule above."""
     if getattr(args, "format", "json") == "csv":
-        lines = ["key,value"]
-        for k, v in _jsonable(payload).items():
-            lines.append(f"{k},{json.dumps(v)}" if isinstance(v, (list, dict))
-                         else f"{k},{v}")
-        text = "\n".join(lines)
-        name = "result.csv"
+        rows = (f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}\n"
+                for k, v in _jsonable(payload).items())
+        text, name = csv or "key,value\n" + "".join(rows), "result.csv"
     else:
-        text = json.dumps(_jsonable(payload), indent=2)
-        name = "result.json"
-    print(text)
+        text, name = json.dumps(_jsonable(payload), indent=2) + "\n", "result.json"
+    print(text, end="")
     if getattr(args, "out", None):
-        write_bundle(Path(args.out), {name: text + "\n"}, config=_cmd_config(args))
+        write_bundle(Path(args.out), files or {name: text},
+                     config=_cmd_config(args) if config is None else config)
 
 
 def _cmd_config(args) -> dict:
@@ -282,12 +283,10 @@ def cmd_qgauss_marginal_check(args) -> int:
     xs = None if args.grid is None else _floats(args.grid)
     res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
                             xs=xs, epsabs=args.tol)
-    if args.format == "csv":
-        names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
-        print(_csv(names + ["defect"], np.column_stack([res.points, res.defects])), end="")
-        return EXIT_OK
+    names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
     _emit({"max_defect": res.max_defect, "points": res.points,
-           "defects": res.defects, "abserr": res.abserr}, args)
+           "defects": res.defects, "abserr": res.abserr}, args,
+          csv=_csv(names + ["defect"], np.column_stack([res.points, res.defects])))
     return EXIT_OK
 
 
@@ -296,9 +295,9 @@ def cmd_qgauss_sample(args) -> int:
     law = qg.repetition(p, args.k)
     draws = qg.sample_joint(law, args.n, seed=args.seed)
     csv = _csv(_coord_names(args.k, p.d), draws.reshape(args.n, -1))
-    if args.out:
-        write_bundle(Path(args.out), {"samples.csv": csv}, config=_cmd_config(args))
-        print(json.dumps({"written": str(Path(args.out) / "samples.csv"), "n": args.n}))
+    if args.out:  # without --out the samples stream to stdout; sample has no --format
+        _emit({"written": str(Path(args.out) / "samples.csv"), "n": args.n}, args,
+              files={"samples.csv": csv})
     else:
         sys.stdout.write(csv)
     return EXIT_OK
@@ -355,16 +354,11 @@ def cmd_lln_run(args) -> int:
     if table is not None:
         summary["bounds_all_pass"] = table.all_pass
     csv = report.averages_csv() if args.out or args.format == "csv" else None
-    if args.out:
-        files = {"averages.csv": csv,
-                 "summary.json": json.dumps(_jsonable(summary), indent=2) + "\n"}
-        if table is not None:
-            files["exceedance.csv"] = table.to_csv()
-        write_bundle(Path(args.out), files, config=cfg.to_json())
-    if args.format == "csv":
-        print(csv, end="")
-    else:
-        print(json.dumps(_jsonable(summary), indent=2))
+    files = args.out and {"averages.csv": csv,
+                          "summary.json": json.dumps(_jsonable(summary), indent=2) + "\n"}
+    if files and table is not None:
+        files["exceedance.csv"] = table.to_csv()
+    _emit(summary, args, csv=csv, files=files, config=cfg.to_json())
     return EXIT_OK
 
 
@@ -379,14 +373,9 @@ def cmd_lln_verify(args) -> int:
     cfg = _sim_config(args)
     report = lln.run_lln(cfg, workers=args.workers)
     table = lln.verify_bounds(cfg, report)
-    if args.out:
-        write_bundle(Path(args.out), {"exceedance.csv": table.to_csv()},
-                     config=cfg.to_json())
-    if args.format == "csv":
-        print(table.to_csv(), end="")
-    else:
-        payload = {"all_pass": table.all_pass, "rows": table.to_json()}
-        print(json.dumps(_jsonable(payload), indent=2))
+    csv = table.to_csv()
+    _emit({"all_pass": table.all_pass, "rows": table.to_json()}, args, csv=csv,
+          files={"exceedance.csv": csv}, config=cfg.to_json())
     return EXIT_OK if table.all_pass else EXIT_VALIDATION
 
 
