@@ -156,6 +156,8 @@ def cmd_gauge_conjugate(args) -> int:
 
 
 def cmd_gauge_equiv_check(args) -> int:
+    if args.n < 1:
+        raise DomainError("--n must be a positive integer")
     g = _gauge_of(args)
     tr = gg.EquivalenceTransform(a1=args.a1, a2=args.a2, a3=args.a3, lam=args.lam)
     g2 = gg.apply_equivalence(g, tr)
@@ -306,9 +308,10 @@ def cmd_qgauss_sample(args) -> int:
 def cmd_qgauss_mle(args) -> int:
     if args.data:
         x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
-    else:
+    elif args.x:
         x = _floats(args.x)
-    x = np.asarray(x, dtype=float).reshape(args.k, args.d)
+    else:
+        raise DomainError("mle needs --data or --x")
     res = qg.mle(args.q, args.d, args.k, x, args.family)
     _emit({"v": res.v, "S": res.S, "defect": res.defect,
            "iterations": res.iterations, "converged": res.converged}, args)

@@ -138,8 +138,8 @@ def density(params: QGaussianParams, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
-    if pts.shape[-1] != params.d:
-        raise DomainError(f"points must have trailing dimension {params.d}")
+    if pts.shape[-1] != params.d or not np.all(np.isfinite(pts)):
+        raise DomainError(f"points must be finite, with trailing dimension {params.d}")
     dx = pts - params.v
     Q = np.einsum("...i,ij,...j->...", dx, params.S, dx)
     lam = _lambda(params.q, params.d, params.S)
@@ -221,8 +221,8 @@ def joint_density(law: RepetitionLaw, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 2
     pts = x.reshape((-1, law.k, p.d)) if squeeze else x
-    if pts.shape[-2:] != (law.k, p.d):
-        raise DomainError(f"points must have trailing shape ({law.k}, {p.d})")
+    if pts.shape[-2:] != (law.k, p.d) or not np.all(np.isfinite(pts)):
+        raise DomainError(f"points must be finite, with trailing shape ({law.k}, {p.d})")
     dx = pts - p.v
     Q = law.beta_k * np.einsum("...ki,ij,...kj->...", dx, p.S, dx)
     out = _exp_q_pow(-Q - law.nu_k, p.q, law.a_k)
@@ -325,6 +325,8 @@ def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
     falls back to plain Gaussian sampling.  The block structure keeps the
     cost at O(n k d^2) so long dependent paths stay cheap.
     """
+    if n < 1:
+        raise DomainError("n must be a positive integer")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = law.base
     dof, A = joint_factor(law)
@@ -637,7 +639,10 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3);
     iterations is always 0.
     """
-    x = np.asarray(x, dtype=float).reshape(k, d)
+    x = np.asarray(x, dtype=float)
+    if x.size != k * d:
+        raise DomainError(f"data must hold k*d = {k * d} values, not {x.size}")
+    x = x.reshape(k, d)
     if not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
     if family not in ("identity_mean_only", "full"):

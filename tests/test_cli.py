@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -532,6 +533,22 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("qgauss mle --q 1.5 --k 3", "mle needs --data or --x"),
+    ("qgauss mle --q 1.5 --k 3 --x 1,2", "data must hold k*d = 3 values, not 2"),
+    ("qgauss sample --q 1.5 --k 2 --n 0", "n must be a positive integer"),
+    ("qgauss sample --q 1.5 --k 2 --n -1", "n must be a positive integer"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --n 0""", "--n must be a positive integer"),
+    ("qgauss density --q 1.5 --x nan", "points must be finite, with trailing dimension 1"),
+], ids=["mle-no-data", "mle-wrong-count", "sample-n-0", "sample-n-negative", "equiv-n-0",
+        "density-nan"])
+def test_bad_input_exits_2_with_message(capsys, argv, message):
+    code = cli.main(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"invalid: {message}\n"
+
+
 def test_non_finite_q_exits_2(capsys):
     code = cli.main(["qgauss", "density", "--q", "nan", "--d", "1", "--x", "0.3"])
     assert code == 2
@@ -572,3 +589,56 @@ def test_result_bundle_written_for_json_commands(capsys, tmp_path):
     manifest = json.load(open(out_dir / "manifest.json"))
     assert manifest["files"][0]["name"] == "result.json"
     assert (out_dir / "result.json").exists()
+
+
+# Cheap arguments for each verb that prints through _emit, and the bundle file
+# that holds its stdout where that is not result.json / result.csv (None: the
+# verb bundles other files than the one it prints)
+EMIT_ARGV = {
+    "gauge equiv-check": """--gauge '{{"kind":"kl"}}' --a1 0.3 --n 3""",
+    "discrete normalize": "--spec {coin} --theta 0.2",
+    "discrete divergence": "--spec {coin} --theta 0.2 --theta2 -0.1",
+    "discrete geometry": "--spec {coin} --theta 0.2",
+    "discrete hessian-check": "--spec {coin} --theta 0.2",
+    "discrete canonical-check": "--spec {coin} --theta 0.2 --theta2 -0.1",
+    "discrete conformal-check": "--spec {escort} --theta 0.2,0.1 --theta2 0.1,0.3",
+    "discrete project": "--spec {escort} --rho 0.2,0.3,0.5",
+    "discrete entropy-max": "--spec {escort} --rho 0.2,0.3,0.5",
+    "qgauss density": "--q 1.5 --d 2 --x 0.3,0.1",
+    "qgauss lambda": "--q 1.5 --d 2",
+    "qgauss marginal-check": "--q 1.5 --k 1 --kprime 1 --grid 0,0.5",
+    "qgauss sample": "--q 1.5 --d 2 --k 2 --n 3 --seed 4",
+    "qgauss mle": "--q 1.5 --k 3 --x 0.3,1.7,-0.5",
+    "qgauss moments": "--q 1.5",
+    "lln run": "--q 1.5 --k-max 50 --reps 100 --seed 2",
+    "lln bounds": "--q 1.5 --k 100 --eps 0.5",
+    "lln verify": "--q 1.5 --k-max 100 --reps 150 --seed 3 --eps-grid 0.5,1.0",
+    "lln summability": "--q 1.5 --eps 0.5 --k-terms 1000",
+}
+PRINTED_FILE = {("lln run", "json"): "summary.json", ("lln run", "csv"): "averages.csv",
+                ("lln verify", "json"): None, ("lln verify", "csv"): "exceedance.csv",
+                ("qgauss sample", "json"): None}
+EMIT_CASES = [(verb, fmt) for verb in EMIT_ARGV
+              for fmt in (("json", "csv") if "format" in KEPT[verb] else ("json",))]
+
+
+def test_emit_cases_cover_every_verb_with_out():
+    assert set(EMIT_ARGV) == {verb for verb, kept in KEPT.items() if "out" in kept.split()}
+
+
+@pytest.mark.parametrize("verb,fmt", EMIT_CASES, ids=[f"{v}-{f}" for v, f in EMIT_CASES])
+def test_bundle_holds_what_was_printed(capsys, coin_file, escort_file, tmp_path, verb, fmt):
+    argv = verb.split() + shlex.split(EMIT_ARGV[verb].format(coin=coin_file, escort=escort_file))
+    if "format" in KEPT[verb]:
+        argv += ["--format", fmt]
+    out_dir = tmp_path / "bundle"
+    code, out = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        data = (out_dir / entry["name"]).read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])
+    name = PRINTED_FILE.get((verb, fmt), f"result.{fmt}")
+    if name is not None:
+        assert name in [entry["name"] for entry in manifest["files"]]
+        assert (out_dir / name).read_text() == out

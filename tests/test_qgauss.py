@@ -63,6 +63,16 @@ def test_non_finite_s_rejected():
         qg.QGaussianParams(1.2, 1, [0.0], [[math.inf]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_densities_reject_non_finite_points(bad):
+    # exp_q of a NaN base reads as an infinite density, so no point may be NaN
+    p = qg.QGaussianParams(1.5, 2, [0.0, 0.0], np.eye(2))
+    with pytest.raises(DomainError, match="finite"):
+        qg.density(p, [0.3, bad])
+    with pytest.raises(DomainError, match="finite"):
+        qg.joint_density(qg.repetition(p, 2), [[0.3, 0.1], [bad, 0.0]])
+
+
 def test_params_keep_private_read_only_arrays():
     # density and the cached t forms trust the checked v and S, so neither the
     # caller's arrays nor writes into p.v and p.S may change them afterwards
