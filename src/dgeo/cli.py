@@ -4,7 +4,7 @@ Every subcommand is a thin mapping onto one library operation; no
 numerics live here.  One output rule: stdout is JSON, with floats in
 shortest round-trip form, or CSV under --format csv; --out bundles the
 printed text, or the verb's named files, plus a SHA-256 manifest, so
-seeded runs can be reproduced byte for byte.  All of it is _emit.  Only
+seeded runs can be reproduced byte for byte.  _emit does all of it.  Only
 `gauge eval`/`conjugate` (a bare float), `validate` (PASS/FAIL) and
 `sample` without --out (its CSV) print elsewhere.  CSV tables of samples
 and points write floats as .17g, which round-trips but is not shortest
