@@ -12,7 +12,8 @@ densities, divergences, entropies, the induced metric and connection in
 theta coordinates, verifies the Hessian-potential identity g = d eta / d theta
 by first differences of eta = grad Phi, and the canonical-divergence identity,
 where the tau-mass is constant as its exact gradient reads it, projects by
-moment matching and checks affine reparametrization invariance.
+moment matching in one Newton on (theta, psi), with no psi-solve per step,
+and checks affine reparametrization invariance.
 """
 
 from __future__ import annotations
@@ -434,10 +435,11 @@ def _itau_gradients(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
     return tau_w @ spec.T.T - ((w * chi) @ spec.T.T) * (tau_w.sum(1) / (chi @ w))[:, None]
 
 
-def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray, float]:
+def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """d eta_j / d theta_i and the gradient of the potential, by Richardson
-    central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i,
-    and the largest |d I_tau / d theta_i| on those rows."""
+    central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i;
+    (eta, Phi) at theta, evaluated in the same batch; and the largest
+    |d I_tau / d theta_i| on those rows."""
     h = _FD_STEP * np.maximum(1.0, np.abs(m.theta))
     pts = m.theta + np.concatenate([s * np.diag(h) for s in (1.0, -1.0, 0.5, -0.5)])
     if not np.all(_in_box(m.spec, pts)):
@@ -445,10 +447,11 @@ def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray, float]:
     psi, P, ok = _solve_psi(m.spec, pts, m.warm(pts))
     if not np.all(ok):
         raise InfeasibleError(_NO_MEMBER)
+    psi, P = np.append(psi, m.psi), np.vstack([P, m.p])
     f = np.column_stack([_tau_moments(m.spec, P), _potential(m.spec, psi, P)])
-    up, down, up2, down2 = np.split(f, 4)
+    up, down, up2, down2 = np.split(f[:-1], 4)
     d = (4.0 * (up2 - down2) / h[:, None] - (up - down) / (2.0 * h[:, None])) / 3.0
-    return d[:, :-1], d[:, -1], float(np.max(np.abs(_itau_gradients(m.spec, P))))
+    return d[:, :-1], d[:, -1], f[-1], float(np.max(np.abs(_itau_gradients(m.spec, P))))
 
 
 def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
@@ -470,15 +473,15 @@ def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
     gamma = m.connection()
     d_itau = float(np.max(np.abs(m.itau_gradient())))
     if d_itau <= _ITAU_FLAT:
-        H, grad, d_rows = _first_differences(m)
+        H, grad, at, d_rows = _first_differences(m)
         d_itau = max(d_itau, d_rows)
     if d_itau > _ITAU_FLAT:
         return GeometryReport(m.theta, G, gamma, m.potential(), None, math.nan,
                               float(np.max(np.abs(gamma))), d_itau, "not_applicable",
                               "tau-mass varies across the family; the Hessian-potential "
                               "identity requires it constant")
-    defect = float(max(np.max(np.abs(H - G)), np.max(np.abs(grad - _tau_moments(spec, m.p)))))
-    return GeometryReport(m.theta, G, gamma, m.potential(), H, defect,
+    defect = float(max(np.max(np.abs(H - G)), np.max(np.abs(grad - at[:-1]))))
+    return GeometryReport(m.theta, G, gamma, float(at[-1]), H, defect,
                           float(np.max(np.abs(gamma))), d_itau, "ok")
 
 
@@ -491,7 +494,8 @@ def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float
     m2 = _member(spec, th2, m.warm(th2)) if m.flat() else None
     if m2 is None or not m2.flat():
         raise DomainError("canonical divergence check needs a constant tau-mass")
-    canon = m2.potential() - m.potential() + float((m.theta - th2) @ _tau_moments(spec, m.p))
+    phi2, phi = _potential(spec, np.array([m2.psi, m.psi]), np.stack([m2.p, m.p]))
+    canon = phi2 - phi + float((m.theta - th2) @ _tau_moments(spec, m.p))
     return abs(canon - divergence(spec, m.p, m2.p))
 
 
@@ -544,63 +548,91 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
                         restarts: int = 10, seed: int = 0) -> ProjectionResult:
     """Member of the family matching the tau-moments of rho.
 
-    Solves I_{T tau}(p_theta) = I_{T tau}(rho) by damped Newton with the
-    analytic Jacobian; the tau-mass mismatch is reported as a residual
-    (it is an extra constraint only when tau != id).
+    Solves I_{T tau}(p) = I_{T tau}(rho) and sum mu p = 1 for (theta, psi)
+    by one damped Newton.  A gauge with exp_fn takes p = exp_fn(u - psi),
+    u = <theta, T> - c; any other gauge carries p in the x of
+    ``_coordinate`` and adds r = ell(p) - u + psi = 0.  With chi = 1/ell'(p),
+    a = mu tau' chi and b = mu chi, dp = chi (dtheta T - dpsi - r) gives one
+    (n+1)-square system for (dtheta, dpsi); p moves by dp (dx = dp / (dt/dx),
+    capped at _FLAT_DX).  No psi is solved per step.  A step is halved while
+    theta leaves theta_box, x leaves ``_X_TABLE``, p leaves I or the merit
+    max(|F|, |r|) does not drop.  It stops when the moment residual is at
+    most tol * scale and |sum mu p - 1| at most _MASS_TOL, and without exp_fn
+    once a full step below _NEWTON_SETTLED has been taken.  The tau-mass
+    mismatch is reported as a residual (an extra constraint only when tau != id).
     """
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
     scale = max(1.0, float(np.max(np.abs(target))))
+    g, w, T, d = spec.gauge, spec.base.weights, spec.T, derived(spec.gauge)
+    tmap, xmap = _coordinate(g.I)
+    p0 = 1.0 / w.sum()  # the cold start; in I, since rho in I has sum mu rho = 1
+    x0, ell0 = xmap(p0), float(d.ell.value(p0))
+    ones = np.ones(w.size)
+    S = np.vstack([T, -ones])  # d(u - psi) = (dtheta, dpsi) @ S
 
-    def F_and_J(th, near=None):
-        m = _member(spec, th, None if near is None else near.warm(th))
-        F = _tau_moments(spec, m.p) - target
-        J = (spec.T * m.tau_w) @ m.resid.T
-        return F, J, m
-
-    rng = np.random.default_rng(seed)
-    n = spec.dim
-    starts = [np.zeros(n) if theta0 is None else _theta_vec(spec, theta0)]
-    for _ in range(restarts):
-        if spec.theta_box is not None:
-            starts.append(rng.uniform(spec.theta_box[:, 0], spec.theta_box[:, 1]))
+    def evaluate(th, psi, x):
+        """p, dt/dx, F = (moments, mass), r, and whether the point is admissible."""
+        u = th @ T - spec.c
+        if g.exp_fn is not None:
+            p, dtdx, ok = np.asarray(exp_htau(g, u - psi), dtype=float), None, True
         else:
-            starts.append(rng.normal(scale=1.0, size=n))
+            (p, dtdx), ok = tmap(x), np.all((x >= _X_TABLE[0]) & (x <= _X_TABLE[-1]))
+        r = np.zeros_like(p) if dtdx is None else np.asarray(d.ell.value(p), dtype=float) - u + psi
+        F = np.append(_tau_moments(spec, p) - target, p @ w - 1.0)
+        return p, dtdx, F, r, bool(ok and _in_box(spec, th) and np.all(g.I.contains(p)))
+
+    def starts():  # drawn only when a start fails
+        yield np.zeros(spec.dim) if theta0 is None else _theta_vec(spec, theta0)
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
+            if spec.theta_box is not None:
+                yield rng.uniform(spec.theta_box[:, 0], spec.theta_box[:, 1])
+            else:
+                yield rng.normal(scale=1.0, size=spec.dim)
 
     best = None
     total_iter = 0
-    for th0 in starts:
-        th = np.asarray(th0, dtype=float).copy()
-        try:
-            F, J, m = F_and_J(th)
-        except (InfeasibleError, DomainError):
-            continue
-        for it in range(max_iter):
-            total_iter += 1
-            norm = float(np.max(np.abs(F)))
-            if best is None or norm < best[0]:
-                best = (norm, th.copy(), m.p)
-            if norm <= tol * scale:
-                itau_res = abs(float(_tau_mass(spec, m.p)) - float(_tau_mass(spec, rho)))
-                return ProjectionResult(th, m.p, norm, itau_res, total_iter)
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            alpha = 1.0
-            while alpha >= 1e-8:
-                try:
-                    F_new, J_new, m_new = F_and_J(th + alpha * step, m)
-                except (InfeasibleError, DomainError):
-                    alpha *= 0.5
-                    continue
-                if np.max(np.abs(F_new)) < (1 - 1e-4 * alpha) * np.max(np.abs(F)):
-                    th = th + alpha * step
-                    F, J, m = F_new, J_new, m_new
+    with np.errstate(all="ignore"):
+        for th0 in starts():
+            th = np.asarray(th0, dtype=float).copy()
+            psi, x = float((th @ T - spec.c) @ w) * p0 - ell0, np.full(w.size, x0)
+            p, dtdx, F, r, ok = evaluate(th, psi, x)
+            if not ok:
+                continue
+            settled = g.exp_fn is not None
+            for _ in range(max_iter):
+                total_iter += 1
+                norm = float(np.abs(F[:-1]).max())
+                if best is None or norm < best[0]:
+                    best = (norm, th.copy(), p)
+                done = norm <= tol * scale and abs(F[-1]) <= _MASS_TOL
+                if done and settled:
+                    itau_res = abs(float(_tau_mass(spec, p)) - float(_tau_mass(spec, rho)))
+                    return ProjectionResult(th, p, norm, itau_res, total_iter)
+                chi = np.asarray(d.chi.value(p), dtype=float)
+                R = np.vstack([T * np.asarray(g.tau.d1(p), dtype=float), ones]) * (w * chi)
+                try:  # J = R S^T: rows T a and b, columns (T, -1)
+                    step = np.linalg.solve(R @ S.T, R @ r - F)
+                except np.linalg.LinAlgError:
                     break
-                alpha *= 0.5
-            else:
-                break
+                dx = 0.0 if dtdx is None else np.clip(
+                    chi * (step @ S - r) / dtdx, -_FLAT_DX, _FLAT_DX)
+                small = dtdx is not None and max(
+                    np.abs(dx).max(), abs(step[-1]) / max(1.0, abs(psi))) <= _NEWTON_SETTLED
+                merit = max(np.abs(F).max(), np.abs(r).max())
+                alpha = 1.0
+                while alpha >= 1e-8:
+                    trial = (th + alpha * step[:-1], psi + alpha * step[-1], x + alpha * dx)
+                    p_t, dtdx_t, F_t, r_t, ok = evaluate(*trial)
+                    if ok and (small and done or max(np.abs(F_t).max(), np.abs(r_t).max())
+                               < (1 - 1e-4 * alpha) * merit):
+                        (th, psi, x), p, dtdx, F, r = trial, p_t, dtdx_t, F_t, r_t
+                        settled = g.exp_fn is not None or small and alpha == 1.0
+                        break
+                    alpha *= 0.5
+                else:
+                    break
     raise NoSolutionError(
         "moment matching did not converge; the constraints may be infeasible",
         best=None if best is None else {"theta": best[1], "residual": best[0]})

@@ -494,7 +494,7 @@ def test_eta_jacobian_is_metric_plus_itau_term(kind, seed):
     m = dc._member(spec, th)
     d_itau = m.itau_gradient()
     assert np.max(np.abs(d_itau)) > 1e-3
-    H, grad_phi, _ = dc._first_differences(m)
+    H, grad_phi, _, _ = dc._first_differences(m)
     tol = 1e-10 * max(1.0, np.max(np.abs(H)))
     np.testing.assert_allclose(H, m.metric() + np.outer(d_itau, m.grad), rtol=0, atol=tol)
     np.testing.assert_allclose(grad_phi, dc._tau_moments(spec, m.p) + m.psi * d_itau,
@@ -652,6 +652,95 @@ def test_project_reports_no_solution_when_boxed_out():
     rho = np.array([0.01, 0.04, 0.95])
     with pytest.raises(NoSolutionError):
         dc.pythagorean_project(spec, rho, max_iter=20, restarts=3)
+
+
+def projection_family(kind, q, bounded, boxed, m, n, seed):
+    """A family on the named gauge, on I = (0.5, 10) when bounded, and a rho
+    with the tau-moments of one of its members: that member plus a step
+    along which neither the mass nor any moment moves (tau is affine in t on
+    every gauge drawn here)."""
+    I = Interval(0.5, 10.0) if bounded else Interval(0.0, math.inf)
+    g = {"kl": lambda: builtin_gauge("kl", interval=I),
+         "power": lambda: builtin_gauge("power", q=q, interval=I),
+         "pair": lambda: pair_gauge(I=I),
+         "transformed": lambda: apply_equivalence(pair_gauge(I=I), BENCH_TRANSFORM)}[kind]()
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, size=m)
+    w /= w.sum()
+    T = rng.normal(size=(n, m))
+    th = rng.normal(scale=0.3, size=n)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w), g, T, np.zeros(m))
+    while True:  # on the bounded I a member needs every density value above 0.5
+        try:
+            p = dc.normalize(spec, th)[1]
+            break
+        except InfeasibleError:
+            th = th / 2
+    if boxed:
+        half = rng.uniform(0.05, 0.5, size=n)
+        spec = replace(spec, theta_box=np.column_stack([th - half, th + half]))
+    null = np.linalg.svd(np.vstack([T, np.ones(m)]) * w)[2][n + 1:]
+    delta = rng.normal(size=m - n - 1) @ null
+    room = np.min(p - I.lo) / max(np.max(np.abs(delta)), 1e-300)
+    return spec, p + rng.uniform(0.0, 0.9) * room * delta
+
+
+@given(kind=st.sampled_from(["kl", "power", "pair", "transformed"]), q=st.floats(1.2, 1.8),
+       bounded=st.booleans(), boxed=st.booleans(), m=st.integers(2, 12), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="pair", q=1.5, bounded=True, boxed=True, m=6, n=2, seed=3)
+@example(kind="power", q=1.5, bounded=True, boxed=False, m=8, n=1, seed=4)
+@settings(max_examples=40)
+def test_projection_is_a_member_with_the_moments_of_rho(kind, q, bounded, boxed, m, n, seed):
+    spec, rho = projection_family(kind, q, bounded, boxed, m, min(n, m - 1), seed)
+    target = dc._tau_moments(spec, rho)
+    res = dc.pythagorean_project(spec, rho)
+    np.testing.assert_allclose(dc.normalize(spec, res.theta)[1], res.p, rtol=0, atol=1e-10)
+    scale = max(1.0, float(np.max(np.abs(target))))
+    assert np.max(np.abs(dc._tau_moments(spec, res.p) - target)) <= 1e-10 * scale
+    dc.density_vector(spec, res.p)
+
+
+def test_projection_solves_no_psi(monkeypatch):
+    # the projection is one Newton on (theta, psi) and the density; it never
+    # normalizes a trial theta
+    calls = []
+    solve = dc._solve_psi
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(dc, "_solve_psi", counted)
+    for g in (builtin_gauge("kl"), builtin_gauge("power", q=1.5), pair_gauge(),
+              apply_equivalence(pair_gauge(), BENCH_TRANSFORM)):
+        spec = sub_spec(g, m=4)
+        rho = np.array([0.1, 0.2, 0.3, 0.4])
+        assert dc.pythagorean_project(spec, rho).moment_residual <= 1e-10
+        assert dc.entropy_max_check(spec, rho).maximized
+    assert calls == []
+
+
+def test_projection_halves_a_step_that_leaves_the_domain_of_exp_q():
+    # exp_q with q = 1.5 is defined for arguments below 2 only; from the cold
+    # start the full first step takes one atom to about 3, so the step is
+    # halved, and the projection still recovers rho, a member (its first
+    # three atoms share T)
+    g = builtin_gauge("power", q=1.5)
+    args = []
+
+    def recorded(u):
+        args.append(float(np.max(u)))
+        return g.exp_fn(u)
+
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(4)), replace(g, exp_fn=recorded),
+                                 np.array([[-1.0, -1.0, -1.0, 0.5]]), np.zeros(4))
+    rho = np.array([0.04, 0.04, 0.04, 0.88])
+    res = dc.pythagorean_project(spec, rho)
+    assert args[1] >= g.ell_range[1]
+    assert args[2] == pytest.approx(0.5 * (args[0] + args[1]), rel=1e-12)
+    assert res.moment_residual <= 1e-10
+    assert res.p == pytest.approx(rho, abs=1e-12)
 
 
 def test_member_projection_is_identity_on_entropy():
