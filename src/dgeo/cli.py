@@ -23,6 +23,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -307,7 +308,10 @@ def cmd_qgauss_sample(args) -> int:
 
 def cmd_qgauss_mle(args) -> int:
     if args.data:
-        x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
+        try:
+            x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
+        except ValueError as exc:  # a non-numeric field, or rows of unequal length
+            raise _MalformedInput(f"{args.data}: {exc}") from exc
     elif args.x:
         x = _floats(args.x)
     else:
@@ -510,6 +514,21 @@ _VERBS = (
 )
 
 
+# the float-list flags: argparse reads a value such as "-0.1,0.3" as an option,
+# so _glue_lists joins one that starts with a minus sign to its flag with "="
+_LISTS = ("--theta", "--theta2", "--rho", "--v", "--x", "--grid", "--eps-grid", "--S")
+
+
+def _glue_lists(argv: list) -> list:
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LISTS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dgeo", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
@@ -536,7 +555,7 @@ def main(argv=None) -> int:
                "debug": logging.DEBUG}.get(level, logging.ERROR),
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except _MalformedInput as exc:

@@ -216,11 +216,12 @@ def repetition(params: QGaussianParams, k: int) -> RepetitionLaw:
 
 
 def joint_density(law: RepetitionLaw, x) -> np.ndarray | float:
-    """Joint density at x (shape (..., k, d)); a product of Gaussians at q = 1."""
+    """Joint density at x (shape (..., k, d)); a product of Gaussians at q = 1.
+    A 2-d x is one point, of shape exactly (k, d)."""
     p = law.base
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 2
-    pts = x.reshape((-1, law.k, p.d)) if squeeze else x
+    pts = x[None] if squeeze else x
     if pts.shape[-2:] != (law.k, p.d) or not np.all(np.isfinite(pts)):
         raise DomainError(f"points must be finite, with trailing shape ({law.k}, {p.d})")
     dx = pts - p.v

@@ -549,6 +549,35 @@ def test_bad_input_exits_2_with_message(capsys, argv, message):
     assert captured.err == f"invalid: {message}\n"
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("discrete normalize --spec {escort} --theta -0.1,0.3", 0),
+    ("discrete normalize --spec {coin} --theta -1e-1", 0),
+    ("discrete divergence --spec {escort} --theta 0.1,0.2 --theta2 -0.1,0.3", 0),
+    ("discrete project --spec {escort} --rho -0.2,0.7,0.5", 2),
+    ("qgauss density --q 1.5 --d 2 --v -0.5,0.2 --x 0.3,0.1", 0),
+    ("qgauss density --q 1.5 --d 2 --x -0.3,0.1", 0),
+    ("qgauss marginal-check --q 1.5 --k 1 --kprime 1 --grid -0.5,0.5", 0),
+    ("lln bounds --q 1.5 --k 100 --eps 0.5 --eps-grid -0.5,1.0", 2),
+    ("qgauss lambda --q 1.5 --d 2 --S -1,0;0,1", 2),
+], ids=["theta", "theta-exponent", "theta2", "rho", "v", "x", "grid", "eps-grid", "S"])
+def test_float_lists_may_start_with_a_minus_sign(capsys, coin_file, escort_file, argv, code):
+    # argparse takes "-0.1,0.3" for an option; the value must reach the verb,
+    # which either runs (0) or rejects it with its own message (2)
+    argv = shlex.split(argv.format(coin=coin_file, escort=escort_file))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("invalid: ")
+
+
+def test_mle_data_with_a_non_numeric_field_exits_1(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,x\n")
+    code = cli.main(["qgauss", "mle", "--q", "1.5", "--k", "2", "--data", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: could not convert string 'a'")
+
+
 def test_non_finite_q_exits_2(capsys):
     code = cli.main(["qgauss", "density", "--q", "nan", "--d", "1", "--x", "0.3"])
     assert code == 2

@@ -73,6 +73,16 @@ def test_densities_reject_non_finite_points(bad):
         qg.joint_density(qg.repetition(p, 2), [[0.3, 0.1], [bad, 0.0]])
 
 
+@pytest.mark.parametrize("x", [[[1.0, 2.0, 3.0]], np.zeros((4, 2)), np.zeros((2, 2, 1))],
+                         ids=["size-3", "two-points-as-2d", "wrong-trailing-3d"])
+def test_joint_density_rejects_points_of_the_wrong_shape(x):
+    # a 2-d input is one (k, d) point: a (2k, d) one used to return the
+    # density of its first half, and one of size != k d a bare reshape error
+    law = qg.repetition(qg.QGaussianParams(1.5, 2, [0.0, 0.0], np.eye(2)), 2)
+    with pytest.raises(DomainError, match="trailing shape"):
+        qg.joint_density(law, x)
+
+
 def test_params_keep_private_read_only_arrays():
     # density and the cached t forms trust the checked v and S, so neither the
     # caller's arrays nor writes into p.v and p.S may change them afterwards
