@@ -558,8 +558,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     theta leaves theta_box, x leaves ``_X_TABLE``, p leaves I or the merit
     max(|F|, |r|) does not drop.  It stops when the moment residual is at
     most tol * scale and |sum mu p - 1| at most _MASS_TOL, and without exp_fn
-    once a full step below _NEWTON_SETTLED has been taken.  The tau-mass
-    mismatch is reported as a residual (an extra constraint only when tau != id).
+    once a full step below _NEWTON_SETTLED has been taken.  Each start
+    begins cold (psi = the mu-mean of u minus ell(1 / sum(mu)), p = 1 / sum(mu));
+    a start whose iteration stops short, its cold p outside I or its step
+    stalled at the edge of theta_box, is taken once more from the member at
+    its theta, the only psi-solve.  The tau-mass mismatch is reported as a
+    residual (an extra constraint only when tau != id).
     """
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
@@ -582,7 +586,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
         F = np.append(_tau_moments(spec, p) - target, p @ w - 1.0)
         return p, dtdx, F, r, bool(ok and _in_box(spec, th) and np.all(g.I.contains(p)))
 
-    def starts():  # drawn only when a start fails
+    def thetas():
         yield np.zeros(spec.dim) if theta0 is None else _theta_vec(spec, theta0)
         rng = np.random.default_rng(seed)
         for _ in range(restarts):
@@ -591,12 +595,18 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
             else:
                 yield rng.normal(scale=1.0, size=spec.dim)
 
+    def starts():  # (theta, psi, x), each drawn only when the one before fails
+        for th in thetas():
+            yield th, float((th @ T - spec.c) @ w) * p0 - ell0, np.full(w.size, x0)
+            if _in_box(spec, th):  # once more, from the member at th
+                psi, P, has = _solve_psi(spec, th[None])
+                if has[0]:
+                    yield th, float(psi[0]), xmap(P[0])
+
     best = None
     total_iter = 0
     with np.errstate(all="ignore"):
-        for th0 in starts():
-            th = np.asarray(th0, dtype=float).copy()
-            psi, x = float((th @ T - spec.c) @ w) * p0 - ell0, np.full(w.size, x0)
+        for th, psi, x in starts():
             p, dtdx, F, r, ok = evaluate(th, psi, x)
             if not ok:
                 continue

@@ -743,6 +743,35 @@ def test_projection_halves_a_step_that_leaves_the_domain_of_exp_q():
     assert res.p == pytest.approx(rho, abs=1e-12)
 
 
+def test_projection_keeps_a_start_whose_cold_density_leaves_I():
+    # theta_box excludes 0 and every start theta in it has a member, but the
+    # cold density of its first atom, exp(0.95 theta) >= 13, lies above
+    # I = (0.5, 10); the start is taken again from its member
+    g = builtin_gauge("kl", interval=Interval(0.5, 10.0))
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(np.array([0.05, 0.95])), g,
+                                 np.array([[1.0, 0.0]]), np.zeros(2),
+                                 theta_box=np.array([[2.7, 2.9]]))
+    rho = dc.normalize(spec, [2.854])[1]
+    res = dc.pythagorean_project(spec, rho)
+    assert res.theta == pytest.approx([2.854], abs=1e-9)
+    assert res.p == pytest.approx(rho, abs=1e-10)
+
+
+@pytest.mark.parametrize("kind,w1", [("power", 0.4), ("escort", 0.5), ("pair", 0.5)])
+def test_projection_retries_a_start_whose_cold_newton_stalls(kind, w1):
+    # from a cold start (mass far from one) the joint step leaves theta_box
+    # and the iteration stalls at its edge; the same start, taken again from
+    # its member, converges (one psi-solve for that start)
+    g = pair_gauge() if kind == "pair" else builtin_gauge(kind, q=1.5)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(np.array([w1, 1.0 - w1])), g,
+                                 np.array([[1.0, 0.0]]), np.zeros(2),
+                                 theta_box=np.array([[2.75, 3.25]]))
+    rho = dc.normalize(spec, [3.0])[1]
+    res = dc.pythagorean_project(spec, rho)
+    assert res.theta == pytest.approx([3.0], abs=1e-9)
+    assert res.p == pytest.approx(rho, abs=1e-10)
+
+
 def test_member_projection_is_identity_on_entropy():
     spec = sub_spec(builtin_gauge("kl"), m=3)
     _, p = dc.normalize(spec, [0.4])
