@@ -514,15 +514,13 @@ _VERBS = (
 )
 
 
-# the float-list flags: argparse reads a value such as "-0.1,0.3" as an option,
-# so _glue_lists joins one that starts with a minus sign to its flag with "="
-_LISTS = ("--theta", "--theta2", "--rho", "--v", "--x", "--grid", "--eps-grid", "--S")
-
-
-def _glue_lists(argv: list) -> list:
+def _glue_negatives(argv: list) -> list:
+    """argv with a value that starts with a minus sign and a digit or a dot
+    joined to the flag before it with "=": argparse reads "-0.1,0.3" or
+    "-1e-3" as an option, and no flag of dgeo looks like a number."""
     out = []
     for arg in argv:
-        if out and out[-1] in _LISTS and re.match(r"-[\d.]", arg):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -555,7 +553,7 @@ def main(argv=None) -> int:
                "debug": logging.DEBUG}.get(level, logging.ERROR),
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(_glue_lists(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_glue_negatives(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except _MalformedInput as exc:

@@ -559,10 +559,15 @@ def test_bad_input_exits_2_with_message(capsys, argv, message):
     ("qgauss marginal-check --q 1.5 --k 1 --kprime 1 --grid -0.5,0.5", 0),
     ("lln bounds --q 1.5 --k 100 --eps 0.5 --eps-grid -0.5,1.0", 2),
     ("qgauss lambda --q 1.5 --d 2 --S -1,0;0,1", 2),
-], ids=["theta", "theta-exponent", "theta2", "rho", "v", "x", "grid", "eps-grid", "S"])
-def test_float_lists_may_start_with_a_minus_sign(capsys, coin_file, escort_file, argv, code):
-    # argparse takes "-0.1,0.3" for an option; the value must reach the verb,
-    # which either runs (0) or rejects it with its own message (2)
+    ("""gauge eval --gauge '{{"kind":"kl"}}' --fn d --x 0.5 --y -1e-3""", 2),
+    ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --a1 -1e-3 --n 2""", 0),
+    ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --a2 -.5 --n 2""", 0),
+    ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --lam -1e-3 --n 2""", 2),
+], ids=["theta", "theta-exponent", "theta2", "rho", "v", "x", "grid", "eps-grid", "S", "y",
+        "a1", "a2-dot", "lam"])
+def test_negative_values_reach_the_verb(capsys, coin_file, escort_file, argv, code):
+    # argparse takes "-0.1,0.3" or "-1e-3" for an option; the value must reach
+    # the verb, which either runs (0) or rejects it with its own message (2)
     argv = shlex.split(argv.format(coin=coin_file, escort=escort_file))
     assert cli.main(argv) == code
     err = capsys.readouterr().err
