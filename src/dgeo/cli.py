@@ -145,6 +145,7 @@ def cmd_gauge_eval(args) -> int:
             fn = getattr(der, args.fn)
         except AttributeError:
             raise DomainError(f"unknown function {args.fn!r}")
+        g.I.require(args.x, "--x")  # every derived function lives on I
         val = float(fn.value(args.x))
     print(repr(float(val)))
     return EXIT_OK

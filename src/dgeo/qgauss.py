@@ -18,8 +18,9 @@ same for every k.  For q = 1 both are i.i.d. Gaussians: B = S^{-1}/(2 beta_k),
 dof = inf and mass 1.
 
 _t_form builds (mass, dof, B) once per law and form, and sampling, moments
-and escort integrals read it by index.  The dense dk-by-dk matrices are
-built only by the public views embed_joint, joint_t_params and escort_cov.
+and escort integrals read it by index.  The dense dk-by-dk matrices exist
+only in the public views embed_joint, joint_t_params and escort_cov, each
+written block by block by _block_diag.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _check_spd(S: np.ndarray, name: str = "S") -> np.ndarray:
         raise DomainError(f"{name} must be square")
     if not np.all(np.isfinite(S)):
         raise DomainError(f"{name} must be finite")
-    if not np.allclose(S, S.T, rtol=0, atol=1e-12):
+    if np.max(np.abs(S - S.T)) > 1e-12:  # decides as allclose(S, S.T, rtol=0, atol=1e-12)
         raise DomainError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(S)) <= 0:
         raise DomainError(f"{name} must be positive definite")
@@ -104,7 +105,8 @@ class QGaussianParams:
         S = _check_spd(np.array(self.S, dtype=float))
         if S.shape != (self.d, self.d):
             raise DomainError(f"S must be ({self.d}, {self.d})")
-        if self.variant == "identity" and not np.allclose(S, np.eye(self.d), atol=1e-12):
+        eye = np.eye(self.d)  # the next test decides as allclose(S, eye, atol=1e-12)
+        if self.variant == "identity" and np.any(np.abs(S - eye) > 1e-12 + 1e-5 * eye):
             raise DomainError("identity variant requires S = I")
         if self.variant == "trace_d" and abs(np.trace(S) - self.d) > 1e-10:
             raise DomainError("trace_d variant requires tr S = d")
@@ -141,7 +143,7 @@ def density(params: QGaussianParams, x) -> np.ndarray | float:
     if pts.shape[-1] != params.d or not np.all(np.isfinite(pts)):
         raise DomainError(f"points must be finite, with trailing dimension {params.d}")
     dx = pts - params.v
-    Q = np.einsum("...i,ij,...j->...", dx, params.S, dx)
+    Q = np.einsum("...i,...i->...", dx @ params.S, dx)
     lam = _lambda(params.q, params.d, params.S)
     out = _exp_q_pow(-Q - lam, params.q, 1.0)
     return float(out[0]) if squeeze else out
@@ -225,9 +227,20 @@ def joint_density(law: RepetitionLaw, x) -> np.ndarray | float:
     if pts.shape[-2:] != (law.k, p.d) or not np.all(np.isfinite(pts)):
         raise DomainError(f"points must be finite, with trailing shape ({law.k}, {p.d})")
     dx = pts - p.v
-    Q = law.beta_k * np.einsum("...ki,ij,...kj->...", dx, p.S, dx)
+    Q = law.beta_k * np.einsum("...ki,...ki->...", dx @ p.S, dx)
     out = _exp_q_pow(-Q - law.nu_k, p.q, law.a_k)
     return float(out.reshape(-1)[0]) if squeeze else out
+
+
+def _block_diag(k: int, B: np.ndarray) -> np.ndarray:
+    """I_k (x) B as a dense (kd, kd) array, with B written into the k
+    diagonal blocks of zeros.  That is O(k d^2) writes instead of the
+    O((kd)^2) products of the Kronecker product, which it equals except that
+    every off-block zero is +0.0 (the product gives -0.0 where B < 0)."""
+    d = B.shape[0]
+    out = np.zeros((k, d, k, d))
+    out[np.arange(k), :, np.arange(k), :] = B
+    return out.reshape(k * d, k * d)
 
 
 def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
@@ -236,11 +249,12 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
     Returns (V, Sigma, lam) with rho = exp_{q_k}(-|x - V|^2_Sigma - lam),
     where Sigma = a_k beta_k (I_k (x) S) and lam = a_k nu_k, which equals
     the closed-form normalizer of the embedded family.  Sigma is a dense
-    O((kd)^2) view kept for callers; the library itself never builds it.
+    O((kd)^2) view from _block_diag, kept for callers; the library itself
+    never builds it.
     """
     p = law.base
     V = np.tile(p.v, law.k)
-    Sigma = law.a_k * law.beta_k * np.kron(np.eye(law.k), p.S)
+    Sigma = _block_diag(law.k, law.a_k * law.beta_k * p.S)
     return V, Sigma, law.a_k * law.nu_k
 
 
@@ -297,11 +311,11 @@ def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
     """Student-t form (dof, location, scale) of the joint on R^{dk}.
 
     The scale is I_k (x) B; for q = 1 it is the Gaussian covariance and dof
-    is inf.  The scale is a dense O((kd)^2) view kept for callers; the
-    library itself never builds it.
+    is inf.  The scale is a dense O((kd)^2) view from _block_diag, kept for
+    callers; the library itself never builds it.
     """
     f = law._joint
-    return f.dof, np.tile(law.base.v, law.k), np.kron(np.eye(law.k), f.block)
+    return f.dof, np.tile(law.base.v, law.k), _block_diag(law.k, f.block)
 
 
 def joint_factor(law: RepetitionLaw) -> tuple[float, np.ndarray]:
@@ -356,11 +370,11 @@ def escort_mean(law: RepetitionLaw) -> np.ndarray:
 def escort_cov(law: RepetitionLaw) -> np.ndarray:
     """Covariance of the normalized escort law on R^{dk}.
 
-    A dense O((kd)^2) view kept for callers; the library itself never
-    builds it.
+    A dense O((kd)^2) view from _block_diag, kept for callers; the library
+    itself never builds it.
     """
     f = law._escort
-    return np.kron(np.eye(law.k), f.second(f.block))
+    return _block_diag(law.k, f.second(f.block))
 
 
 def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
@@ -505,7 +519,7 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
 
     dx = xs.reshape(-1, k, d) - pb.v
     q, a, beta, n = pb.q, law_big.a_k, law_big.beta_k, d * kp
-    z0 = beta * np.einsum("rmi,ij,rmj->r", dx, pb.S, dx)[:, None] + law_big.nu_k
+    z0 = beta * np.einsum("rmi,rmi->r", dx @ pb.S, dx)[:, None] + law_big.nu_k
     log_c = math.log(2.0) + n / 2 * math.log(math.pi / beta) - gammaln(n / 2) \
         - kp / 2 * np.linalg.slogdet(pb.S)[1]
 
@@ -572,6 +586,15 @@ class MLEResult:
     converged: bool
 
 
+@lru_cache(maxsize=8)
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(d), read-only, as every caller shares it."""
+    iu = np.triu_indices(d)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def _slice_tangents(law: RepetitionLaw, family: str) -> list[np.ndarray]:
     """Tangent directions of the fitted family in one block of the ambient
     statistic space (linear parts then quadratic parts i <= j).  The full
@@ -583,7 +606,7 @@ def _slice_tangents(law: RepetitionLaw, family: str) -> list[np.ndarray]:
     """
     p, d = law.base, law.base.d
     c = law.a_k * law.beta_k
-    iu = np.triu_indices(d)
+    iu = _triu(d)
     Sig = c * p.S
     tangents = [np.concatenate([2.0 * Sig[:, l], np.zeros(iu[0].size)]) for l in range(d)]
     if family == "full" and d >= 2:
@@ -615,7 +638,7 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, family: str) -> floa
     p = law.base
     d, k = p.d, law.k
     f = law._escort
-    iu = np.triu_indices(d)
+    iu = _triu(d)
     second = np.outer(p.v, p.v) + f.second(f.block)
     r = f.mass * np.concatenate([k * p.v - x.sum(axis=0), (k * second - x.T @ x)[iu]])
 

@@ -55,6 +55,14 @@ def test_gauge_eval_kernel(capsys):
     assert float(out) == pytest.approx(2 * math.log(2) - 1, rel=1e-12)
 
 
+@pytest.mark.parametrize("fn, x", [("chi", "-2"), ("ell", "-1e-3"), ("gamma", "0")])
+def test_gauge_eval_outside_interval_exits_2(capsys, fn, x):
+    code = cli.main(["gauge", "eval", "--gauge", '{"kind":"kl"}', "--fn", fn, "--x", x])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.strip() == "invalid: --x outside the open interval (0.0, inf)"
+
+
 def test_gauge_conjugate_matches_library(capsys):
     code, out = run(capsys, "gauge", "conjugate", "--gauge", '{"kind":"kl"}',
                     "--x", "1.0")

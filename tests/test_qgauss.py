@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, multivariate_t
 
 from conftest import ks_critical, ks_statistic_vs_density, tan_quad
 from dgeo.errors import DomainError, InfeasibleError
@@ -44,6 +45,50 @@ def test_variant_constraints():
 def test_s_must_be_spd():
     with pytest.raises(DomainError):
         qg.QGaussianParams(1.2, 2, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("gap", [0.9e-12, 1e-12, 1.1e-12, -1.1e-12])
+def test_symmetry_test_decides_as_allclose(gap):
+    S = np.eye(2)
+    S[0, 1] = gap  # |S - S^T| is exactly |gap|
+    if np.allclose(S, S.T, rtol=0, atol=1e-12):
+        assert abs(gap) <= 1e-12
+        qg._check_spd(S)
+    else:
+        assert abs(gap) > 1e-12
+        with pytest.raises(DomainError, match="must be symmetric"):
+            qg._check_spd(S)
+
+
+IDENTITY_TOL = 1e-12 + 1e-5  # np.allclose(S, I, atol=1e-12) on a diagonal entry
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("diag,off", [(1.0 + IDENTITY_TOL * (1 - 1e-6), 0.0),
+                                      (1.0 + IDENTITY_TOL * (1 + 1e-6), 0.0),
+                                      (1.0 - IDENTITY_TOL * (1 - 1e-6), 0.0),
+                                      (1.0 - IDENTITY_TOL * (1 + 1e-6), 0.0),
+                                      (1.0, 0.9e-12), (1.0, 1.1e-12)])
+def test_identity_variant_decides_as_allclose(d, diag, off):
+    S = np.full((d, d), off)
+    np.fill_diagonal(S, diag)
+    if np.allclose(S, np.eye(d), atol=1e-12):
+        qg.QGaussianParams(1.2, d, np.zeros(d), S, variant="identity")
+    else:
+        with pytest.raises(DomainError, match="identity variant"):
+            qg.QGaussianParams(1.2, d, np.zeros(d), S, variant="identity")
+    # the margins sit on both sides of the rule
+    assert np.allclose(S, np.eye(d), atol=1e-12) == (
+        abs(diag - 1.0) <= IDENTITY_TOL and (d == 1 or off <= 1e-12))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_s_fails_before_the_symmetry_test(bad):
+    S = np.array([[1.0, bad], [0.0, 1.0]])  # also asymmetric
+    with pytest.raises(DomainError, match="must be finite"):
+        qg._check_spd(S)
+    with pytest.raises(DomainError, match="must be finite"):
+        qg.QGaussianParams(1.2, 2, np.zeros(2), S, variant="identity")
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
@@ -170,6 +215,37 @@ def test_density_q1_matches_gaussian():
 def test_density_positive_everywhere():
     p = qg.QGaussianParams(1.5, 1, [0.0], [[1.0]])
     assert qg.density(p, [50.0]) > 0.0
+
+
+def t_oracle(q, v, M, lam, x):
+    """scipy's multivariate t density of exp_q(-|x - v|^2_M - lam) on R^D:
+    dof 2/(q-1) - D and shape (1 + (q-1) lam)/((q-1) dof) M^-1."""
+    dof = 2.0 / (q - 1.0) - M.shape[0]
+    shape = (1.0 + (q - 1.0) * lam) / ((q - 1.0) * dof) * np.linalg.inv(M)
+    return multivariate_t(v, shape, df=dof).pdf(x)
+
+
+def test_densities_match_scipy_multivariate_t():
+    """density against lambda_q's t form, and joint_density against the
+    embedded law exp_{q_k}(-|x - V|^2_Sigma - a_k nu_k), Sigma = a_k beta_k
+    (I_k (x) S), on R^{dk}.  q - 1 stays above 5% of its range: near q = 1
+    the large dof costs scipy's log-gamma difference its last digits."""
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        q = 1.0 + rng.uniform(0.05, 0.95) * 1.9 / d
+        A = rng.normal(scale=0.7, size=(d, d))
+        S, v = A @ A.T + 0.5 * np.eye(d), rng.normal(size=d)
+        p = qg.QGaussianParams(q, d, v, S)
+        x = v + rng.normal(size=(50, d))
+        ref = t_oracle(q, v, S, qg.lambda_q(q, d, S), x)
+        np.testing.assert_allclose(qg.density(p, x), ref, rtol=1e-12, atol=0)
+
+        l = qg.repetition(p, k)
+        Sigma = l.a_k * l.beta_k * np.kron(np.eye(k), S)
+        X = v + rng.normal(size=(20, k, d))
+        ref = t_oracle(l.q_k, np.tile(v, k), Sigma, l.a_k * l.nu_k, X.reshape(20, d * k))
+        np.testing.assert_allclose(qg.joint_density(l, X), ref, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +423,39 @@ def test_marginal_q15_two_out():
     res = qg.marginal_check(law(1.5, k=3), law(1.5, k=1),
                             xs=np.array([-0.5, 0.0, 0.8]), epsabs=1e-9)
     assert res.max_defect <= 1e-5
+
+
+@st.composite
+def marginal_laws(draw):
+    """(law of k + k' repetitions, law of k) for q in {1} u [1.01, 1 + 1.9/d),
+    d <= 3, k, k' <= 4, an SPD S and a v."""
+    d = draw(st.integers(1, 3))
+    q = 1.0 + draw(st.one_of(st.just(0.0), st.floats(0.01, 1.9 / d, exclude_max=True)))
+    k, kp = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)))
+    S = A.reshape(d, d) @ A.reshape(d, d).T + 0.2 * np.eye(d)
+    v = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    p = qg.QGaussianParams(q, d, v, S)
+    return qg.repetition(p, k + kp), qg.repetition(p, k)
+
+
+def marginal_defect(big, small):
+    """Largest defect of marginal_check relative to the shorter joint."""
+    res = qg.marginal_check(big, small)
+    return float(np.max(res.defects / qg.joint_density(
+        small, res.points.reshape(-1, small.k, small.base.d))))
+
+
+@given(laws=marginal_laws())
+@settings(max_examples=200)
+def test_marginal_consistency_property(laws):
+    assert marginal_defect(*laws) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="_constants takes gammaln(1/(q_k - 1)) from the "
+                   "rounded q_k; below q = 1.01 the joints disagree by more than 1e-10")
+def test_marginal_consistency_near_q_one():
+    assert marginal_defect(law(1.001, k=3), law(1.001, k=1)) <= 1e-10
 
 
 def test_marginal_requires_shared_parameters():
@@ -703,6 +812,27 @@ def test_block_algebra_matches_dense_oracle(q, d, k):
     for a, b, c, e in quads:
         assert qg.central_fourth(l, a, b, c, e) == pytest.approx(
             dense_fourth(ref["scale"], ref["dof"], a, b, c, e), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_dense_views_equal_kronecker_products(q, d, k):
+    # S and S^-1 both have negative off-diagonal entries for d = 3, where the
+    # Kronecker product writes -0.0 off the blocks and the views +0.0
+    S = np.array([[1.7, -0.4, 0.3], [-0.4, 1.2, 0.5], [0.3, 0.5, 1.0]])[:d, :d]
+    l = qg.repetition(qg.QGaussianParams(q, d, np.linspace(0.4, -0.2, d), S), k)
+    if d == 3:
+        assert np.any(S < 0) and np.any(np.linalg.inv(S) < 0)
+    eye = np.eye(k)
+    f, e = l._joint, l._escort
+    _, _, scale = qg.joint_t_params(l)
+    _, Sigma, _ = qg.embed_joint(l)
+    for got, block in ((qg.escort_cov(l), e.second(e.block)), (scale, f.block),
+                       (Sigma, l.a_k * l.beta_k * S)):
+        assert np.array_equal(got, np.kron(eye, block))
+        off = np.kron(eye, np.ones((d, d))) == 0
+        assert not np.any(np.signbit(got[off]))
 
 
 def test_moment_index_out_of_range():
