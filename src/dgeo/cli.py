@@ -556,6 +556,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negatives(sys.argv[1:] if argv is None else list(argv)))
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative seed
+            raise DomainError("--seed must be a non-negative integer")
         return args.func(args)
     except _MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ draw has exactly the law of the shorter joint, so running averages along
 the path probe the dependent law of large numbers directly.  Paths are
 never materialised: the standard normals behind them stream through a
 fixed buffer and only their sums between checkpoints are kept, so memory
-is O(buffer + reps x checkpoints) whatever k_max is.  The module
+is O(buffer + reps x checkpoints) whatever k_max is.  Rep r draws from
+SeedSequence(seed, spawn_key=(r,)), hashed in bulk for all reps.  The module
 also evaluates the fourth-moment and second-moment Chebyshev-type tail
 bounds, compares them against empirical exceedance frequencies with
 Wilson confidence intervals, and demonstrates summability of the bound
@@ -67,8 +68,12 @@ class SimConfig:
             S = np.asarray(self.S, dtype=float)
             object.__setattr__(self, "S", tuple(tuple(row) for row in S))
         self.params()  # checks q, d, v and S, non-finite values included
-        if self.k_max < 1 or self.reps < 1:
-            raise DomainError("k_max and reps must be positive")
+        if self.k_max < 1 or not 1 <= self.reps < 2 ** 32:  # one-word spawn keys
+            raise DomainError("k_max must be positive and reps in [1, 2**32)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, not {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         if not self.eps_grid or not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
             raise DomainError("eps_grid must be a non-empty list of positive finite reals")
@@ -179,10 +184,52 @@ def _targets(cfg: SimConfig) -> np.ndarray:
 
 _CHUNK = 1 << 17  # standard normals per buffer fill in _run_reps
 
+# numpy's SeedSequence hash constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _M32 = (
+    0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED, 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF)
+
+
+def _child_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Row r - lo is SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64): numpy's
+    hash, in Python ints up to the spawn word r, then in uint32 arrays over r."""
+    h = _INIT_A
+
+    def hashmix(x, mult=_MULT_A):
+        nonlocal h
+        x, h = x ^ h, h * mult & _M32
+        x = x * h & _M32
+        return x ^ x >> 16
+
+    def mix(x, y):
+        x = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return x ^ x >> 16
+
+    ent = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    ent += [0] * (4 - len(ent))  # a spawned sequence pads the seed words to the pool size
+    pool = [hashmix(w) for w in ent[:4]]
+    for src, dst in [(i, j) for i in range(4) for j in range(4) if i != j]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in ent[4:] + [np.arange(lo, hi, dtype=np.uint32)]:  # later words, then r
+        pool = [mix(p, hashmix(w)) for p in pool]
+    h = _INIT_B  # generate_state: 8 words, 2 per uint64
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """One precomputed PCG64 seed, handed to PCG64 as a seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
 
 def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     """Averages for reps lo..hi-1; rep r uses child stream SeedSequence(seed, spawn_key=(r,)).
 
+    One _child_words call hashes the PCG64 seeds of all those streams.
     Streams the standard normals z of each path through one buffer of
     about _CHUNK numbers (B whole reps, or one rep K steps at a time) and
     keeps only the sums of z, and of z_i z_j for trace_d, over the pieces
@@ -202,9 +249,10 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     prod = np.empty(B * K if n_cols > d else 0)  # z_i z_j of one pair (i, j)
     v = np.asarray(cfg.v)
     out = np.empty((hi - lo, ks.size, n_cols))
+    words = _child_words(cfg.seed, lo, hi)
     for b0 in range(lo, hi, B):
-        rngs = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-                for r in range(b0, min(b0 + B, hi))]
+        rngs = [np.random.Generator(np.random.PCG64(_Words(w)))
+                for w in words[b0 - lo:b0 - lo + B]]
         nb = len(rngs)
         seg = np.zeros((nb, ks.size, n_cols))  # sums over the pieces between checkpoints
         for c0 in range(0, k_max, K):

@@ -515,7 +515,11 @@ def test_validate_malformed_qgauss_params_exits_2(capsys, tmp_path, params):
 @pytest.mark.parametrize("config", ['{"q": 1.5, "v": [0]}', '{"q": NaN, "d": 1, "v": [0]}',
                                     '{"q": 1.5, "d": 1, "v": [NaN]}',
                                     '{"q": 1.5, "d": 0, "v": []}',
-                                    '{"q": 1.5, "d": 1, "v": [0], "S": [[NaN]]}'])
+                                    '{"q": 1.5, "d": 1, "v": [0], "S": [[NaN]]}',
+                                    '{"q": 1.5, "d": 1, "v": [0], "seed": 1.5}',
+                                    '{"q": 1.5, "d": 1, "v": [0], "seed": true}',
+                                    '{"q": 1.5, "d": 1, "v": [0], "seed": -1}',
+                                    '{"q": 1.5, "d": 1, "v": [0], "reps": 4294967296}'])
 def test_validate_and_lln_run_agree_on_bad_configs(capsys, tmp_path, config):
     path = tmp_path / "cfg.json"
     path.write_text(config)
@@ -525,6 +529,30 @@ def test_validate_and_lln_run_agree_on_bad_configs(capsys, tmp_path, config):
     code = cli.main(["lln", "run", "--config", str(path)])
     assert code == 2
     assert capsys.readouterr().err.strip() == f"invalid: {problem}"
+
+
+SEED_VERBS = [
+    ("lln", "run", "--q", "1.5", "--k-max", "10", "--reps", "3"),
+    ("lln", "bounds", "--q", "1.5", "--k", "10", "--eps", "0.5"),
+    ("lln", "verify", "--q", "1.5", "--k-max", "10", "--reps", "100"),
+    ("lln", "summability", "--q", "1.5", "--eps", "0.5", "--k-terms", "10"),
+    ("qgauss", "sample", "--q", "1.5", "--k", "2", "--n", "3"),
+    ("gauge", "equiv-check", "--gauge", '{"kind":"kl"}', "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", SEED_VERBS, ids=lambda a: " ".join(a[:2]))
+def test_negative_seed_exits_2(capsys, argv):
+    for seed in ("-1", "-4"):
+        code = cli.main([*argv, "--seed", seed])
+        assert code == 2
+        assert capsys.readouterr().err == "invalid: --seed must be a non-negative integer\n"
+    with pytest.raises(SystemExit) as exc:  # argparse: not an integer
+        cli.main([*argv, "--seed", "1.5"])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+    # a seed of more than two words is a seed like any other
+    assert cli.main([*argv, "--seed", str(3 ** 90)]) == 0
 
 
 def test_malformed_json_exits_1_with_diagnostic(capsys, tmp_path):

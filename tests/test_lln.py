@@ -1,7 +1,10 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tan_quad
 from dgeo.errors import DomainError
@@ -40,6 +43,10 @@ def test_config_validation():
     {"q": 1.5, "d": 1, "v": [0.0], "variant": "diag"},
     {"q": "abc", "d": 1, "v": [0.0]},
     [1.5, 1, [0.0]],
+    {"q": 1.5, "d": 1, "v": [0.0], "seed": 1.5},
+    {"q": 1.5, "d": 1, "v": [0.0], "seed": True},
+    {"q": 1.5, "d": 1, "v": [0.0], "seed": -1},
+    {"q": 1.5, "d": 1, "v": [0.0], "seed": "3"},
 ])
 def test_config_from_json_rejects_malformed(obj):
     with pytest.raises(DomainError):
@@ -53,6 +60,22 @@ def test_config_from_json_inverts_to_json():
     # keys left out take the class defaults
     assert lln.SimConfig.from_json({"q": 1.5, "d": 1, "v": [0.0]}) == \
         lln.SimConfig(q=1.5, d=1, v=(0.0,))
+
+
+@pytest.mark.parametrize("kw", [dict(seed=-1), dict(seed=1.5), dict(seed=2.0), dict(seed=True),
+                                dict(seed=False), dict(seed=None), dict(seed="3"),
+                                dict(seed=np.float64(3.0)), dict(seed=np.int64(-2)),
+                                dict(reps=2 ** 32)])
+def test_config_rejects_bad_seed_and_reps(kw):
+    with pytest.raises(DomainError, match="seed|reps"):
+        cfg_15(**kw)
+
+
+def test_config_takes_any_non_negative_integer_seed():
+    for seed in (0, 2 ** 64 + 5, 3 ** 90, np.int64(7), np.uint32(8)):
+        cfg = cfg_15(seed=seed)
+        assert cfg.seed == seed and type(cfg.seed) is int
+    assert cfg_15(reps=2 ** 32 - 1).reps == 2 ** 32 - 1
 
 
 @pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.5, math.nan), (math.inf,)])
@@ -215,6 +238,59 @@ def test_rep_partitions_are_bitwise_equal(edges):
     edges = [cfg.reps if e is None else e for e in edges]
     parts = [lln._run_reps(cfg, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert np.array_equal(np.concatenate(parts), lln._run_reps(cfg, 0, cfg.reps))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 3 ** 90],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+5", "3^90"])
+def test_child_streams_match_numpy_seed_sequence(seed):
+    # numpy's own SeedSequence is the oracle; 3**90 has five seed words, so
+    # it takes the round that mixes in the seed words past the fourth
+    whole = lln._child_words(seed, 0, 5000)
+    rows = [(r, whole[r]) for r in (0, 1, 64, 65, 4999)]
+    rows += [(65, lln._child_words(seed, 60, 70)[5]),  # a window that starts at lo > 0
+             (2 ** 32 - 1, lln._child_words(seed, 2 ** 32 - 2, 2 ** 32)[1])]
+    for r, words in rows:
+        got = np.random.Generator(np.random.PCG64(lln._Words(words)))
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        assert got.bit_generator.state == ref.bit_generator.state, r
+        assert np.array_equal(got.standard_normal(1000), ref.standard_normal(1000)), r
+        assert got.chisquare(7.0) == ref.chisquare(7.0), r
+
+
+# SHA-256 of run_lln(SimConfig(**config)).averages_csv(), recorded when each
+# rep still built its own SeedSequence; the bulk hash must not change a byte
+AVERAGES_HASHES = [
+    (dict(q=1.3, d=2, v=(0.1, -0.2), variant="trace_d", k_max=1000, reps=300,
+          seed=2 ** 31 - 1, S=((1.2, 0.3), (0.3, 0.8))),
+     "766cb9dabcae9fb6fd7914be4fd3acab61eedf91c6c4aee75226805cf33392d3"),
+    (dict(q=1.5, d=1, v=(0.7,), k_max=300_001, reps=2, seed=3 ** 90),
+     "fe9bf3383b92e9b1bc1a9bb3e626750a22e94950cb9b7e6ef62bf9c0772612f7"),
+    (dict(q=1.0, d=1, v=(0.0,), k_max=20, reps=70, seed=0),
+     "ce882851ae1f80e53c5fa133172ea2fafc071d685654f034feaf4a141acd55bd"),
+]
+
+
+@pytest.mark.parametrize("config,digest", AVERAGES_HASHES, ids=["d2-trace", "d1-long", "q1"])
+def test_averages_bit_identical(config, digest):
+    csv = lln.run_lln(lln.SimConfig(**config)).averages_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2 ** 70), d=st.sampled_from([1, 2]),
+       variant=st.sampled_from(["identity", "trace_d"]), q=st.sampled_from([1.0, 1.3]),
+       k_max=st.integers(1, 300), chunk=st.sampled_from([None, 500]), data=st.data())
+def test_rep_partition_property(seed, d, variant, q, k_max, chunk, data):
+    # a small buffer puts one rep in several fills (k_max > 250) or few reps in one
+    reps = data.draw(st.integers(1, 150), label="reps")
+    cuts = data.draw(st.lists(st.integers(0, reps), max_size=4), label="cuts")
+    edges = sorted({0, reps, *cuts})
+    cfg = lln.SimConfig(q=q, d=d, v=(0.5, -0.4)[:d], variant=variant, k_max=k_max,
+                        reps=reps, seed=seed)
+    with mock.patch.object(lln, "_CHUNK", chunk or lln._CHUNK):
+        parts = [lln._run_reps(cfg, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        whole = lln._run_reps(cfg, 0, reps)
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_memory_does_not_grow_with_path_length():
