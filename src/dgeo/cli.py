@@ -456,15 +456,16 @@ _FLAGS = {
     "--tol": dict(type=float, default=1e-10),
     "--format": dict(choices=("json", "csv"), default="json"),
 }
-# the simulation flags that every lln verb turns into a SimConfig; they parse
-# to None and _sim_config fills in _SIM_DEFAULTS, so that a flag given beside
-# --config shows even at its default value
+# the simulation flags that every lln verb turns into a SimConfig, --seed
+# among them; they parse to None and _sim_config fills in _SIM_DEFAULTS, so
+# that a flag given beside --config shows even at its default value
 _SIM_DEFAULTS = {"q": 1.5, "d": 1, "v": None, "variant": "identity", "k_max": 10_000,
-                 "reps": 100, "eps_grid": "0.25,0.5,1.0"}
+                 "reps": 100, "eps_grid": "0.25,0.5,1.0", "seed": 0}
 _SIM = (("--config", dict(default=None, help="simulation config JSON file")),
         ("--q", dict(type=float)), ("--d", dict(type=int)), "--v",
         ("--variant", dict(choices=("identity", "trace_d"))), ("--k-max", dict(type=int)),
         ("--reps", dict(type=int)), ("--eps-grid", {}))
+_SIM_SEED = ("--seed", dict(type=int))
 _FMT = ("--out", "--format")
 _VERBS = (
     ("gauge", "eval", cmd_gauge_eval,
@@ -505,11 +506,11 @@ _VERBS = (
     ("qgauss", "moments", cmd_qgauss_moments,
      ("--q", "--d", ("--k", dict(type=int, default=2)), ("--i", dict(type=int, default=0)),
       "--v", "--S", *_FMT)),
-    ("lln", "run", cmd_lln_run, (*_SIM, "--out", "--seed", "--workers", "--format")),
-    ("lln", "bounds", cmd_lln_bounds, (*_SIM, "--k", "--eps", "--out", "--seed", "--format")),
-    ("lln", "verify", cmd_lln_verify, (*_SIM, "--out", "--seed", "--workers", "--format")),
+    ("lln", "run", cmd_lln_run, (*_SIM, "--out", _SIM_SEED, "--workers", "--format")),
+    ("lln", "bounds", cmd_lln_bounds, (*_SIM, "--k", "--eps", "--out", _SIM_SEED, "--format")),
+    ("lln", "verify", cmd_lln_verify, (*_SIM, "--out", _SIM_SEED, "--workers", "--format")),
     ("lln", "summability", cmd_lln_summability,
-     (*_SIM, "--eps", ("--k-terms", dict(type=int, default=100_000)), "--out", "--seed",
+     (*_SIM, "--eps", ("--k-terms", dict(type=int, default=100_000)), "--out", _SIM_SEED,
       "--format")),
     ("validate", None, cmd_validate, (("path", {}),)),
 )
@@ -556,7 +557,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negatives(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if getattr(args, "seed", 0) < 0:  # numpy's SeedSequence takes no negative seed
+        if (getattr(args, "seed", None) or 0) < 0:  # SeedSequence takes no negative seed
             raise DomainError("--seed must be a non-negative integer")
         return args.func(args)
     except _MalformedInput as exc:

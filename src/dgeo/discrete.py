@@ -24,11 +24,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize  # noqa: F401  (unused; perfbench/tracer.py patches it)
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
 from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _rtsafe, derived,
                     d_htau, exp_htau, gauge_from_json, gauge_to_json)
+
+# Not scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks the
+# name up to save it before it patches in its brentq stand-in.  Goes with
+# that stand-in (ROADMAP item 2, the benchmark refresh).
+optimize = None
 
 __all__ = [
     "DiscreteBase",

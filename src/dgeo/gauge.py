@@ -39,10 +39,14 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize  # noqa: F401  (unused; perfbench/tracer.py patches both)
 from scipy.special import roots_legendre
 
 from .errors import DomainError, InfeasibleError
+
+# Not scipy's modules, which no dgeo code calls: perfbench/tracer.py looks
+# both names up to save them before it patches in its solver stand-ins.
+# They go with those stand-ins (ROADMAP item 2, the benchmark refresh).
+integrate = optimize = None
 
 __all__ = [
     "Interval",

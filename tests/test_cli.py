@@ -295,7 +295,8 @@ def test_lln_config_rejects_simulation_flags(capsys, tmp_path):
     code, out = run(capsys, *base)
     assert code == 0 and json.loads(out)["bound_F"] == 6.44011734364753e-05
     for flag, value in (("--q", "2.0"), ("--d", "1"), ("--v", "0"), ("--variant", "identity"),
-                        ("--k-max", "10"), ("--reps", "10"), ("--eps-grid", "0.5")):
+                        ("--k-max", "10"), ("--reps", "10"), ("--eps-grid", "0.5"),
+                        ("--seed", "9"), ("--seed", "0")):
         assert cli.main(base + [flag, value]) == 2
         assert capsys.readouterr().err.strip() == f"invalid: --config would ignore {flag}"
     assert cli.main(["lln", "run", "--config", str(path), "--q", "2.0", "--k-max", "5"]) == 2
