@@ -373,7 +373,8 @@ def cmd_lln_run(args) -> int:
 def cmd_lln_bounds(args) -> int:
     cfg = _sim_config(args)
     b = lln.chebyshev_bounds(cfg, args.k, args.eps)
-    _emit({"bound_F": b.bound_F, "bound_FF": b.bound_FF}, args)
+    _emit({"bound_F": b.bound_F, "bound_FF": b.bound_FF}, args,
+          config={**cfg.to_json(), "k": args.k, "eps": args.eps})
     return EXIT_OK
 
 
@@ -390,7 +391,7 @@ def cmd_lln_verify(args) -> int:
 def cmd_lln_summability(args) -> int:
     cfg = _sim_config(args)
     s = lln.borel_cantelli_summability(cfg, args.eps, k_terms=args.k_terms)
-    _emit(s.to_json(), args)
+    _emit(s.to_json(), args, config={**cfg.to_json(), "eps": args.eps, "k_terms": args.k_terms})
     return EXIT_OK
 
 

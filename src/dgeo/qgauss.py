@@ -17,10 +17,13 @@ which is 1 for the joint.  The joint's dof is 2/(q-1) + 3d and its B the
 same for every k.  For q = 1 both are i.i.d. Gaussians: B = S^{-1}/(2 beta_k),
 dof = inf and mass 1.
 
-_t_form builds (mass, dof, B) once per law and form, and sampling, moments
-and escort integrals read it by index.  The dense dk-by-dk matrices exist
-only in the public views embed_joint, joint_t_params and escort_cov, each
-written block by block by _block_diag.
+S is factored once per QGaussianParams: S^-1, log det S and lambda_q(S) are
+read-only values computed on first use.  _t_form builds (mass, dof, B) once
+per law and form from S^-1 and a closed-form determinant, and sampling,
+moments and escort integrals read it by index.  The quadratic forms of
+density, joint_density and marginal_check go through _quad_form.  The dense
+dk-by-dk matrices exist only in the public views embed_joint, joint_t_params
+and escort_cov, each written block by block by _block_diag.
 """
 
 from __future__ import annotations
@@ -120,11 +123,26 @@ class QGaussianParams:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    # S^-1, log det S and lambda_q(S), each computed on first use; S is a
+    # private read-only copy, so they stay valid
+    @cached_property
+    def _S_inv(self) -> np.ndarray:
+        S_inv = np.linalg.inv(self.S)
+        S_inv.setflags(write=False)
+        return S_inv
+
+    @cached_property
+    def _logdet(self) -> float:
+        return float(np.linalg.slogdet(self.S)[1])
+
+    @cached_property
+    def _lam(self) -> float:
+        return _lambda(self.q, self.d, self.S)
+
 
 def lambda_q(q: float, d: int, S) -> float:
     """Normalizer making exp_q(-|x-v|^2_S - lambda) integrate to one."""
-    p = QGaussianParams(q, d, [0.0] * d, S)
-    return _lambda(p.q, p.d, p.S)
+    return QGaussianParams(q, d, [0.0] * d, S)._lam
 
 
 def _lambda(q: float, d: int, S: np.ndarray) -> float:
@@ -146,21 +164,30 @@ def density(params: QGaussianParams, x) -> np.ndarray | float:
     pts = np.atleast_2d(x)
     if pts.shape[-1] != params.d or not np.all(np.isfinite(pts)):
         raise DomainError(f"points must be finite, with trailing dimension {params.d}")
-    dx = pts - params.v
-    Q = np.einsum("...i,...i->...", dx @ params.S, dx)
-    lam = _lambda(params.q, params.d, params.S)
-    out = _exp_q_pow(-Q - lam, params.q, 1.0)
+    Q = _quad_form(pts.reshape(-1, 1, params.d), params.v, params.S).reshape(pts.shape[:-1])
+    out = _exp_q_pow(-Q - params._lam, params.q, 1.0)
     return float(out[0]) if squeeze else out
 
 
-def _exp_q_pow(u, q: float, a: float):
+def _quad_form(x: np.ndarray, v: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Sum over m of |x_m - v|^2_S, shape (n,), for points x of shape (n, k, d).
+
+    The differences go into a (d, k, n) array, coordinate axes first, so that
+    every loop numpy runs is over the n points: the broadcast x - v runs n k
+    inner loops of length d, which at d <= 3 cost more than the arithmetic."""
+    n, k, d = x.shape
+    dx = np.subtract(x.T, v[:, None, None], order="C").reshape(d, k * n)
+    return np.einsum("jn,jn->n", (S @ dx).reshape(d * k, n), dx.reshape(d * k, n))
+
+
+def _exp_q_pow(u: np.ndarray, q: float, a: float) -> np.ndarray:
     """exp_q(u)**a, stable for q -> 1 handled by the exact q = 1 branch."""
-    u = np.asarray(u, dtype=float)
     if q == 1.0:
         return np.exp(a * u)
     base = 1.0 + (1.0 - q) * u
     with np.errstate(over="ignore"):
-        out = np.where(base > 0, np.maximum(base, 1e-300) ** (a / (1.0 - q)), np.inf)
+        out = np.maximum(base, 1e-300) ** (a / (1.0 - q))
+    out[base <= 0] = np.inf
     return out
 
 
@@ -230,8 +257,7 @@ def joint_density(law: RepetitionLaw, x) -> np.ndarray | float:
     pts = x[None] if squeeze else x
     if pts.shape[-2:] != (law.k, p.d) or not np.all(np.isfinite(pts)):
         raise DomainError(f"points must be finite, with trailing shape ({law.k}, {p.d})")
-    dx = pts - p.v
-    Q = law.beta_k * np.einsum("...ki,...ki->...", dx @ p.S, dx)
+    Q = law.beta_k * _quad_form(pts.reshape(-1, law.k, p.d), p.v, p.S).reshape(pts.shape[:-2])
     out = _exp_q_pow(-Q - law.nu_k, p.q, law.a_k)
     return float(out.reshape(-1)[0]) if squeeze else out
 
@@ -277,6 +303,7 @@ class _TForm:
     def entry(self, a: int, b: int) -> float:
         """Entry (a, b) of I_k (x) B, read without forming the matrix."""
         d = self.block.shape[0]
+        # _check_index's rule, inline: a moment reads up to 15 entries
         if not (0 <= a < self.k * d and 0 <= b < self.k * d):
             raise DomainError(f"coordinate index out of range 0..{self.k * d - 1}")
         return float(self.block[a % d, b % d]) if a // d == b // d else 0.0
@@ -294,20 +321,29 @@ class _TForm:
         return x * self.dof * self.dof / ((self.dof - 2.0) * (self.dof - 4.0))
 
 
+def _check_index(n: int, *idx: int) -> None:
+    """Raise DomainError unless every index is in 0..n-1: n = k d for a flat
+    coordinate of the joint, n = d for a coordinate of one repetition."""
+    for a in idx:
+        if not 0 <= a < n:
+            raise DomainError(f"coordinate index out of range 0..{n - 1}")
+
+
 def _t_form(law: RepetitionLaw, a: float) -> _TForm:
     """exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law; a = a_k gives
     the joint and a = a_k q_k the escort."""
     p = law.base
-    S_inv = np.linalg.inv(p.S)
     if p.q == 1.0:
-        return _TForm(1.0, math.inf, S_inv / (2.0 * law.beta_k), law.k)
+        return _TForm(1.0, math.inf, p._S_inv / (2.0 * law.beta_k), law.k)
     D = p.d * law.k
     s = a / (p.q - 1.0)
     dof = 2.0 * s - D  # > 0: s - D/2 >= 1/(q-1) + 3d/2 for a >= a_k
-    _, logdet = np.linalg.slogdet((p.q - 1.0) * law.beta_k * p.S / math.pi)
+    # log det((q-1) beta_k S/pi) with no determinant: by the definition of
+    # beta_k in _constants it is d (1 - q_k) gammaln(1/(q_k - 1))
+    logdet = p.d * (1.0 - law.q_k) * gammaln(1.0 / (law.q_k - 1.0))
     log_mass = (D / 2.0 - s) * math.log1p((p.q - 1.0) * law.nu_k) - 0.5 * law.k * logdet \
         + gammaln(s - D / 2.0) - gammaln(s)
-    block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * dof) * S_inv
+    block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * dof) * p._S_inv
     return _TForm(math.exp(log_mass), dof, block, law.k)
 
 
@@ -390,13 +426,14 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
     f = law._escort
     if idx is None:
         return f.mass
+    if len(idx) not in (1, 2):
+        raise DomainError("idx must be None, (a,) or (a, b)")
+    _check_index(law.k * law.base.d, *idx)
     V = escort_mean(law)
     if len(idx) == 1:
         return f.mass * float(V[idx[0]])
-    if len(idx) == 2:
-        a, b = idx
-        return f.mass * float(V[a] * V[b] + f.second(f.entry(a, b)))
-    raise DomainError("idx must be None, (a,) or (a, b)")
+    a, b = idx
+    return f.mass * float(V[a] * V[b] + f.second(f.entry(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +465,7 @@ class CoordinateMoments:
 
 def coordinate_moments(law: RepetitionLaw, i: int = 0) -> CoordinateMoments:
     """Moments of one coordinate of one repetition (any block, by symmetry)."""
-    if not 0 <= i < law.base.d:
-        raise DomainError("coordinate index out of range")
+    _check_index(law.base.d, i)
     v = float(law.base.v[i])
     var = central_second(law, i, i)
     c4 = central_fourth(law, i, i, i, i)
@@ -442,6 +478,7 @@ def fi_pair_moments(law: RepetitionLaw, i: int = 0) -> tuple[float, float]:
     """(E[Y1^4], E[Y1^2 Y2^2]) for coordinate i across two repetitions."""
     if law.k < 2:
         raise DomainError("pair moments need k >= 2")
+    _check_index(law.base.d, i)
     b = law.base.d + i
     return central_fourth(law, i, i, i, i), central_fourth(law, i, i, b, b)
 
@@ -451,6 +488,7 @@ def fij_pair_moments(law: RepetitionLaw, i: int = 0, j: int = 0) -> tuple[float,
     if law.k < 2:
         raise DomainError("pair moments need k >= 2")
     d = law.base.d
+    _check_index(d, i, j)
     vi, vj = float(law.base.v[i]), float(law.base.v[j])
     W_ij = central_second(law, i, j)
     W_ii = central_second(law, i, i)
@@ -521,11 +559,10 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise DomainError("points must be finite and not empty")
 
-    dx = xs.reshape(-1, k, d) - pb.v
     q, a, beta, n = pb.q, law_big.a_k, law_big.beta_k, d * kp
-    z0 = beta * np.einsum("rmi,rmi->r", dx @ pb.S, dx)[:, None] + law_big.nu_k
+    z0 = beta * _quad_form(xs.reshape(-1, k, d), pb.v, pb.S)[:, None] + law_big.nu_k
     log_c = math.log(2.0) + n / 2 * math.log(math.pi / beta) - gammaln(n / 2) \
-        - kp / 2 * np.linalg.slogdet(pb.S)[1]
+        - kp / 2 * pb._logdet
 
     def integral(n_nodes):
         t2, log_t, log_ws = _radial_rule(n_nodes)
@@ -599,10 +636,10 @@ def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _slice_tangents(law: RepetitionLaw, family: str) -> list[np.ndarray]:
+def _slice_tangents(law: RepetitionLaw, family: str) -> np.ndarray:
     """Tangent directions of the fitted family in one block of the ambient
-    statistic space (linear parts then quadratic parts i <= j).  The full
-    tangent repeats this block k times, once per repetition.
+    statistic space, one per row (linear parts then quadratic parts i <= j).
+    The full tangent repeats this block k times, once per repetition.
 
     The block is [2 Sig v, -(2 - delta_ij) Sig_ij] with Sig = a_k beta_k S.
     A move e of v gives [2 Sig e, 0].  As beta_k is proportional to
@@ -611,26 +648,28 @@ def _slice_tangents(law: RepetitionLaw, family: str) -> list[np.ndarray]:
     p, d = law.base, law.base.d
     c = law.a_k * law.beta_k
     iu = _triu(d)
-    Sig = c * p.S
-    tangents = [np.concatenate([2.0 * Sig[:, l], np.zeros(iu[0].size)]) for l in range(d)]
-    if family == "full" and d >= 2:
-        S_inv = np.linalg.inv(p.S)
-        # symmetric trace-free directions of S: E_ab + E_ba, and E_aa - E_dd
-        for a, b in zip(*iu):
-            if a == b == d - 1:
-                continue
-            E = np.zeros((d, d))
-            E[a, b] = E[b, a] = 1.0
-            if a == b:
-                E[d - 1, d - 1] = -1.0
-            dSig = c * (E - np.trace(S_inv @ E) / d * p.S)
-            tangents.append(np.concatenate([2.0 * dSig @ p.v,
-                                            -(2.0 - (iu[0] == iu[1])) * dSig[iu]]))
-    return tangents
+    lin = np.zeros((d, d + iu[0].size))
+    lin[:, :d] = 2.0 * (c * p.S).T
+    if family != "full" or d == 1:
+        return lin
+    # symmetric trace-free directions E of S: E_ab + E_ba, and E_aa - E_dd,
+    # for every a <= b but the last, a = b = d - 1
+    a, b = iu[0][:-1], iu[1][:-1]
+    m = np.arange(a.size)
+    E = np.zeros((a.size, d, d))
+    E[m, a, b] = E[m, b, a] = 1.0
+    E[m[a == b], d - 1, d - 1] = -1.0
+    tr = np.einsum("ij,mji->m", p._S_inv, E)  # tr(S^-1 E) for each E
+    dSig = c * (E - (tr / d)[:, None, None] * p.S)
+    quad = np.concatenate([2.0 * dSig @ p.v, -(2.0 - (iu[0] == iu[1])) * dSig[:, iu[0], iu[1]]],
+                          axis=1)
+    return np.concatenate([lin, quad])
 
 
-def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, family: str) -> float:
-    """Tangent-projected residual of the escort-moment condition.
+def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, xsum: np.ndarray,
+                         family: str) -> float:
+    """Tangent-projected residual of the escort-moment condition, for the
+    data x of shape (k, d) and its column sums xsum.
 
     At the maximizer the escort statistic integrals match the data
     statistics times the escort mass along every direction the family
@@ -644,14 +683,10 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, family: str) -> floa
     f = law._escort
     iu = _triu(d)
     second = np.outer(p.v, p.v) + f.second(f.block)
-    r = f.mass * np.concatenate([k * p.v - x.sum(axis=0), (k * second - x.T @ x)[iu]])
-
-    defect = 0.0
-    for u in _slice_tangents(law, family):
-        nrm = float(np.linalg.norm(u)) * math.sqrt(k)
-        if nrm > 0:
-            defect = max(defect, abs(float(u @ r)) / nrm)
-    return defect
+    r = f.mass * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
+    T = _slice_tangents(law, family)  # no row is zero, as S is positive definite
+    nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
+    return float(np.max(np.abs(T @ r) / nrm))
 
 
 def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLEResult:
@@ -667,6 +702,8 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3);
     iterations is always 0.
     """
+    if k < 1:
+        raise DomainError("k must be a positive integer")
     x = np.asarray(x, dtype=float)
     if x.size != k * d:
         raise DomainError(f"data must hold k*d = {k * d} values, not {x.size}")
@@ -676,7 +713,8 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     if family not in ("identity_mean_only", "full"):
         raise DomainError(f"unknown family {family!r}")
 
-    v = x.mean(axis=0)
+    xsum = x.sum(axis=0)
+    v = xsum / k  # the bits of x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
         S, variant = np.eye(d), "identity"
     else:
@@ -688,4 +726,4 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
         S *= d / np.trace(S)
         variant = "trace_d"
     law = repetition(QGaussianParams(q, d, v, S, variant), k)
-    return MLEResult(v, S, _stationarity_defect(law, x, family), 0, True)
+    return MLEResult(v, S, _stationarity_defect(law, x, xsum, family), 0, True)

@@ -303,6 +303,23 @@ def test_lln_config_rejects_simulation_flags(capsys, tmp_path):
     assert capsys.readouterr().err.strip() == "invalid: --config would ignore --q, --k-max"
 
 
+@pytest.mark.parametrize("verb,own", [("bounds", {"k": 100, "eps": 0.5}),
+                                      ("summability", {"eps": 0.5, "k_terms": 1000})])
+def test_lln_config_simulation_reaches_the_manifest(capsys, tmp_path, verb, own):
+    # the manifest records the simulation that ran, the config file's and not
+    # the CLI defaults, beside the verb's own flags
+    path = tmp_path / "cfg.json"
+    path.write_text('{"q": 2.0, "d": 1, "v": [0.5], "seed": 4}')
+    flags = [a for key, val in own.items() for a in (f"--{key.replace('_', '-')}", str(val))]
+    code, out = run(capsys, "lln", verb, "--config", str(path), *flags,
+                    "--out", str(tmp_path / "b"))
+    assert code == 0
+    manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    cfg = lln.SimConfig.from_json(json.loads(path.read_text()))
+    assert manifest["config"] == {**cfg.to_json(), **own}
+    assert manifest["config"]["q"] == 2.0 and manifest["seed"] == 4
+
+
 def test_lln_verify(capsys):
     code, out = run(capsys, "lln", "verify", "--q", "1.5", "--d", "1", "--v", "0.0",
                     "--k-max", "100", "--reps", "150", "--seed", "3",
@@ -573,12 +590,13 @@ def test_domain_error_exits_2(capsys):
 @pytest.mark.parametrize("argv,message", [
     ("qgauss mle --q 1.5 --k 3", "mle needs --data or --x"),
     ("qgauss mle --q 1.5 --k 3 --x 1,2", "data must hold k*d = 3 values, not 2"),
+    ("qgauss mle --q 1.5 --k 0 --x ,", "k must be a positive integer"),
     ("qgauss sample --q 1.5 --k 2 --n 0", "n must be a positive integer"),
     ("qgauss sample --q 1.5 --k 2 --n -1", "n must be a positive integer"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --n 0""", "--n must be a positive integer"),
     ("qgauss density --q 1.5 --x nan", "points must be finite, with trailing dimension 1"),
-], ids=["mle-no-data", "mle-wrong-count", "sample-n-0", "sample-n-negative", "equiv-n-0",
-        "density-nan"])
+], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
+        "equiv-n-0", "density-nan"])
 def test_bad_input_exits_2_with_message(capsys, argv, message):
     code = cli.main(shlex.split(argv))
     captured = capsys.readouterr()

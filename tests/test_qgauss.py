@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import gammaln
 from scipy.stats import multivariate_normal, multivariate_t
 
 from conftest import ks_critical, ks_statistic_vs_density, tan_quad
@@ -138,6 +141,50 @@ def test_params_keep_private_read_only_arrays():
     for arr in (p.v, p.S):
         with pytest.raises(ValueError):
             arr[0] = 2.0
+
+
+@pytest.mark.parametrize("q,d", [(1.0, 1), (1.0, 3), (1.3, 2), (1.5, 3)])
+def test_params_factor_s_once_into_read_only_values(q, d):
+    # S^-1, log det S and lambda_q(S) are computed once per QGaussianParams,
+    # with the bits of fresh inv, slogdet and _lambda calls, and cannot be
+    # written or replaced
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    p = qg.QGaussianParams(q, d, rng.normal(size=d), A @ A.T + 0.5 * np.eye(d))
+    assert np.array_equal(p._S_inv, np.linalg.inv(p.S))
+    assert p._logdet == np.linalg.slogdet(p.S)[1]
+    assert p._lam == qg._lambda(p.q, p.d, p.S)
+    assert p._S_inv is p._S_inv
+    with pytest.raises(ValueError):
+        p._S_inv[0, 0] = 2.0
+    for name in ("_S_inv", "_logdet", "_lam"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("k", [1, 3])
+def test_quad_form_matches_exact_einsum(d, k):
+    # the coordinate-first quadratic form against an einsum over exact
+    # rationals of the same float inputs, within 1e-15 Q
+    rng = np.random.default_rng(10 * d + k)
+    A = rng.normal(size=(d, d))
+    S, v = A @ A.T + 0.5 * np.eye(d), rng.normal(size=d)
+    x = v + rng.normal(scale=2.0, size=(12, k, d))
+    exact = np.frompyfunc(Fraction, 1, 1)
+    dx = exact(x) - exact(v)
+    ref = np.einsum("nki,ij,nkj->n", dx, exact(S), dx)
+    got = qg._quad_form(x, v, S)
+    assert got.shape == (12,)
+    for g, r in zip(got, ref):
+        assert abs(Fraction(g) - r) <= Fraction(1e-15) * r
+
+
+def test_exp_q_pow_is_inf_where_the_base_is_not_positive():
+    # exp_q(u) for q = 1.5 is (1 - u/2)^-2 while u < 2, and inf from u = 2 on
+    got = qg._exp_q_pow(np.array([-1.0, 0.5, 2.0, 3.0]), 1.5, 1.0)
+    assert got[0] == 1.5 ** -2 and got[1] == 0.75 ** -2
+    assert np.all(np.isinf(got[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +365,29 @@ def test_validation_and_t_forms_run_once(monkeypatch):
     qg.fi_pair_moments(l, 1), qg.coordinate_moments(l), qg.joint_factor(l)
     qg.escort_mass(l), qg.escort_cov(l), qg.escort_moment(l, (0, 1))
     assert calls == {"_constants": 1, "_t_form": 2}
+
+
+@pytest.mark.parametrize("q", [1.01, 1.3, 1.5])
+def test_t_form_log_det_closed_form_matches_slogdet(q):
+    # log det((q-1) beta_k S/pi) = d (1 - q_k) gammaln(1/(q_k - 1)) by the
+    # definition of beta_k; the t forms use it in place of slogdet, so their
+    # log masses move by at most k/2 times its difference
+    rng = np.random.default_rng(int(q * 100))
+    for d in (1, 2, 3):
+        if d * (q - 1.0) >= 2.0:
+            continue
+        A = rng.normal(size=(d, d))
+        S = A @ A.T + 0.5 * np.eye(d)
+        for k in range(1, 6):
+            l = law(q, d=d, k=k, S=S)
+            closed = d * (1.0 - l.q_k) * gammaln(1.0 / (l.q_k - 1.0))
+            logdet = np.linalg.slogdet((q - 1.0) * l.beta_k * S / math.pi)[1]
+            assert abs(closed - logdet) <= 1e-13
+            for a in (l.a_k, l.a_k * l.q_k):
+                s, D = a / (q - 1.0), d * k
+                ref = (D / 2 - s) * math.log1p((q - 1.0) * l.nu_k) - 0.5 * k * logdet \
+                    + gammaln(s - D / 2) - gammaln(s)
+                assert abs(math.log(qg._t_form(l, a).mass) - ref) <= 0.5 * k * 1e-13
 
 
 def test_embedding_normalizer_identity():
@@ -841,6 +911,16 @@ def test_moment_index_out_of_range():
         qg.central_second(l, 0, 6)
     with pytest.raises(DomainError):
         qg.central_fourth(l, -1, 0, 0, 0)
+    # flat escort coordinates run over 0..k d - 1 and the coordinates of one
+    # repetition over 0..d - 1; a negative index is no index from the end
+    l1 = law(1.5, d=1, k=3, v=[0.4])
+    for call in (lambda: qg.escort_moment(l1, (5,)), lambda: qg.escort_moment(l1, (0, 5)),
+                 lambda: qg.escort_moment(l1, (-1,)), lambda: qg.escort_moment(l1, (3, 0)),
+                 lambda: qg.fij_pair_moments(l1, 0, 3), lambda: qg.fij_pair_moments(l1, -1, 0),
+                 lambda: qg.fi_pair_moments(l1, 1), lambda: qg.coordinate_moments(l1, 1)):
+        with pytest.raises(DomainError, match="coordinate index out of range"):
+            call()
+    assert qg.escort_moment(l1, (2,)) == qg.escort_mass(l1) * 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +976,37 @@ def test_log_likelihood_stationarity_via_psi():
 # ---------------------------------------------------------------------------
 # maximum likelihood
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_mle_rejects_k_below_one_before_any_arithmetic(k):
+    # the suite turns RuntimeWarnings into errors, so a mean of no data fails here
+    with pytest.raises(DomainError, match="^k must be a positive integer$"):
+        qg.mle(1.5, 1, k, [])
+
+
+@pytest.mark.parametrize("d,k,family,most", [(1, 1600, "identity_mean_only", 3),
+                                             (2, 400, "full", 5)])
+def test_mle_factors_each_matrix_once(monkeypatch, d, k, family, most):
+    # one eigvalsh per checked matrix, one slogdet in _constants and one
+    # inv of S, shared by the t form and the tangents; the full fit adds the
+    # scatter's eigvalsh and inv.  Row norms of the tangents take no call
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, real))
+    x = np.random.default_rng(d).standard_t(7, size=(k, d))
+    res = qg.mle(1.3, d, k, x, family)
+    assert len(calls) <= most, calls
+    assert np.array_equal(res.v, x.mean(axis=0)) and res.defect <= 1e-6
 
 
 def test_mle_k1_returns_data_point():
