@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +311,9 @@ def cmd_qgauss_sample(args) -> int:
 def cmd_qgauss_mle(args) -> int:
     if args.data:
         try:
-            x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
+            with warnings.catch_warnings():  # an empty file: mle reports its 0 values
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
         except ValueError as exc:  # a non-numeric field, or rows of unequal length
             raise _MalformedInput(f"{args.data}: {exc}") from exc
     elif args.x:

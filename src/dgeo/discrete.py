@@ -188,8 +188,7 @@ def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
         return U @ w / w.sum() - c
 
     def member(P):
-        return np.all(np.isfinite(P) & (P > g.I.lo) & (P < g.I.hi), axis=1) \
-            & (np.abs(P @ w - 1.0) <= _MASS_TOL)
+        return ((P > g.I.lo) & (P < g.I.hi)).all(axis=1) & (np.abs(P @ w - 1.0) <= _MASS_TOL)
 
     psi0 = cold() if warm is None else np.broadcast_to(warm[0], (len(U),))
     if g.exp_fn is not None:
@@ -587,8 +586,8 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
         else:
             (p, dtdx), ok = tmap(x), np.all((x >= _X_TABLE[0]) & (x <= _X_TABLE[-1]))
         r = np.zeros_like(p) if dtdx is None else np.asarray(d.ell.value(p), dtype=float) - u + psi
-        F = np.append(_tau_moments(spec, p) - target, p @ w - 1.0)
-        return p, dtdx, F, r, bool(ok and _in_box(spec, th) and np.all(g.I.contains(p)))
+        F = np.concatenate((_tau_moments(spec, p) - target, [p @ w - 1.0]))
+        return p, dtdx, F, r, bool(ok and _in_box(spec, th) and g.I.contains(p).all())
 
     def thetas():
         yield np.zeros(spec.dim) if theta0 is None else _theta_vec(spec, theta0)

@@ -274,13 +274,14 @@ def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable
         u = np.asarray(u, dtype=float)
         if q == 1.0:
             core = np.exp(u - c)
-        else:  # (1 + a)**(1/(1-q)) through log1p(a), full precision as q -> 1
-            a = (1.0 - q) * (u - c)
-            with np.errstate(over="ignore", divide="ignore"):  # log1p(-1) = -inf
-                pow_ = np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
-            core = np.where(a > -1.0, pow_, np.inf if q > 1.0 else 0.0)
-        out = np.where(u >= hi_ell, np.inf, np.where(u <= lo_ell, 0.0, core))
-        return out if out.ndim else float(out)
+        else:  # (1 + a)**(1/(1-q)) by log1p, exact as q -> 1; a <= -1, NaN: log1p(-1) = -inf
+            with np.errstate(over="ignore", divide="ignore"):
+                core = np.exp(np.log1p(np.fmax((1.0 - q) * (u - c), -1.0)) / (1.0 - q))
+        if not core.ndim:
+            return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(core)
+        core[u <= lo_ell] = 0.0
+        core[u >= hi_ell] = math.inf
+        return core
 
     return exp_q
 
@@ -487,8 +488,13 @@ def _rtsafe(evaluate: Callable, x, a, b) -> np.ndarray:
     and bisects otherwise, and stops once a Newton step is below
     _NEWTON_SETTLED (the error is then about its square) or the bracket
     has shrunk to rounding.
+
+    One element takes the same iterates and evaluate calls on Python floats
+    (``_rtsafe_one``): numpy's per-call cost would dominate a one-row solve.
     """
     with np.errstate(all="ignore"):
+        if x.size == 1:
+            return np.array([_rtsafe_one(evaluate, x.item(), a.item(), b.item())])
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
         out = x.copy()
         live = np.arange(x.size)
@@ -512,6 +518,23 @@ def _rtsafe(evaluate: Callable, x, a, b) -> np.ndarray:
                 live, x_new, a, b, dx_old = (v[keep] for v in (live, x_new, a, b, dx_old))
             x = x_new
     return out
+
+
+def _rtsafe_one(evaluate: Callable, x: float, a: float, b: float) -> float:
+    """_rtsafe's iteration on one element, written so that NaN takes the same branches."""
+    live, x, dx_old = np.zeros(1, dtype=np.intp), (x if a < x < b else 0.5 * (a + b)), b - a
+    for _ in range(200):
+        g, dg = (v.item() for v in evaluate(np.array([x]), live))
+        a, b = (x if g < 0 else a), (x if g > 0 else b)
+        newton = x - (g / dg if dg else g * math.copysign(math.inf, dg))  # numpy's g / +-0
+        inside = a <= newton <= b
+        settled = inside and abs(newton - x) <= _NEWTON_SETTLED
+        bisect = not settled and (not inside or abs(2 * g) > abs(dx_old * dg))
+        x_old, x = x, (0.5 * (a + b) if bisect else newton)
+        dx_old = x - x_old
+        if settled or abs(dx_old) <= 4 * _EPS * max(abs(x_old), 1.0):  # max(nan, 1.0) is nan
+            break
+    return x
 
 
 _NEWTON_SETTLED = 1e-8

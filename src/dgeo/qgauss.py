@@ -239,7 +239,7 @@ def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, f
 
 def repetition(params: QGaussianParams, k: int) -> RepetitionLaw:
     """Constants (a_k, q_k, beta_k, nu_k) and the t degrees of freedom."""
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError("k must be a positive integer")
     q, d = params.q, params.d
     a_k, q_k, beta_k, nu_k = _constants(q, d, k, params.S)
@@ -702,7 +702,7 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3);
     iterations is always 0.
     """
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError("k must be a positive integer")
     x = np.asarray(x, dtype=float)
     if x.size != k * d:

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import settings
 from scipy import integrate
 
+from dgeo.gauge import _rtsafe
+
 # every @given test draws the same examples on every run
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
@@ -52,3 +54,20 @@ def ks_statistic_vs_density(samples, pdf, center=0.0):
 def ks_critical(n, alpha=0.01):
     """Asymptotic two-sided critical value of the KS statistic."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+
+
+def rtsafe_on_two_copies(evaluate, x, a, b, calls):
+    """gauge._rtsafe on the one element of x duplicated, so that the array loop
+    runs; each copy is evaluated alone, as the one-element path evaluates it
+    (numpy's matmul may round a 1-row product differently from a 2-row one).
+    Appends the number of evaluate rounds to calls and returns the root of
+    the first copy after checking that both copies agree bit for bit."""
+    def both(xs, live):
+        calls[-1] += 1
+        parts = [evaluate(xs[i:i + 1], live[i:i + 1] * 0) for i in range(xs.size)]
+        return tuple(np.concatenate(v) for v in zip(*parts))
+
+    calls.append(0)
+    out = _rtsafe(both, *(np.repeat(v, 2) for v in (x, a, b)))
+    assert out[0].tobytes() == out[1].tobytes()
+    return out[:1]

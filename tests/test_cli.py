@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -636,6 +638,21 @@ def test_mle_data_with_a_non_numeric_field_exits_1(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {path}: could not convert string 'a'")
+
+
+@pytest.mark.parametrize("text,header", [("", False), ("\n\n", False), ("x\n", True)],
+                         ids=["empty", "blank-lines", "header-only"])
+def test_mle_data_file_without_values_exits_2_without_a_warning(tmp_path, text, header):
+    # in a fresh interpreter, so that numpy's "loadtxt: input contained no
+    # data" UserWarning would reach stderr as it does from the command line
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    argv = ["qgauss", "mle", "--q", "1.5", "--k", "3", "--data", str(path)] + ["--header"] * header
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from dgeo.cli import main; sys.exit(main({argv!r}))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == "invalid: data must hold k*d = 3 values, not 0\n"
 
 
 def test_non_finite_q_exits_2(capsys):

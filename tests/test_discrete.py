@@ -10,6 +10,8 @@ from dgeo.errors import DomainError, InfeasibleError
 from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivalence,
                         builtin_gauge, derived, gauge_from_pair)
 from dgeo import discrete as dc
+from dgeo.gauge import _rtsafe
+from conftest import rtsafe_on_two_copies
 
 
 def coin_spec():
@@ -139,6 +141,40 @@ def test_batched_solve_flags_rows_without_a_member():
     psi, P, ok = dc._solve_psi(spec2, np.array([[0.0], [3.0]]))
     assert ok.tolist() == [True, False]   # theta = 3 needs p(x2) = 1/(1 + e^3) < 0.1
     assert P[0] == pytest.approx([0.5, 0.5], abs=1e-13)
+
+
+@pytest.mark.parametrize("kind,kw", [("kl", {}), ("power", {"q": 0.5}), ("power", {"q": 1.5}),
+                                     ("escort", {"q": 1.5}), ("scaled_log", {"lam": 2.0}),
+                                     ("kl", {"interval": Interval(0.5, 10.0)})],
+                         ids=["kl", "power0.5", "power1.5", "escort1.5", "scaled_log2", "kl-I"])
+def test_one_row_solve_is_the_batch_loop_on_that_row(monkeypatch, kind, kw):
+    # a one-row psi-solve runs _rtsafe on Python floats; the array loop on the
+    # row duplicated gives the same psi and P to the bit after as many
+    # evaluate calls.  theta up to 6 clips densities, and on I = (0.5, 10)
+    # some rows have no member.  (Row 0 of a two-row solve is not the
+    # reference: numpy may round a 1-row matmul differently from a 2-row one.)
+    rng = np.random.default_rng(17)
+    w = rng.uniform(0.5, 1.5, size=50)
+    w /= w.sum()
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w), builtin_gauge(kind, **kw),
+                                 rng.normal(size=(3, 50)), np.zeros(50))
+    one, two = [], []
+
+    def counted(evaluate, x, a, b):
+        one.append(0)
+
+        def ev(x, live):
+            one[-1] += 1
+            return evaluate(x, live)
+        return _rtsafe(ev, x, a, b)
+
+    for th in rng.normal(scale=0.3, size=(6, 3)).tolist() + [[6.0, -2.0, 1.0], [0.0, 0.0, 0.0]]:
+        monkeypatch.setattr(dc, "_rtsafe", counted)
+        got = dc._solve_psi(spec, np.array([th]))
+        monkeypatch.setattr(dc, "_rtsafe", lambda *args: rtsafe_on_two_copies(*args, two))
+        ref = dc._solve_psi(spec, np.array([th]))
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(got, ref))
+    assert one == two and len(one) == 8
 
 
 def test_geometry_checks_batch_their_solves(monkeypatch):

@@ -26,6 +26,8 @@ from dgeo import (
     gauge_to_json,
     legendre_conjugate,
 )
+from dgeo.gauge import _exp_q_factory, _ln_q_range, _rtsafe
+from conftest import rtsafe_on_two_copies
 
 
 def all_builtins():
@@ -388,6 +390,76 @@ def test_exp_rootfinding_relative_accuracy_against_mpmath(tr):
             ref = mpmath.exp(x)
             assert 0.0 < t < math.inf
             assert float(abs((t - ref) / ref)) <= 1e-12, (u, t)
+
+
+def _exp_q_nested_where(q, c, lo_ell, hi_ell, u):
+    """The nested-where exp_q that _exp_q_factory replaced, kept as the oracle."""
+    u = np.asarray(u, dtype=float)
+    if q == 1.0:
+        core = np.exp(u - c)
+    else:
+        a = (1.0 - q) * (u - c)
+        with np.errstate(over="ignore", divide="ignore"):
+            pow_ = np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
+        core = np.where(a > -1.0, pow_, np.inf if q > 1.0 else 0.0)
+    out = np.where(u >= hi_ell, np.inf, np.where(u <= lo_ell, 0.0, core))
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("I", [Interval(0.0, math.inf), Interval(0.2, math.inf),
+                               Interval(0.0, 3.0), Interval(0.5, 2.0)],
+                         ids=["0-inf", "0.2-inf", "0-3", "0.5-2"])
+def test_exp_q_matches_the_nested_where_form(q, I):
+    # NaN, +-inf, both clip ends and their neighbours, points beyond them and,
+    # for q != 1, a = (1 - q)(u - c) at and below -1, on arrays and 0-d input
+    c = 0.3
+    lo, hi = (v + c for v in _ln_q_range(q, I))
+    exp_q = _exp_q_factory(q, c, lo, hi)
+    u = [math.nan, math.inf, -math.inf, c, *np.linspace(-5.0, 5.0, 41)]
+    for e in (lo, hi):
+        if math.isfinite(e):
+            u += [e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf), e - 1.0, e + 1.0]
+    if q != 1.0:
+        u += [c - 1.0 / (1.0 - q), c - 2.0 / (1.0 - q), c - 1.0 / (1.0 - q) * (1 - 1e-15)]
+    u = np.array(u)
+    for arg in (u, u[None, :]):
+        got, ref = exp_q(arg), _exp_q_nested_where(q, c, lo, hi, arg)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    for v in u:
+        got, ref = exp_q(np.float64(v)), _exp_q_nested_where(q, c, lo, hi, v)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@pytest.mark.parametrize("g_of,x0,a,b", [
+    (lambda x: (x ** 3 - 2.0, 3.0 * x ** 2), 1.0, 0.0, 3.0),
+    (lambda x: (np.expm1(x), np.exp(x)), 0.5, 0.0, 1.0),
+    (lambda x: (x - 1.0, np.ones_like(x)), 1.5, -1.0, 1.0),
+    (lambda x: (np.where(x < 0, -1.0, x - 0.5), np.where(x < 0, 0.0, 1.0)), -2.0, -4.0, 2.0),
+    (lambda x: (np.where(x < 0, -1.0, x - 0.5), np.where(x < 0, -0.0, 1.0)), -2.0, -4.0, 2.0),
+    (lambda x: (np.fmax(x - 0.5, 0.0) + np.fmin(x + 0.5, 0.0), 1.0 * (np.abs(x) > 0.5)),
+     0.1, -2.0, 3.0),
+    (lambda x: (np.where(x > 2.0, np.nan, x - 1.0), np.ones_like(x)), 3.0, 0.0, 4.0),
+    (lambda x: (np.full_like(x, np.nan), np.ones_like(x)), 1.0, 0.0, 4.0),
+    (lambda x: (x - 1.0, np.ones_like(x)), math.nan, 0.0, 4.0),
+], ids=["interior", "root-at-a", "root-at-b", "dg+0", "dg-0", "g=dg=0", "nan-g-above-2",
+        "nan-g", "nan-start"])
+def test_rtsafe_one_element_is_the_array_loop(g_of, x0, a, b):
+    # the one-element path on Python floats against the array loop on the
+    # element duplicated: the same root to the bit and the same evaluate calls;
+    # g / 0 must give numpy's +-inf or NaN, not raise
+    calls = []
+
+    def counted(x, live):
+        calls.append(x.size)
+        return g_of(x)
+
+    root = _rtsafe(counted, *(np.array([v]) for v in (x0, a, b)))
+    rounds = []
+    ref = rtsafe_on_two_copies(lambda x, live: g_of(x), *(np.array([v]) for v in (x0, a, b)),
+                               rounds)
+    assert root.shape == (1,) and root.tobytes() == ref.tobytes()
+    assert calls == [1] * rounds[0]
 
 
 def GaugeTripleNoExp(g):

@@ -985,6 +985,18 @@ def test_mle_rejects_k_below_one_before_any_arithmetic(k):
         qg.mle(1.5, 1, k, [])
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_non_integer_k_is_rejected(k):
+    # repetition built a law at k = 2.5, and mle took 5 values as k*d = 2.5*2
+    # and then failed in reshape with a bare TypeError
+    p = qg.QGaussianParams(1.5, 2, [0.0, 0.0], np.eye(2))
+    with pytest.raises(DomainError, match="^k must be a positive integer$"):
+        qg.repetition(p, k)
+    with pytest.raises(DomainError, match="^k must be a positive integer$"):
+        qg.mle(1.5, 2, k, range(5))
+    assert qg.repetition(p, np.int64(2)).k == 2
+
+
 @pytest.mark.parametrize("d,k,family,most", [(1, 1600, "identity_mean_only", 3),
                                              (2, 400, "full", 5)])
 def test_mle_factors_each_matrix_once(monkeypatch, d, k, family, most):
