@@ -139,15 +139,15 @@ def _theta_vec(spec: DiscreteFamilySpec, theta) -> np.ndarray:
     return th
 
 
-def density_vector(spec: DiscreteFamilySpec, values, tol: float = 1e-10) -> np.ndarray:
-    """Validate a candidate density: values in I and weighted mass one."""
+def density_vector(spec: DiscreteFamilySpec, values) -> np.ndarray:
+    """Validate a candidate density: values in I and weighted mass one to 1e-10."""
     p = np.asarray(values, dtype=float)
     if p.shape != (spec.base.size,):
         raise DomainError(f"density must have length {spec.base.size}")
     spec.gauge.I.require(p, "density value")
     mass = float(spec.base.weights @ p)
-    if abs(mass - 1.0) > tol:
-        raise DomainError(f"density mass {mass} deviates from 1 beyond {tol}")
+    if abs(mass - 1.0) > 1e-10:
+        raise DomainError(f"density mass {mass} deviates from 1 beyond 1e-10")
     return p
 
 
@@ -162,6 +162,8 @@ _NO_MEMBER = "no member at this theta: the mass cannot reach one with every dens
 _FLAT_ITER = 40    # flat Newton steps before a row falls back to the bracketed path
 _FLAT_DX = 4.0     # cap on each flat Newton step, in the x of gauge._coordinate
 _MASS_TOL = 1e-12  # |sum mu p - 1| allowed of a member
+_PROJ_STEPS = 100  # Newton steps per projection start
+_PROJ_RESTARTS = 10  # random projection starts after theta = 0, drawn from default_rng(0)
 
 
 def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
@@ -546,9 +548,7 @@ class ProjectionResult:
     iterations: int
 
 
-def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
-                        tol: float = 1e-10, max_iter: int = 100,
-                        restarts: int = 10, seed: int = 0) -> ProjectionResult:
+def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> ProjectionResult:
     """Member of the family matching the tau-moments of rho.
 
     Solves I_{T tau}(p) = I_{T tau}(rho) and sum mu p = 1 for (theta, psi)
@@ -561,13 +561,17 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
     theta leaves theta_box, x leaves ``_X_TABLE``, p leaves I or the merit
     max(|F|, |r|) does not drop.  It stops when the moment residual is at
     most tol * scale and |sum mu p - 1| at most _MASS_TOL, and without exp_fn
-    once a full step below _NEWTON_SETTLED has been taken.  Each start
-    begins cold (psi = the mu-mean of u minus ell(1 / sum(mu)), p = 1 / sum(mu));
+    once a full step below _NEWTON_SETTLED has been taken, within
+    _PROJ_STEPS steps.  The starts are theta = 0, then _PROJ_RESTARTS draws
+    from default_rng(0), uniform in theta_box or N(0, 1) without one.  Each
+    start begins cold (psi = the mu-mean of u minus ell(1 / sum(mu)), p = 1 / sum(mu));
     a start whose iteration stops short, its cold p outside I or its step
     stalled at the edge of theta_box, is taken once more from the member at
     its theta, the only psi-solve.  The tau-mass mismatch is reported as a
     residual (an extra constraint only when tau != id).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tol must be a positive finite real")
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
     scale = max(1.0, float(np.max(np.abs(target))))
@@ -590,9 +594,9 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
         return p, dtdx, F, r, bool(ok and _in_box(spec, th) and g.I.contains(p).all())
 
     def thetas():
-        yield np.zeros(spec.dim) if theta0 is None else _theta_vec(spec, theta0)
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
+        yield np.zeros(spec.dim)
+        rng = np.random.default_rng(0)
+        for _ in range(_PROJ_RESTARTS):
             if spec.theta_box is not None:
                 yield rng.uniform(spec.theta_box[:, 0], spec.theta_box[:, 1])
             else:
@@ -614,7 +618,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, theta0=None,
             if not ok:
                 continue
             settled = g.exp_fn is not None
-            for _ in range(max_iter):
+            for _ in range(_PROJ_STEPS):
                 total_iter += 1
                 norm = float(np.abs(F[:-1]).max())
                 if best is None or norm < best[0]:
@@ -659,14 +663,14 @@ class EntropyMaxResult:
     projection: ProjectionResult
 
 
-def entropy_max_check(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> EntropyMaxResult:
-    """Projected member has no smaller entropy when the offset c vanishes."""
+def entropy_max_check(spec: DiscreteFamilySpec, rho) -> EntropyMaxResult:
+    """Projected member has no smaller entropy, to 1e-10, when the offset c vanishes."""
     if np.any(spec.c != 0):
         raise DomainError("entropy maximality requires a vanishing offset c")
     proj = pythagorean_project(spec, rho)
     e_rho = entropy(spec, rho)
     e_star = entropy(spec, proj.p)
-    return EntropyMaxResult(e_rho, e_star, e_star >= e_rho - tol, proj)
+    return EntropyMaxResult(e_rho, e_star, e_star >= e_rho - 1e-10, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +678,9 @@ def entropy_max_check(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Entr
 # ---------------------------------------------------------------------------
 
 
-def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2, thetas=None,
-                         seed: int = 0) -> float:
-    """Max density gap between a representation and its affine transform.
+def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2) -> float:
+    """Max density and psi gap between a representation and its affine
+    transform, at theta = 0 and 4 draws of N(0, 0.25) from default_rng(0).
 
     The transformed representation uses theta' = A theta + v1,
     T' = A^{-T}(T - v2 1^T) and c' = c + <A^{-1} v1, T - v2 1^T>, under
@@ -695,11 +699,9 @@ def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2, thetas=None,
     c2 = spec.c + np.linalg.solve(A, v1) @ (spec.T - v2[:, None])
     spec2 = DiscreteFamilySpec(spec.base, spec.gauge, T2, c2)
 
-    if thetas is None:
-        rng = np.random.default_rng(seed)
-        thetas = [np.zeros(n)] + [rng.normal(scale=0.5, size=n) for _ in range(4)]
-
-    ths = np.array([_theta_vec(spec, th) for th in thetas])
+    rng = np.random.default_rng(0)
+    ths = np.array([_theta_vec(spec, th) for th in
+                    [np.zeros(n)] + [rng.normal(scale=0.5, size=n) for _ in range(4)]])
     psi, P, ok = _solve_psi(spec, ths)
     psi2, P2, ok2 = _solve_psi(spec2, ths @ A.T + v1)
     if not (ok.all() and ok2.all()):

@@ -153,12 +153,6 @@ class ScalarFn:
     d2: Callable
     domain: Interval
 
-    @classmethod
-    def from_value(cls, value: Callable, domain: Interval) -> "ScalarFn":
-        """Wrap a plain callable, deriving d1/d2 by central differences."""
-        return cls(value=value, d1=_fd_d1(value, domain), d2=_fd_d2(value, domain),
-                   domain=domain)
-
     def __call__(self, t):
         return self.value(t)
 
@@ -193,8 +187,8 @@ class EquivalenceTransform:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError("equivalence transform requires lam > 0")
+        if not (all(map(math.isfinite, (self.a1, self.a2, self.a3, self.lam))) and self.lam > 0):
+            raise DomainError("equivalence transform requires finite a1, a2, a3 and lam > 0")
 
 
 @dataclass(frozen=True)
@@ -272,10 +266,10 @@ def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable
     lo_ell and to +inf at or above hi_ell."""
     def exp_q(u):
         u = np.asarray(u, dtype=float)
-        if q == 1.0:
-            core = np.exp(u - c)
-        else:  # (1 + a)**(1/(1-q)) by log1p, exact as q -> 1; a <= -1, NaN: log1p(-1) = -inf
-            with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):  # overflow is the clip to +inf
+            if q == 1.0:
+                core = np.exp(u - c)
+            else:  # (1 + a)**(1/(1-q)) by log1p, exact as q -> 1; a <= -1, NaN: log1p(-1) = -inf
                 core = np.exp(np.log1p(np.fmax((1.0 - q) * (u - c), -1.0)) / (1.0 - q))
         if not core.ndim:
             return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(core)

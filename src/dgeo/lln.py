@@ -373,17 +373,18 @@ def chebyshev_bounds(cfg: SimConfig, k: int, eps: float,
     bound_FF the second-moment inequality (``_bound_FF``) for F_ij, with the
     moments taken from the one- and two-fold joint laws.
     """
-    if k < 1 or eps <= 0:
-        raise DomainError("need k >= 1 and eps > 0")
+    if k < 1 or not (math.isfinite(eps) and eps > 0):
+        raise DomainError("need k >= 1 and a positive finite eps")
     law2 = qg.repetition(cfg.params(), 2)
     return BoundValues(bound_F=float(_bound_F(*qg.fi_pair_moments(law2, i), k, eps)),
                        bound_FF=float(_bound_FF(*qg.fij_pair_moments(law2, i, j), k, eps)))
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise DomainError("n must be positive")
+    z = _Z99
     phat = successes / n
     denom = 1.0 + z * z / n
     center = phat + z * z / (2 * n)

@@ -68,22 +68,19 @@ __all__ = [
     "fij_pair_moments",
     "marginal_check",
     "mle",
-    "natural_params",
-    "natural_to_location_scale",
-    "psi_natural",
 ]
 
 
-def _check_spd(S: np.ndarray, name: str = "S") -> np.ndarray:
+def _check_spd(S: np.ndarray) -> np.ndarray:
     S = np.atleast_2d(np.asarray(S, dtype=float))
     if S.shape[0] != S.shape[1]:
-        raise DomainError(f"{name} must be square")
+        raise DomainError("S must be square")
     if not np.all(np.isfinite(S)):
-        raise DomainError(f"{name} must be finite")
+        raise DomainError("S must be finite")
     if np.max(np.abs(S - S.T)) > 1e-12:  # decides as allclose(S, S.T, rtol=0, atol=1e-12)
-        raise DomainError(f"{name} must be symmetric")
+        raise DomainError("S must be symmetric")
     if np.min(np.linalg.eigvalsh(S)) <= 0:
-        raise DomainError(f"{name} must be positive definite")
+        raise DomainError("S must be positive definite")
     return S
 
 
@@ -573,44 +570,6 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     fine, abserr = _doubling(integral, 64, 4096, epsabs, 1e-10, "radial quadrature")
     target = joint_density(law_small, xs.reshape(-1, k, d))
     return MarginalCheckResult(xs, np.abs(fine - target), abserr)
-
-
-# ---------------------------------------------------------------------------
-# natural coordinates of the deformed Gaussian family on R^D
-# ---------------------------------------------------------------------------
-
-
-def natural_params(V, Sigma) -> np.ndarray:
-    """Natural coordinates of exp_q(-|x-V|^2_Sigma - psi): the linear part
-    2 Sigma V followed by -(2 - delta_ab) Sigma_ab for a <= b."""
-    V = np.asarray(V, dtype=float)
-    Sigma = _check_spd(Sigma, "Sigma")
-    D = V.size
-    iu = np.triu_indices(D)
-    lin = 2.0 * Sigma @ V
-    quad = -(2.0 - (iu[0] == iu[1])) * Sigma[iu]
-    return np.concatenate([lin, quad])
-
-
-def natural_to_location_scale(theta, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert natural_params; raises if the scale part is not positive."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != D + D * (D + 1) // 2:
-        raise DomainError("natural parameter has the wrong length")
-    lin, quad = theta[:D], theta[D:]
-    Sigma = np.zeros((D, D))
-    iu = np.triu_indices(D)
-    Sigma[iu] = -quad / (2.0 - (iu[0] == iu[1]))
-    Sigma = Sigma + Sigma.T - np.diag(np.diag(Sigma))
-    Sigma = _check_spd(Sigma, "scale part of theta")
-    V = np.linalg.solve(Sigma, lin) / 2.0
-    return V, Sigma
-
-
-def psi_natural(qp: float, theta, D: int) -> float:
-    """Normalizer |V|^2_Sigma + lambda_{qp}(Sigma) in natural coordinates."""
-    V, Sigma = natural_to_location_scale(theta, D)
-    return float(V @ Sigma @ V) + lambda_q(qp, D, Sigma)
 
 
 # ---------------------------------------------------------------------------

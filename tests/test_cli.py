@@ -65,6 +65,12 @@ def test_gauge_eval_outside_interval_exits_2(capsys, fn, x):
     assert err.strip() == "invalid: --x outside the open interval (0.0, inf)"
 
 
+@pytest.mark.parametrize("gauge", ['{"kind":"kl"}', '{"kind":"scaled_log","lam":2.0}'])
+def test_gauge_eval_exp_overflows_to_inf_without_a_warning(capsys, gauge):
+    code = cli.main(["gauge", "eval", "--gauge", gauge, "--fn", "exp", "--x", "800"])
+    assert code == 0 and capsys.readouterr() == ("inf\n", "")
+
+
 def test_gauge_conjugate_matches_library(capsys):
     code, out = run(capsys, "gauge", "conjugate", "--gauge", '{"kind":"kl"}',
                     "--x", "1.0")
@@ -597,10 +603,20 @@ def test_domain_error_exits_2(capsys):
     ("qgauss sample --q 1.5 --k 2 --n -1", "n must be a positive integer"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --n 0""", "--n must be a positive integer"),
     ("qgauss density --q 1.5 --x nan", "points must be finite, with trailing dimension 1"),
+    ("discrete project --spec {coin} --rho 0.5,0.5 --tol -1",
+     "tol must be a positive finite real"),
+    ("discrete project --spec {coin} --rho 0.5,0.5 --tol nan",
+     "tol must be a positive finite real"),
+    ("lln bounds --q 1.5 --k 100 --eps nan", "need k >= 1 and a positive finite eps"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a1 nan""",
+     "equivalence transform requires finite a1, a2, a3 and lam > 0"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --lam inf""",
+     "equivalence transform requires finite a1, a2, a3 and lam > 0"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
-        "equiv-n-0", "density-nan"])
-def test_bad_input_exits_2_with_message(capsys, argv, message):
-    code = cli.main(shlex.split(argv))
+        "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
+        "equiv-a1-nan", "equiv-lam-inf"])
+def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
+    code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"invalid: {message}\n"

@@ -687,7 +687,15 @@ def test_project_reports_no_solution_when_boxed_out():
                                  theta_box=np.array([[-0.01, 0.01]]))
     rho = np.array([0.01, 0.04, 0.95])
     with pytest.raises(NoSolutionError):
-        dc.pythagorean_project(spec, rho, max_iter=20, restarts=3)
+        dc.pythagorean_project(spec, rho)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_project_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # no residual meets a negative or NaN tol, so the projection would run
+    # every start and report that it did not converge
+    with pytest.raises(DomainError, match="tol must be a positive finite real"):
+        dc.pythagorean_project(coin_spec(), [0.5, 0.5], tol=tol)
 
 
 def projection_family(kind, q, bounded, boxed, m, n, seed):

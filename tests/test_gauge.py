@@ -26,7 +26,7 @@ from dgeo import (
     gauge_to_json,
     legendre_conjugate,
 )
-from dgeo.gauge import _exp_q_factory, _ln_q_range, _rtsafe
+from dgeo.gauge import _exp_q_factory, _fd_d1, _ln_q_range, _rtsafe
 from conftest import rtsafe_on_two_copies
 
 
@@ -162,10 +162,10 @@ def test_fd_stencil_stays_inside_the_domain():
     bare = GaugeTriple(kl.h, kl.tau, kl.I, "bare", kl.ell_range)
     ts = np.array([1e-6, 1e-5, 1e-3])
     assert np.allclose(derived(bare).gamma.value(ts), -ts ** -2.0, rtol=1e-6, atol=0)
-    f = ScalarFn.from_value(lambda t: np.sqrt((t - 0.5) * (2.0 - t)), Interval(0.5, 2.0))
+    d1 = _fd_d1(lambda t: np.sqrt((t - 0.5) * (2.0 - t)), Interval(0.5, 2.0))
     for t in (0.5 + 1e-6, 2.0 - 1e-6):
         exact = (2.5 - 2 * t) / (2 * math.sqrt((t - 0.5) * (2.0 - t)))
-        assert f.d1(t) == pytest.approx(exact, rel=1e-6)
+        assert d1(t) == pytest.approx(exact, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +351,16 @@ def test_exp_clipping_on_bounded_interval():
     assert exp_htau(g, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("g", [builtin_gauge("kl"), builtin_gauge("scaled_log", lam=2.0)],
+                         ids=lambda g: g.name)
+def test_exp_overflow_is_the_clip_to_inf(g):
+    # exp(u - c) overflows past u = 709 + c on q = 1, as the q != 1 branch
+    # does at its clip: inf, with no RuntimeWarning (an error in this suite)
+    assert exp_htau(g, 800.0) == math.inf
+    out = exp_htau(g, np.array([1.0, 800.0, 1e6]))
+    assert np.isfinite(out[0]) and np.all(out[1:] == math.inf)
+
+
 @pytest.mark.parametrize("g", all_builtins(), ids=lambda g: g.name)
 def test_exp_inverts_ell(g, rng):
     d = derived(g)
@@ -511,6 +521,14 @@ def test_transformed_exp_consistency(rng):
 def test_invalid_lambda_raises():
     with pytest.raises(DomainError):
         EquivalenceTransform(lam=-1.0)
+
+
+@pytest.mark.parametrize("field", ["a1", "a2", "a3", "lam"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_equivalence_transform_rejects_non_finite_values(field, value):
+    # a NaN shift makes every kernel value NaN, and lam = inf the interval (nan, inf)
+    with pytest.raises(DomainError, match="finite a1, a2, a3 and lam > 0"):
+        EquivalenceTransform(**{field: value})
 
 
 # ---------------------------------------------------------------------------

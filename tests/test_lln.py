@@ -357,6 +357,13 @@ def test_bound_moments_match_quadrature_recomputation():
     assert b == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.5])
+def test_bounds_reject_an_eps_that_is_not_positive_and_finite(eps):
+    # NaN passes a bare eps <= 0 test and makes both bounds NaN
+    with pytest.raises(DomainError, match="positive finite eps"):
+        lln.chebyshev_bounds(cfg_15(), 100, eps)
+
+
 def test_bound_FF_vanishing_cross_term_at_q1():
     cfg = lln.SimConfig(q=1.0, d=1, v=(0.0,), k_max=100, reps=100, seed=0)
     law2 = qg.repetition(cfg.params(), 2)
