@@ -50,9 +50,9 @@ der = derived(g)
 t = 2.0
 print("\npower(1.5) at t = 2:")
 print("  ell  =", der.ell.value(t))
-print("  m    =", der.m.value(t), " (equals t^-q)")
-print("  chi  =", der.chi.value(t), "(equals t^q)")
-print("  chi * m =", der.chi.value(t) * der.m.value(t), "= tau'(t)")
+print("  m    =", der.m(t), " (equals t^-q)")
+print("  chi  =", der.chi(t), "(equals t^q)")
+print("  chi * m =", der.chi(t) * der.m(t), "= tau'(t)")
 
 # --- deformed exponential ------------------------------------------------------
 # the inverse of ell, clipped to 0 below and +inf above its range

@@ -141,13 +141,8 @@ def cmd_gauge_eval(args) -> int:
     elif args.fn == "exp":
         val = gg.exp_htau(g, args.x)
     else:
-        der = gg.derived(g)
-        try:
-            fn = getattr(der, args.fn)
-        except AttributeError:
-            raise DomainError(f"unknown function {args.fn!r}")
         g.I.require(args.x, "--x")  # every derived function lives on I
-        val = float(fn.value(args.x))
+        val = float(getattr(gg.derived(g), args.fn)(args.x))
     print(repr(float(val)))
     return EXIT_OK
 
@@ -172,8 +167,8 @@ def cmd_gauge_equiv_check(args) -> int:
     d1, d2 = gg.derived(g), gg.derived(g2)
     payload = {
         "max_kernel_defect": kernel,
-        "max_m_defect": float(np.max(np.abs(d1.m.value(grid) - d2.m.value(grid)))),
-        "max_gamma_defect": float(np.max(np.abs(d1.gamma.value(grid) - d2.gamma.value(grid)))),
+        "max_m_defect": float(np.max(np.abs(d1.m(grid) - d2.m(grid)))),
+        "max_gamma_defect": float(np.max(np.abs(d1.gamma(grid) - d2.gamma(grid)))),
     }
     _emit(payload, args)
     return EXIT_OK

@@ -265,7 +265,7 @@ def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarra
     def evaluate(x, live):
         P = np.asarray(exp_htau(g, U[live] - x[:, None]), dtype=float)
         mass = P @ w
-        return -np.log(mass), (np.asarray(chi.value(P), dtype=float) @ w) / mass
+        return -np.log(mass), (np.asarray(chi(P), dtype=float) @ w) / mass
 
     psi = _rtsafe(evaluate, psi0, a, b)
     with np.errstate(all="ignore"):
@@ -309,7 +309,7 @@ def divergence(spec: DiscreteFamilySpec, p, p2) -> float:
 def entropy(spec: DiscreteFamilySpec, p) -> float:
     """Weighted trace-form entropy sum_x s(p(x)) mu(x) with s = -h o tau."""
     p = density_vector(spec, p)
-    return float(spec.base.weights @ np.asarray(derived(spec.gauge).s.value(p), dtype=float))
+    return float(spec.base.weights @ np.asarray(derived(spec.gauge).s(p), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +368,9 @@ def _member(spec: DiscreteFamilySpec, theta, warm=None) -> Member:
     psi, p = _solve_one(spec, th, warm)
     d = derived(spec.gauge)
     w = spec.base.weights
-    chi = np.asarray(d.chi.value(p), dtype=float)
+    chi = np.asarray(d.chi(p), dtype=float)
     grad = (spec.T @ (w * chi)) / float(w @ chi)
-    return Member(spec, th, psi, p, chi, np.asarray(d.chi.d1(p), dtype=float),
+    return Member(spec, th, psi, p, chi, np.asarray(-d.ell.d2(p) / d.ell.d1(p) ** 2, dtype=float),
                   w * np.asarray(spec.gauge.tau.d1(p), dtype=float) * chi, grad,
                   spec.T - grad[:, None])
 
@@ -428,14 +428,14 @@ def _tau_moments(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
 
 def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
     """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows."""
-    s_star = np.asarray(derived(spec.gauge).s_star.value(P), dtype=float)
+    s_star = np.asarray(derived(spec.gauge).s_star(P), dtype=float)
     return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
 
 
 def _itau_gradients(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
     """``Member.itau_gradient`` at each row of P: grad psi is sum mu chi T / sum mu chi."""
     w = spec.base.weights
-    chi = np.asarray(derived(spec.gauge).chi.value(P), dtype=float)
+    chi = np.asarray(derived(spec.gauge).chi(P), dtype=float)
     tau_w = w * np.asarray(spec.gauge.tau.d1(P), dtype=float) * chi
     return tau_w @ spec.T.T - ((w * chi) @ spec.T.T) * (tau_w.sum(1) / (chi @ w))[:, None]
 
@@ -521,7 +521,7 @@ def conformal_check(spec: DiscreteFamilySpec, theta, theta2) -> ConformalCheck:
     lo, hi = spec.gauge.I.finite_slice()
     grid = np.geomspace(max(lo, 0.05), min(hi, 20.0), 64)
     ratio = np.asarray(spec.gauge.tau.value(grid), dtype=float) \
-        / np.asarray(d.chi.value(grid), dtype=float)
+        / np.asarray(d.chi(grid), dtype=float)
     if float(np.max(ratio) - np.min(ratio)) > 1e-10:
         raise DomainError("conformal check needs tau/chi constant on I")
     th2 = _theta_vec(spec, theta2)
@@ -627,7 +627,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                 if done and settled:
                     itau_res = abs(float(_tau_mass(spec, p)) - float(_tau_mass(spec, rho)))
                     return ProjectionResult(th, p, norm, itau_res, total_iter)
-                chi = np.asarray(d.chi.value(p), dtype=float)
+                chi = np.asarray(d.chi(p), dtype=float)
                 R = np.vstack([T * np.asarray(g.tau.d1(p), dtype=float), ones]) * (w * chi)
                 try:  # J = R S^T: rows T a and b, columns (T, -1)
                     step = np.linalg.solve(R @ S.T, R @ r - F)

@@ -19,10 +19,9 @@ with ln_q the deformed logarithm (t**(1-q) - 1)/(1-q) (log t at q = 1):
 
 Their tau, ell and clipped deformed exponential exp_q(u - c) come from one
 code path; only h keeps a closed form per kind.  One builder
-(``_derived_from``) makes the derived functions of every gauge by the
-chain rule, so each value and first and second derivative is exact in
-those of ell and tau, except m'', gamma', gamma'' and chi'' (they need
-ell'''), which are central differences.  Custom gauges invert ell by
+(``_derived_from``) makes the derived functions of every gauge, each
+exact in h o tau, tau, ell and the derivatives of ell and tau; only ell
+carries derivatives of its own.  Custom gauges invert ell by
 safeguarded root-finding (``exp_htau``); the normalizers in ``discrete``
 call it only as a fallback, since they solve for psi and the density
 together by one flat Newton step per iteration in the coordinate of
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_FD_STEP = _EPS ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -110,40 +108,6 @@ def log_grid(lo: float, hi: float, n: int = 64) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _fd_step(t: np.ndarray, domain: Interval, rel: float) -> np.ndarray:
-    """rel times max(1, |t|), capped by t's distance to each finite end of the
-    domain so that a stencil of half-width 2 steps stays inside it, and
-    rounded down to a power of two so that t + k*step is exact in floating
-    point (otherwise a step far below |t| would carry a rounding error of
-    eps |t| / step)."""
-    scale = np.maximum(1.0, np.abs(t))
-    if math.isfinite(domain.lo):
-        scale = np.minimum(scale, t - domain.lo)
-    if math.isfinite(domain.hi):
-        scale = np.minimum(scale, domain.hi - t)
-    return np.exp2(np.floor(np.log2(rel * scale)))
-
-
-def _fd_d1(f: Callable, domain: Interval) -> Callable:
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        h = _fd_step(t, domain, _FD_STEP)
-        return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
-
-    return d1
-
-
-def _fd_d2(f: Callable, domain: Interval) -> Callable:
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        h = _fd_step(t, domain, _EPS ** 0.25)
-        return (-f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h) - f(t - 2 * h)) / (
-            12 * h * h
-        )
-
-    return d2
-
-
 @dataclass(frozen=True)
 class ScalarFn:
     """A real function with first and second derivatives on an open domain."""
@@ -167,14 +131,16 @@ class DerivedFunctions:
     chi     = 1 / ell'                (escort reweighting)
     s       = -h o tau                (entropy density)
     s_star  = -tau * ell + h o tau    (dual entropy / potential density)
+
+    ell is a ScalarFn (ell' and ell'' are read); the others map t -> value.
     """
 
     ell: ScalarFn
-    m: ScalarFn
-    gamma: ScalarFn
-    chi: ScalarFn
-    s: ScalarFn
-    s_star: ScalarFn
+    m: Callable
+    gamma: Callable
+    chi: Callable
+    s: Callable
+    s_star: Callable
 
 
 @dataclass(frozen=True)
@@ -193,7 +159,7 @@ class EquivalenceTransform:
 
 @dataclass(frozen=True)
 class GaugeTriple:
-    """A gauge (h, tau) on I, with cached derived data.
+    """A gauge (h, tau) on I, with its derived functions ``derived_fns``.
 
     ``ell_range`` is the image of ``ell`` over I (used for clipping the
     deformed exponential); ``exp_fn`` is an optional closed-form inverse.
@@ -204,8 +170,8 @@ class GaugeTriple:
     I: Interval
     name: str
     ell_range: tuple[float, float]
+    derived_fns: DerivedFunctions
     exp_fn: Optional[Callable] = None
-    derived_fns: Optional[DerivedFunctions] = None
     descriptor: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -281,7 +247,7 @@ def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable
 
 
 # ----------------------------------------------------------------------------
-# Built-in gauges
+# Built-in gauges and their derived functions
 # ----------------------------------------------------------------------------
 
 
@@ -349,8 +315,8 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
     tau, ell, the image of ell over the interval and the deformed
     exponential exp_q(u - c), clipped to that image, follow from (p, q, c)
     alone; h keeps a closed form per kind.  h, tau and ell carry
-    closed-form derivatives and the derived functions follow by the chain
-    rule (``_derived_from``).
+    closed-form derivatives, and the derived functions follow from them
+    (``_derived_from``).
     """
     I = interval or Interval(0.0, math.inf)
     if I.lo < 0:
@@ -379,78 +345,27 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
     ell_range = tuple(v + c for v in _ln_q_range(q, I))
     params = {pname: a} if pname else {}
     return GaugeTriple(h, tau, I, kind + "".join(f"({v:g})" for v in params.values()),
-                       ell_range, _exp_q_factory(q, c, *ell_range),
-                       _derived_from(lambda t: h.value(tau.value(t)), tau, ell, I),
+                       ell_range, _derived_from(lambda t: h.value(tau.value(t)), tau, ell),
+                       _exp_q_factory(q, c, *ell_range),
                        {"kind": kind, **params, "lo": I.lo,
                         "hi": None if math.isinf(I.hi) else I.hi})
 
 
-# ----------------------------------------------------------------------------
-# Derived functions for gauges without precomputed closed forms
-# ----------------------------------------------------------------------------
-
-
 def derived(g: GaugeTriple) -> DerivedFunctions:
-    """The derived functions of a gauge (cached on every gauge this module builds)."""
-    if g.derived_fns is not None:
-        return g.derived_fns
-
-    h, tau = g.h, g.tau
-
-    def ell_d1(t):
-        return h.d2(tau.value(t)) * tau.d1(t)
-
-    ell = ScalarFn(lambda t: h.d1(tau.value(t)), ell_d1, _fd_d1(ell_d1, g.I), g.I)
-    return _derived_from(lambda t: h.value(tau.value(t)), tau, ell, g.I)
+    """The derived functions of a gauge (``g.derived_fns``)."""
+    return g.derived_fns
 
 
-def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn, I: Interval) -> DerivedFunctions:
-    """m, gamma, chi, s and s_star from h o tau (as a function of t), tau and ell = h' o tau.
-
-    Values and derivatives follow from those of ell and tau by the chain
-    rule: m' = ell'' tau' + ell' tau'', chi' = -ell'' / ell'^2,
-    s' = -ell tau', s'' = -(m + ell tau''), s_star' = -tau ell' and
-    s_star'' = -(m + tau ell'').  Only m'', gamma', gamma'' and chi'' would
-    need ell''', so those four are central differences.
-    """
-
-    def m_v(t):
-        return ell.d1(t) * tau.d1(t)
-
-    def m_d1(t):
-        return ell.d2(t) * tau.d1(t) + ell.d1(t) * tau.d2(t)
-
-    def gamma_v(t):
-        return ell.d2(t) * tau.d1(t)
-
-    def chi_v(t):
-        return 1.0 / ell.d1(t)
-
-    def chi_d1(t):
-        return -ell.d2(t) / ell.d1(t) ** 2
-
-    def s_d1(t):
-        return -ell.value(t) * tau.d1(t)
-
-    def s_d2(t):
-        return -(m_v(t) + ell.value(t) * tau.d2(t))
-
-    def ss_v(t):
-        return -tau.value(t) * ell.value(t) + h_tau(t)
-
-    def ss_d1(t):
-        return -tau.value(t) * ell.d1(t)
-
-    def ss_d2(t):
-        return -(m_v(t) + tau.value(t) * ell.d2(t))
-
+def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn) -> DerivedFunctions:
+    """m, gamma, chi, s and s_star from h o tau (as a function of t), tau and
+    ell = h' o tau, each exact in those and in the derivatives of ell and tau."""
     return DerivedFunctions(
         ell=ell,
-        m=ScalarFn(m_v, m_d1, _fd_d1(m_d1, I), I),
-        gamma=ScalarFn(gamma_v, _fd_d1(gamma_v, I), _fd_d2(gamma_v, I), I),
-        chi=ScalarFn(chi_v, chi_d1, _fd_d1(chi_d1, I), I),
-        s=ScalarFn(lambda t: -h_tau(t), s_d1, s_d2, I),
-        s_star=ScalarFn(ss_v, ss_d1, ss_d2, I),
+        m=lambda t: ell.d1(t) * tau.d1(t),
+        gamma=lambda t: ell.d2(t) * tau.d1(t),
+        chi=lambda t: 1.0 / ell.d1(t),
+        s=lambda t: -h_tau(t),
+        s_star=lambda t: -tau.value(t) * ell.value(t) + h_tau(t),
     )
 
 
@@ -466,8 +381,8 @@ def d_htau(g: GaugeTriple, t, s):
     g.I.require(t, "t")
     g.I.require(s, "s")
     d = derived(g)
-    ht = -d.s.value(t)
-    hs = -d.s.value(s)
+    ht = -d.s(t)
+    hs = -d.s(s)
     val = np.asarray(ht - hs - (g.tau.value(t) - g.tau.value(s)) * d.ell.value(s), dtype=float)
     scale = 1.0 + np.abs(ht) + np.abs(hs)
     val = np.where((val < 0) & (val > -1e-12 * scale), 0.0, val)
@@ -669,7 +584,7 @@ def legendre_conjugate(g: GaugeTriple, r_star: float) -> float:
     if not (lo_e < r_star < hi_e):
         raise DomainError(f"r_star={r_star} outside the image of h' over tau(I)")
     t = exp_htau(g, r_star)
-    return float(g.tau.value(t)) * r_star + float(derived(g).s.value(t))
+    return float(g.tau.value(t)) * r_star + float(derived(g).s(t))
 
 
 def conjugate_fn(f: ScalarFn) -> ScalarFn:
@@ -741,8 +656,8 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         def exp_fn2(u):
             return base(lam * np.asarray(u, dtype=float) + a1)
 
-    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, exp_fn2, _derived_from(
-        lambda t: -derived1.s.value(t) - a1 * tau1.value(t) - a2, tau2, ell2, g.I), None)
+    return GaugeTriple(h2, tau2, g.I, f"{g.name}~equiv", rng2, _derived_from(
+        lambda t: -derived1.s(t) - a1 * tau1.value(t) - a2, tau2, ell2), exp_fn2)
 
 
 # ----------------------------------------------------------------------------
@@ -786,8 +701,8 @@ def gauge_from_pair(tau: ScalarFn, ell: ScalarFn, a: float) -> GaugeTriple:
     h = ScalarFn(at_inverse(h_tau), at_inverse(ell.value),
                  at_inverse(lambda t: ell.d1(t) / tau.d1(t)), Jt)
 
-    return GaugeTriple(h, tau, I, f"pair(a={a:g})", _image(ell.value, I), None,
-                       _derived_from(h_tau, tau, ell, I), None)
+    return GaugeTriple(h, tau, I, f"pair(a={a:g})", _image(ell.value, I),
+                       _derived_from(h_tau, tau, ell))
 
 
 # ----------------------------------------------------------------------------

@@ -75,8 +75,10 @@ class SimConfig:
             raise DomainError(f"seed must be a non-negative integer, not {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
-        if not self.eps_grid or not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
-            raise DomainError("eps_grid must be a non-empty list of positive finite reals")
+        if not self.eps_grid:
+            raise DomainError("eps_grid must be a non-empty list")
+        for e in self.eps_grid:  # verify_bounds takes k from 1 to k_max
+            _check_eps(e, 1, self.k_max, prefix="eps_grid: ")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
@@ -349,6 +351,19 @@ def run_lln(cfg: SimConfig, workers: int = 1) -> SimReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_eps(eps: float, *ks: int, prefix: str = "") -> None:
+    """Refuse eps unless it is positive and each k is >= 1 with k**3 eps**4, which the
+    bounds divide by, a normal double; that grows with k, so check a range at its ends."""
+    try:
+        ok = eps > 0 and all(k >= 1 and np.finfo(float).tiny <= float(k) ** 3 * eps ** 4
+                             <= np.finfo(float).max for k in ks)
+    except OverflowError:  # eps**4, float(k) or float(k)**3 beyond double range
+        ok = False
+    if not ok:
+        raise DomainError(f"{prefix}need k >= 1 and a positive finite eps "
+                          "with k**3 eps**4 inside double range")
+
+
 @dataclass(frozen=True)
 class BoundValues:
     bound_F: float
@@ -373,8 +388,7 @@ def chebyshev_bounds(cfg: SimConfig, k: int, eps: float,
     bound_FF the second-moment inequality (``_bound_FF``) for F_ij, with the
     moments taken from the one- and two-fold joint laws.
     """
-    if k < 1 or not (math.isfinite(eps) and eps > 0):
-        raise DomainError("need k >= 1 and a positive finite eps")
+    _check_eps(eps, k)
     law2 = qg.repetition(cfg.params(), 2)
     return BoundValues(bound_F=float(_bound_F(*qg.fi_pair_moments(law2, i), k, eps)),
                        bound_FF=float(_bound_FF(*qg.fij_pair_moments(law2, i, j), k, eps)))
@@ -486,14 +500,16 @@ def borel_cantelli_summability(cfg: SimConfig, eps: float,
     """
     if k_terms < 2:
         raise DomainError("k_terms must be at least 2")
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError("eps must be a positive finite real")
+    _check_eps(eps, 1, k_terms)
     ks = np.arange(1, k_terms + 1, dtype=float)
-    terms = _bound_F(*qg.fi_pair_moments(qg.repetition(cfg.params(), 2), 0), ks, eps)
-    sums = np.cumsum(terms)
     checkpoints = np.asarray(_decades(k_terms))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        terms = _bound_F(*qg.fi_pair_moments(qg.repetition(cfg.params(), 2), 0), ks, eps)
+        sums = np.cumsum(terms)
+        scaled = terms[checkpoints - 1] * checkpoints ** 2
+    if not (math.isfinite(sums[-1]) and np.isfinite(scaled).all()):
+        raise DomainError(f"the summability sums leave double range at eps = {eps:g}")
     partial = sums[checkpoints - 1]
     prev = sums[checkpoints[-2] - 1] if checkpoints.size > 1 else sums[0]
     rel_change = float((partial[-1] - prev) / partial[-1])
-    return SummabilityTable(eps, checkpoints, partial,
-                            terms[checkpoints - 1] * checkpoints ** 2, rel_change)
+    return SummabilityTable(eps, checkpoints, partial, scaled, rel_change)

@@ -96,8 +96,8 @@ def test_criterion_02_equivalence_invariance():
         worst_kernel = max(worst_kernel, float(np.max(np.abs(
             d_htau(g, ts[:, 0], ts[:, 1]) - d_htau(g2, ts[:, 0], ts[:, 1])))))
         d1, d2 = derived(g), derived(g2)
-        worst_fp = max(worst_fp, float(np.max(np.abs(d1.m.value(grid) - d2.m.value(grid)))),
-                       float(np.max(np.abs(d1.gamma.value(grid) - d2.gamma.value(grid)))))
+        worst_fp = max(worst_fp, float(np.max(np.abs(d1.m(grid) - d2.m(grid)))),
+                       float(np.max(np.abs(d1.gamma(grid) - d2.gamma(grid)))))
     _report(2, f"equivalence invariance (kernel {worst_kernel:.1e}, fp {worst_fp:.1e})",
             worst_kernel <= 1e-12 and worst_fp <= 1e-8)
 

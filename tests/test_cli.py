@@ -595,6 +595,9 @@ def test_domain_error_exits_2(capsys):
     assert code == 2
 
 
+_EPS_RULE = "need k >= 1 and a positive finite eps with k**3 eps**4 inside double range"
+
+
 @pytest.mark.parametrize("argv,message", [
     ("qgauss mle --q 1.5 --k 3", "mle needs --data or --x"),
     ("qgauss mle --q 1.5 --k 3 --x 1,2", "data must hold k*d = 3 values, not 2"),
@@ -607,14 +610,19 @@ def test_domain_error_exits_2(capsys):
      "tol must be a positive finite real"),
     ("discrete project --spec {coin} --rho 0.5,0.5 --tol nan",
      "tol must be a positive finite real"),
-    ("lln bounds --q 1.5 --k 100 --eps nan", "need k >= 1 and a positive finite eps"),
+    ("lln bounds --q 1.5 --k 100 --eps nan", _EPS_RULE),
+    ("lln bounds --q 1.5 --k 100 --eps 1e-320", _EPS_RULE),
+    ("lln bounds --q 1.5 --k 100 --eps 1e80", _EPS_RULE),
+    (f"lln bounds --q 1.5 --k {10 ** 103} --eps 0.5", _EPS_RULE),
+    ("lln summability --q 1.5 --eps 1e-320", _EPS_RULE),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --a1 nan""",
      "equivalence transform requires finite a1, a2, a3 and lam > 0"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --lam inf""",
      "equivalence transform requires finite a1, a2, a3 and lam > 0"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
-        "equiv-a1-nan", "equiv-lam-inf"])
+        "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
+        "summability-eps-underflow", "equiv-a1-nan", "equiv-lam-inf"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()

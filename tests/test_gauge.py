@@ -11,7 +11,6 @@ from scipy import integrate
 from dgeo import (
     DomainError,
     EquivalenceTransform,
-    GaugeTriple,
     Interval,
     ScalarFn,
     apply_equivalence,
@@ -26,7 +25,8 @@ from dgeo import (
     gauge_to_json,
     legendre_conjugate,
 )
-from dgeo.gauge import _exp_q_factory, _fd_d1, _ln_q_range, _rtsafe
+from dgeo import discrete as dc
+from dgeo.gauge import _exp_q_factory, _ln_q_range, _rtsafe
 from conftest import rtsafe_on_two_copies
 
 
@@ -78,7 +78,7 @@ def test_power_h_keeps_its_range_against_mpmath(q):
     d = derived(builtin_gauge("power", q=q))
     rs = np.geomspace(1e-300, 1e300, 121)
     with np.errstate(over="ignore"):
-        got = -np.asarray(d.s.value(rs), dtype=float)
+        got = -np.asarray(d.s(rs), dtype=float)
     with mpmath.workdps(40):
         mq = mpmath.mpf(q)
         want = np.array([float((mpmath.mpf(r) ** (2 - mq) - 1) / ((1 - mq) * (2 - mq))
@@ -93,13 +93,13 @@ def test_power_h_keeps_its_range_against_mpmath(q):
 
 def test_derived_kl_values():
     d = derived(builtin_gauge("kl"))
-    assert d.m.value(2.0) == pytest.approx(0.5, rel=1e-14)
-    assert d.s_star.value(3.0) == pytest.approx(-3.0, rel=1e-14)
+    assert d.m(2.0) == pytest.approx(0.5, rel=1e-14)
+    assert d.s_star(3.0) == pytest.approx(-3.0, rel=1e-14)
 
 
 def test_derived_power_chi():
     d = derived(builtin_gauge("power", q=1.5))
-    assert d.chi.value(4.0) == pytest.approx(8.0, rel=1e-14)
+    assert d.chi(4.0) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_invalid_parameters_raise():
@@ -145,27 +145,13 @@ def test_builtin_derivative_out_of_double_range_is_named():
 def test_scalarfn_derivatives_match_finite_differences(g, rng):
     d = derived(g)
     ts = rng.uniform(0.3, 4.0, size=12)
-    for fn in (g.h, g.tau, d.ell, d.chi, d.s, d.s_star):
+    for fn in (g.h, g.tau, d.ell):
         pts = ts if fn is not g.h else g.tau.value(ts)
         h_ = 1e-6 * np.maximum(1.0, np.abs(pts))
         fd1 = (np.asarray(fn.value(pts + h_)) - np.asarray(fn.value(pts - h_))) / (2 * h_)
         assert np.allclose(np.asarray(fn.d1(pts), dtype=float), fd1, rtol=1e-5, atol=1e-8)
         fd2 = (np.asarray(fn.d1(pts + h_)) - np.asarray(fn.d1(pts - h_))) / (2 * h_)
         assert np.allclose(np.asarray(fn.d2(pts), dtype=float), fd2, rtol=1e-5, atol=1e-8)
-
-
-def test_fd_stencil_stays_inside_the_domain():
-    # a bare triple has no cached derived functions, so its ell'' (and with
-    # it gamma) comes from a central difference of ell' = 1/t; a stencil
-    # reaching below t = 0 gave -2.8e10 at t = 1e-5 and +3.5e10 at 1e-6
-    kl = builtin_gauge("kl")
-    bare = GaugeTriple(kl.h, kl.tau, kl.I, "bare", kl.ell_range)
-    ts = np.array([1e-6, 1e-5, 1e-3])
-    assert np.allclose(derived(bare).gamma.value(ts), -ts ** -2.0, rtol=1e-6, atol=0)
-    d1 = _fd_d1(lambda t: np.sqrt((t - 0.5) * (2.0 - t)), Interval(0.5, 2.0))
-    for t in (0.5 + 1e-6, 2.0 - 1e-6):
-        exact = (2.5 - 2 * t) / (2 * math.sqrt((t - 0.5) * (2.0 - t)))
-        assert d1(t) == pytest.approx(exact, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +184,15 @@ def _sympy_cases():
     return sp, r, t, cases
 
 
-# derivatives (name, order) that are central differences by design
-_FD_BACKED = {("m", 2), ("gamma", 1), ("gamma", 2), ("chi", 2)}
-
-
 @pytest.mark.parametrize("name", ["kl", "power(0.7)", "escort(0.7)", "power(1.5)",
                                   "escort(1.5)", "scaled_log(0.5)", "scaled_log(2)", "pair",
                                   "pair~equiv"])
 def test_derived_functions_match_sympy(name):
-    """Each of the six derived functions and its first two derivatives
-    against sympy expressions evaluated at 40 digits, on t in [1e-3, 1e3]:
-    chain-rule quantities to 1e-12 relative, values that go through the
-    pair gauges' quadrature (s and s_star) to 1e-10, central differences to
-    1e-6.  Where the exact f^(k)(t) is zero, the error is taken relative
-    to the largest |f^(j)(t)| t^(j-k) over the other orders j <= 2."""
+    """The values of the six derived functions, and ell' and ell'', against
+    sympy expressions evaluated at 40 digits, on t in [1e-3, 1e3]: to 1e-12
+    relative, and values that go through the pair gauges' quadrature (s and
+    s_star) to 1e-10.  Where the exact f^(k)(t) is zero, the error is taken
+    relative to the largest |f^(j)(t)| t^(j-k) over the other orders j <= 2."""
     mpmath = pytest.importorskip("mpmath")
     sp, r, t, cases = _sympy_cases()
     g, h, tau = next(c[1:] for c in cases if c[0] == name)
@@ -228,21 +209,19 @@ def test_derived_functions_match_sympy(name):
             with mpmath.workdps(40):
                 want.append(np.array([float(f(mpmath.mpf(float(x)))) for x in ts]))
         fn = getattr(d, fname)
-        for k, attr in enumerate(("value", "d1", "d2")):
-            if (fname, k) in _FD_BACKED:
-                tol = 1e-6
-            elif fname in ("s", "s_star") and k == 0 and name.startswith("pair"):
-                tol = 1e-10
-            else:
-                tol = 1e-12
+        fns = (fn.value, fn.d1, fn.d2) if fname == "ell" else (fn,)
+        for k, f in enumerate(fns):
+            tol = 1e-10 if fname in ("s", "s_star") and name.startswith("pair") else 1e-12
             scale = np.abs(want[k])
             alt = np.max([np.abs(want[j]) * ts ** (j - k) for j in range(3) if j != k], axis=0)
             scale = np.where(scale <= 1e-30 * alt, alt, scale)
-            err = np.abs(np.asarray(getattr(fn, attr)(ts), dtype=float) - want[k]) / scale
-            assert np.all(err <= tol), (name, fname, attr, float(np.max(err)))
+            err = np.abs(np.asarray(f(ts), dtype=float) - want[k]) / scale
+            assert np.all(err <= tol), (name, fname, k, float(np.max(err)))
 
 
-def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2():
+def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2(monkeypatch):
+    # chi = 1 / ell' is one ell' call; chi' = -ell'' / ell'^2, which only
+    # discrete._member reads, adds one call each of ell' and ell''
     tau, ell = _log_half_pair()
     calls = {"value": 0, "d1": 0, "d2": 0}
 
@@ -254,9 +233,17 @@ def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2():
 
     g = gauge_from_pair(tau, ScalarFn(counted("value"), counted("d1"), counted("d2"),
                                       ell.domain), a=1.0)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(2)), g, np.array([[1.0, -1.0]]),
+                                 np.zeros(2))
+    p = np.array([0.5, 2.0])
+    monkeypatch.setattr(dc, "_solve_one", lambda spec, th, warm=None: (0.0, p))
     calls.update(value=0, d1=0, d2=0)
-    derived(g).chi.d1(np.array([0.5, 2.0]))
-    assert calls == {"value": 0, "d1": 1, "d2": 1}
+    derived(g).chi(p)
+    assert calls == {"value": 0, "d1": 1, "d2": 0}
+    calls.update(value=0, d1=0, d2=0)
+    member = dc._member(spec, [0.0])
+    assert calls == {"value": 0, "d1": 2, "d2": 1}
+    assert np.array_equal(member.chi1, -ell.d2(p) / ell.d1(p) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +301,13 @@ def test_kernel_derivative_fingerprints(g):
 
         mixed = (dd(t + eps, t + eps) - dd(t + eps, t - eps)
                  - dd(t - eps, t + eps) + dd(t - eps, t - eps)) / (4 * eps * eps)
-        assert -mixed == pytest.approx(d.m.value(t), rel=1e-4)
+        assert -mixed == pytest.approx(d.m(t), rel=1e-4)
 
         def ds2(a, b):
             return (dd(a, b + eps) - 2 * dd(a, b) + dd(a, b - eps)) / (eps * eps)
 
         third = (ds2(t + eps, t) - ds2(t - eps, t)) / (2 * eps)
-        assert -third == pytest.approx(d.gamma.value(t), rel=2e-3, abs=1e-6)
+        assert -third == pytest.approx(d.gamma(t), rel=2e-3, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +493,8 @@ def test_fingerprints_invariant_under_equivalence(g, rng):
     g2 = apply_equivalence(g, tr)
     d1, d2 = derived(g), derived(g2)
     grid = np.geomspace(0.3, 4.0, 64)
-    assert np.allclose(d1.m.value(grid), d2.m.value(grid), rtol=1e-12)
-    assert np.allclose(d1.gamma.value(grid), d2.gamma.value(grid), rtol=1e-12)
+    assert np.allclose(d1.m(grid), d2.m(grid), rtol=1e-12)
+    assert np.allclose(d1.gamma(grid), d2.gamma(grid), rtol=1e-12)
 
 
 def test_transformed_exp_consistency(rng):
@@ -580,9 +567,8 @@ def test_pair_kernel_evaluates_h_once_per_argument():
             return f(u)
         return value
 
-    s_fn = replace(d.s, value=counted("s", d.s.value))
     probe = replace(g, h=replace(g.h, value=counted("h", g.h.value)),
-                    derived_fns=replace(d, s=s_fn))
+                    derived_fns=replace(d, s=counted("s", d.s)))
     t, s = np.array([0.5, 1.0, 2.5]), np.array([1.5, 1.0, 0.7])
     assert np.array_equal(d_htau(probe, t, s), d_htau(g, t, s))
     assert calls == {"h": [], "s": [3, 3]}
@@ -634,7 +620,7 @@ def test_pair_integrals_match_mpmath(transformed):
         a1, a2, a3, lam = _PAIR_TR.a1, _PAIR_TR.a2, _PAIR_TR.a3, _PAIR_TR.lam
         tau, ell = g.tau, derived(g).ell
     ts = [1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 2.0, 10.0, 100.0, 1e3]
-    s = derived(g).s.value(np.array(ts))
+    s = derived(g).s(np.array(ts))
     with mpmath.workdps(30):
         mp = mpmath.mpf
 
@@ -664,8 +650,8 @@ def test_pair_integral_at_an_end_of_I_is_never_nan():
     g = gauge_from_pair(tau, ell, a=1.0)
     d, h2 = derived(g), apply_equivalence(g, _PAIR_TR).h
     cases = [(lambda: g.h.value(0.0), -0.25), (lambda: g.h.value(1e-320), -0.25),
-             (lambda: g.h.value(math.inf), math.inf), (lambda: d.s.value(0.0), 0.25),
-             (lambda: d.s_star.value(np.array([0.5, math.inf])), None),
+             (lambda: g.h.value(math.inf), math.inf), (lambda: d.s(0.0), 0.25),
+             (lambda: d.s_star(np.array([0.5, math.inf])), None),
              (lambda: h2.value(0.1), -0.05), (lambda: delta_pair(tau, ell, 0.0, 1.0), 1.25),
              (lambda: delta_pair(tau, ell, math.inf, 1.0), math.inf),
              (lambda: g.h.value(math.nan), None)]
@@ -694,7 +680,7 @@ def test_pair_entropy_integrates_in_t_without_inverting_tau():
                         ScalarFn(counted(ell.value, "ell"), ell.d1, ell.d2, ell.domain), a=1.0)
     ts = np.geomspace(1e-3, 1e3, 50)
     calls.update(tau=0, ell=0)
-    derived(g).s.value(ts)
+    derived(g).s(ts)
     assert calls["tau"] == 0 and 1 <= calls["ell"] <= 4, calls
     calls.update(tau=0, ell=0)
     g.h.value(ts)
@@ -765,17 +751,66 @@ def test_conjugate_domain_error():
 def test_chi_m_tauprime_identity(g):
     d = derived(g)
     grid = np.geomspace(0.2, 5.0, 64)
-    assert np.allclose(d.chi.value(grid) * d.m.value(grid), g.tau.d1(grid),
+    assert np.allclose(d.chi(grid) * d.m(grid), g.tau.d1(grid),
                        rtol=1e-9, atol=1e-12)
-    assert np.allclose(d.gamma.value(grid) + d.chi.d1(grid) / d.chi.value(grid) * d.m.value(grid),
-                       0.0, atol=1e-9)
 
 
-@given(t=st.floats(0.05, 20.0), s=st.floats(0.05, 20.0))
+_KINDS = ("kl", "power", "escort", "scaled_log")
+
+
+@given(kind=st.sampled_from(_KINDS), a=st.floats(0.3, 3.0),
+       lo=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       width=st.one_of(st.floats(0.5, 20.0), st.just(math.inf)),
+       u=st.floats(1e-3, 0.999), v=st.floats(1e-3, 0.999))
 @settings(max_examples=200, deadline=None)
-def test_kernel_nonnegative_property(t, s):
-    g = builtin_gauge("power", q=1.7)
-    assert d_htau(g, t, s) >= 0.0
+def test_kernel_nonnegative_property(kind, a, lo, width, u, v):
+    # a random builtin gauge (its q or lam is a) on a random interval I:
+    # d >= 0, d = 0 on the diagonal, and d > 0 off it beyond rounding
+    g = builtin_gauge(kind, q=a, lam=a, interval=Interval(lo, lo + width))
+    span = 20.0 if math.isinf(width) else width
+    t, s = lo + u * span, lo + v * span
+    assert d_htau(g, t, t) == 0.0 and d_htau(g, s, s) == 0.0
+    d = d_htau(g, t, s)
+    assert d >= 0.0
+    if abs(t - s) > 1e-4 * max(t, s):
+        assert d > 0.0, (t, s)
+
+
+@given(i=st.integers(0, 5), a1=st.floats(-5.0, 5.0), a2=st.floats(-5.0, 5.0),
+       a3=st.floats(-5.0, 5.0), lam=st.floats(0.2, 5.0),
+       t=st.floats(0.05, 20.0), s=st.floats(0.05, 20.0))
+@settings(max_examples=100, deadline=None)
+def test_equivalence_preserves_kernel_m_and_gamma_property(i, a1, a2, a3, lam, t, s):
+    # the kernel to rounding in the terms a1, a2, a3 and lam add; m and gamma
+    # to 1e-12 relative on a grid, as ell2' = ell'/lam and tau2' = lam tau'
+    g = all_builtins()[i]
+    g2 = apply_equivalence(g, EquivalenceTransform(a1, a2, a3, lam))
+    d1, d2 = derived(g), derived(g2)
+    tt, ts = g.tau(t), g.tau(s)
+    scale = (abs(d1.s(t)) + abs(d1.s(s)) + abs(a1) * (tt + ts) + abs(a2)
+             + (tt + ts + abs(a3) / lam) * (abs(d1.ell(s)) + abs(a1)))
+    assert abs(d_htau(g2, t, s) - d_htau(g, t, s)) <= 1e-13 * scale
+    grid = np.geomspace(0.05, 20.0, 33)
+    assert np.allclose(d2.m(grid), d1.m(grid), rtol=1e-12, atol=0)
+    assert np.allclose(d2.gamma(grid), d1.gamma(grid), rtol=1e-12, atol=0)
+
+
+@given(alpha=st.floats(0.1, 3.0), beta=st.floats(0.0, 2.0), c=st.floats(-2.0, 2.0),
+       p=st.floats(0.5, 2.0), a=st.floats(0.5, 2.0), t=st.floats(1e-3, 1e3))
+@settings(max_examples=50, deadline=None)
+def test_exp_inverts_ell_on_pair_gauges_property(alpha, beta, c, p, a, t):
+    # tau = t**p and ell = alpha log t + beta t + c on (0, inf): exp_htau
+    # inverts ell by Newton-bisection, to 1e-12 relative in t
+    I = Interval(0.0, math.inf)
+    tau = ScalarFn(lambda x: np.asarray(x, float) ** p,
+                   lambda x: p * np.asarray(x, float) ** (p - 1.0),
+                   lambda x: p * (p - 1.0) * np.asarray(x, float) ** (p - 2.0), I)
+    ell = ScalarFn(lambda x: alpha * np.log(x) + beta * np.asarray(x, float) + c,
+                   lambda x: alpha / np.asarray(x, float) + beta,
+                   lambda x: -alpha * np.asarray(x, float) ** -2.0, I)
+    g = gauge_from_pair(tau, ell, a)
+    ts = np.append(np.geomspace(1e-3, 1e3, 13), t)
+    assert np.allclose(exp_htau(g, derived(g).ell(ts)), ts, rtol=1e-12, atol=0)
 
 
 @given(u=st.floats(-30.0, 1.4))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -78,8 +79,10 @@ def test_config_takes_any_non_negative_integer_seed():
     assert cfg_15(reps=2 ** 32 - 1).reps == 2 ** 32 - 1
 
 
-@pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.5, math.nan), (math.inf,)])
+@pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.5, math.nan), (math.inf,), (1e-320,),
+                                  (0.5, 1e80)])
 def test_config_rejects_bad_eps_grid(grid):
+    # 1e-320**4 is 0 and 1e80**4 overflows: verify_bounds divides by k**3 eps**4
     with pytest.raises(DomainError, match="eps_grid"):
         cfg_15(eps_grid=grid)
 
@@ -357,11 +360,28 @@ def test_bound_moments_match_quadrature_recomputation():
     assert b == pytest.approx(oracle, rel=1e-6)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.5, 1e-320, 1e-80, 1e80, 1e308])
 def test_bounds_reject_an_eps_that_is_not_positive_and_finite(eps):
-    # NaN passes a bare eps <= 0 test and makes both bounds NaN
+    # NaN passes a bare eps <= 0 test and makes both bounds NaN; k**3 eps**4 is
+    # 0 at 1e-320 (ZeroDivisionError), subnormal at 1e-80 and overflows at 1e80
     with pytest.raises(DomainError, match="positive finite eps"):
         lln.chebyshev_bounds(cfg_15(), 100, eps)
+
+
+@pytest.mark.parametrize("k", [0, 10 ** 103, 10 ** 400], ids=["0", "1e103", "1e400"])
+def test_bounds_reject_a_k_whose_cube_leaves_double_range(k):
+    # k**3 eps**4 raised "int too large to convert to float" at k = 10**103
+    with pytest.raises(DomainError, match="k >= 1 and a positive finite eps"):
+        lln.chebyshev_bounds(cfg_15(), k, 0.5)
+
+
+def test_bounds_accept_the_ends_of_the_eps_range():
+    # k**3 eps**4 at its smallest normal and largest finite double
+    k = 100
+    for eps in (sys.float_info.min ** 0.25 / k ** 0.75 * (1 + 1e-9),
+                sys.float_info.max ** 0.25 / k ** 0.75 * (1 - 1e-9)):
+        b = lln.chebyshev_bounds(cfg_15(), k, eps)
+        assert b.bound_F >= 0 and b.bound_FF >= 0
 
 
 def test_bound_FF_vanishing_cross_term_at_q1():
@@ -494,7 +514,17 @@ def test_summability_change_is_against_previous_checkpoint(k_terms, prev):
 
 
 @pytest.mark.parametrize("eps,k_terms", [(0.5, 1), (0.5, 0), (0.0, 100), (-0.5, 100),
-                                         (math.nan, 100)])
+                                         (math.nan, 100), (1e-320, 100), (1e-78, 100),
+                                         (1e80, 100), (1e75, 1000)])
 def test_summability_rejects_bad_arguments(eps, k_terms):
+    # at eps = 1e-320 the sums were inf and final_relative_change NaN
     with pytest.raises(DomainError):
         lln.borel_cantelli_summability(cfg_15(), eps, k_terms=k_terms)
+
+
+def test_summability_rejects_sums_beyond_double_range():
+    # k**3 eps**4 is a normal double, but E(Y1^4) ~ 30 at q = 2.99 makes
+    # the first term ~ 2e308
+    cfg = lln.SimConfig(q=2.99, d=1, v=(0.0,))
+    with pytest.raises(DomainError, match="sums leave double range"):
+        lln.borel_cantelli_summability(cfg, 1.3e-77, k_terms=100)
