@@ -51,8 +51,9 @@ def _floats(text: str) -> np.ndarray:
         raise DomainError(f"could not parse float list {text!r}") from exc
 
 
-def _matrix(text: str) -> np.ndarray:
-    return np.asarray([_floats(row) for row in text.split(";")])
+def _matrix(text: str) -> list:
+    """Rows of floats; the library checks that they form a square matrix."""
+    return [_floats(row) for row in text.split(";")]
 
 
 def _jsonable(obj):
@@ -249,10 +250,9 @@ def cmd_discrete_entropy_max(args) -> int:
 
 
 def _qparams(args, variant: str = "full") -> qg.QGaussianParams:
-    d = args.d
-    v = _floats(args.v) if args.v else np.zeros(d)
-    S = _matrix(args.S) if args.S else np.eye(d)
-    return qg.QGaussianParams(args.q, d, v, S, variant)
+    v = _floats(args.v) if args.v else None
+    S = _matrix(args.S) if args.S else None
+    return qg.QGaussianParams(args.q, args.d, v, S, variant)
 
 
 def _coord_names(k: int, d: int) -> list[str]:
@@ -273,8 +273,7 @@ def cmd_qgauss_density(args) -> int:
 
 
 def cmd_qgauss_lambda(args) -> int:
-    S = _matrix(args.S) if args.S else np.eye(args.d)
-    _emit({"lambda": qg.lambda_q(args.q, args.d, S)}, args)
+    _emit({"lambda": qg.lambda_q(args.q, args.d, _matrix(args.S) if args.S else None)}, args)
     return EXIT_OK
 
 
@@ -346,7 +345,7 @@ def _sim_config(args) -> lln.SimConfig:
         if given:
             raise DomainError(f"--config would ignore {', '.join(given)}")
         return lln.SimConfig.from_json(_load_json_file(args.config))
-    v = _floats(args.v) if args.v else np.zeros(args.d)
+    v = _floats(args.v) if args.v else (0.0,) * args.d
     return lln.SimConfig(q=args.q, d=args.d, v=tuple(v), variant=args.variant,
                          k_max=args.k_max, reps=args.reps, seed=args.seed,
                          eps_grid=tuple(_floats(args.eps_grid)))
@@ -410,8 +409,7 @@ def validate_spec(path: str) -> list[str]:
         elif "v" in obj:
             lln.SimConfig.from_json(obj)
         else:
-            d = obj.get("d", 1)
-            qg.QGaussianParams(obj["q"], d, np.zeros(d), np.eye(d))
+            qg.QGaussianParams(obj["q"], obj.get("d", 1))
     except DomainError as exc:
         return [str(exc)]
     except (TypeError, ValueError) as exc:  # only raw q-Gaussian parameters get here

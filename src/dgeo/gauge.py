@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, InfeasibleError
 
@@ -475,10 +474,31 @@ def _coordinate(domain: Interval) -> tuple[Callable, Callable]:
     return (lambda x: (np.sinh(x), np.cosh(x))), np.arcsinh
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-node Gauss-Legendre rule on [-1, 1]:
+    Newton on the three-term recurrence of P_n from Tricomi's guesses, for x >= 0,
+    mirrored.  w = 2 (1 - x^2)/g^2 with g = (1 - x^2) P_n', which is stationary at a
+    node, and 1 - x^2 at the last iterate corrected by its Newton step to first order."""
+    x = np.cos(np.pi * (4 * np.arange(1, (n + 3) // 2) - 1) / (4 * n + 2)) \
+        * (1.0 - (n - 1) / (8.0 * n ** 3))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        g = n * (p0 - x * p1)  # (1 - x^2) P_n'(x)
+        dx = p1 * (1.0 - x) * (1.0 + x) / g
+        x, x0 = x - dx, x
+        if np.max(np.abs(dx)) <= _EPS:
+            break
+    w = 2.0 * ((1.0 - x0) * (1.0 + x0) + 2.0 * x0 * dx) / g ** 2
+    x[n // 2:] = 0.0  # the middle node of an odd rule
+    return np.concatenate([-x, x[::-1][n % 2:]]), np.concatenate([w, w[::-1][n % 2:]])
+
+
 @lru_cache(maxsize=8)
 def _gl_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1], read-only."""
-    x, w = roots_legendre(n_nodes)
+    """``_gauss_legendre(n_nodes)``, read-only, as every caller shares it."""
+    x, w = _gauss_legendre(n_nodes)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -642,6 +662,14 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         domain=g.I)
 
     derived1 = derived(g)
+    # the transform's affine maps must stay finite where the gauge is probed
+    probe = log_grid(*g.I.finite_slice(), 16)
+    with np.errstate(all="ignore"):
+        t1 = tau1.value(probe)
+        parts = np.concatenate([np.float64(lam) ** np.array([2.0, -2.0]), lam * t1 + a3,
+                                a1 * t1 + a2, (derived1.ell.value(probe) - a1) / lam])
+    if not np.all(np.isfinite(parts)):
+        raise DomainError("equivalence transform overflows on the gauge's interval")
     ell2 = ScalarFn(lambda t: (derived1.ell.value(t) - a1) / lam,
                     lambda t: derived1.ell.d1(t) / lam,
                     lambda t: derived1.ell.d2(t) / lam, g.I)

@@ -58,12 +58,9 @@ class SimConfig:
     S: Optional[tuple] = None  # row tuples; defaults to the identity
 
     def __post_init__(self):
-        # these two first: QGaussianParams would raise ValueError on a wrong length
-        if self.variant not in ("identity", "trace_d"):
+        if self.variant not in ("identity", "trace_d"):  # QGaussianParams takes "full" too
             raise DomainError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "v", tuple(float(x) for x in np.asarray(self.v).reshape(-1)))
-        if len(self.v) != self.d:
-            raise DomainError(f"v must have length {self.d}")
         if self.S is not None:
             S = np.asarray(self.S, dtype=float)
             object.__setattr__(self, "S", tuple(tuple(row) for row in S))
@@ -96,8 +93,7 @@ class SimConfig:
             raise DomainError(f"malformed simulation config: {exc}") from None
 
     def params(self) -> qg.QGaussianParams:
-        S = np.eye(self.d) if self.S is None else np.asarray(self.S, dtype=float)
-        return qg.QGaussianParams(self.q, self.d, np.asarray(self.v), S, self.variant)
+        return qg.QGaussianParams(self.q, self.d, self.v, self.S, self.variant)
 
     def k_schedule(self) -> list[int]:
         return _decades(self.k_max)

@@ -34,10 +34,9 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 from .errors import DomainError, InfeasibleError
-from .gauge import _doubling
+from .gauge import _doubling, _gauss_legendre
 
 # Not scipy.integrate, which no dgeo code calls: perfbench/tracer.py looks the
 # name up to save it before it patches in its quad/dblquad stand-in.  Goes
@@ -71,8 +70,12 @@ __all__ = [
 ]
 
 
-def _check_spd(S: np.ndarray) -> np.ndarray:
-    S = np.atleast_2d(np.asarray(S, dtype=float))
+def _check_spd(S) -> np.ndarray:
+    """A checked float copy of S."""
+    try:
+        S = np.atleast_2d(np.array(S, dtype=float))
+    except ValueError:  # ragged rows
+        raise DomainError("S must be square") from None
     if S.shape[0] != S.shape[1]:
         raise DomainError("S must be square")
     if not np.all(np.isfinite(S)):
@@ -90,8 +93,8 @@ class QGaussianParams:
 
     q: float
     d: int
-    v: np.ndarray
-    S: np.ndarray
+    v: Optional[np.ndarray] = None  # defaults to zeros
+    S: Optional[np.ndarray] = None  # defaults to the identity
     variant: str = "full"  # full | identity | trace_d
 
     def __post_init__(self):
@@ -103,10 +106,11 @@ class QGaussianParams:
             raise DomainError("d must be a positive integer")
         if self.d * (self.q - 1.0) >= 2.0:
             raise DomainError("need d(q-1) < 2")
-        v = np.array(self.v, dtype=float).reshape(self.d)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("v must be finite")
-        S = _check_spd(np.array(self.S, dtype=float))
+        v = np.zeros(self.d) if self.v is None else np.array(self.v, dtype=float)
+        if v.size != self.d or not np.all(np.isfinite(v)):
+            raise DomainError(f"v must be finite, of length {self.d}")
+        v = v.reshape(self.d)
+        S = _check_spd(np.eye(self.d) if self.S is None else self.S)
         if S.shape != (self.d, self.d):
             raise DomainError(f"S must be ({self.d}, {self.d})")
         eye = np.eye(self.d)  # the next test decides as allclose(S, eye, atol=1e-12)
@@ -137,9 +141,9 @@ class QGaussianParams:
         return _lambda(self.q, self.d, self.S)
 
 
-def lambda_q(q: float, d: int, S) -> float:
-    """Normalizer making exp_q(-|x-v|^2_S - lambda) integrate to one."""
-    return QGaussianParams(q, d, [0.0] * d, S)._lam
+def lambda_q(q: float, d: int, S=None) -> float:
+    """Normalizer making exp_q(-|x-v|^2_S - lambda) integrate to one (S = I by default)."""
+    return QGaussianParams(q, d, S=S)._lam
 
 
 def _lambda(q: float, d: int, S: np.ndarray) -> float:
@@ -148,7 +152,7 @@ def _lambda(q: float, d: int, S: np.ndarray) -> float:
     if q == 1.0:
         return -0.5 * logdet
     logz = 0.5 * (d * math.log(q - 1.0) + logdet) \
-        + gammaln(1.0 / (q - 1.0)) - gammaln(1.0 / (q - 1.0) - d / 2.0)
+        + math.lgamma(1.0 / (q - 1.0)) - math.lgamma(1.0 / (q - 1.0) - d / 2.0)
     c = 2.0 / (2.0 + d * (1.0 - q))
     # lambda = -ln_q(exp(c*logz)) evaluated in log space
     return math.expm1((1.0 - q) * c * logz) / (q - 1.0)
@@ -226,10 +230,11 @@ def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, f
         sign, logdet = np.linalg.slogdet(S)
         return a_k, q_k, math.exp(-logdet / d), d * k / 2.0 * math.log(math.pi)
     a_0 = 1.0 + 3 * d * (q - 1.0) / 2.0
-    q_0 = 1.0 + (q - 1.0) / a_0
+    # 1/(q_k - 1) = a_k/(q - 1) = s_k (and so for q_0), not from the rounded q_k
+    s_k = a_k / (q - 1.0)
     sign, logdet = np.linalg.slogdet((q - 1.0) * S / math.pi)
-    log_beta = -logdet / d + (1.0 - q_k) * gammaln(1.0 / (q_k - 1.0))
-    log_g = gammaln(1.0 / (q_k - 1.0)) / a_k - gammaln(1.0 / (q_0 - 1.0)) / a_0
+    log_beta = -logdet / d - math.lgamma(s_k) / s_k
+    log_g = math.lgamma(s_k) / a_k - math.lgamma(a_0 / (q - 1.0)) / a_0
     nu_k = math.expm1((1.0 - q) * log_g) / (q - 1.0)
     return a_k, q_k, math.exp(log_beta), nu_k
 
@@ -336,10 +341,11 @@ def _t_form(law: RepetitionLaw, a: float) -> _TForm:
     s = a / (p.q - 1.0)
     dof = 2.0 * s - D  # > 0: s - D/2 >= 1/(q-1) + 3d/2 for a >= a_k
     # log det((q-1) beta_k S/pi) with no determinant: by the definition of
-    # beta_k in _constants it is d (1 - q_k) gammaln(1/(q_k - 1))
-    logdet = p.d * (1.0 - law.q_k) * gammaln(1.0 / (law.q_k - 1.0))
+    # beta_k in _constants it is -d lgamma(s_k)/s_k, s_k = a_k/(q - 1)
+    s_k = law.a_k / (p.q - 1.0)
+    logdet = -p.d * math.lgamma(s_k) / s_k
     log_mass = (D / 2.0 - s) * math.log1p((p.q - 1.0) * law.nu_k) - 0.5 * law.k * logdet \
-        + gammaln(s - D / 2.0) - gammaln(s)
+        + math.lgamma(s - D / 2.0) - math.lgamma(s)
     block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * dof) * p._S_inv
     return _TForm(math.exp(log_mass), dof, block, law.k)
 
@@ -504,8 +510,8 @@ def fij_pair_moments(law: RepetitionLaw, i: int = 0, j: int = 0) -> tuple[float,
 @lru_cache(maxsize=8)
 def _radial_rule(n_nodes: int) -> np.ndarray:
     """Rows tan^2 u, log tan u and log(w sec^2 u) of the n-node Gauss-Legendre
-    rule (u, w) on [0, pi/2]; read-only, as every caller shares it."""
-    x, w = roots_legendre(n_nodes)
+    rule (u, w) on [0, pi/2] (``_gauss_legendre``); read-only, as every caller shares it."""
+    x, w = _gauss_legendre(n_nodes)
     u = np.pi / 4 * (x + 1.0)
     rule = np.stack([np.tan(u) ** 2, np.log(np.tan(u)), np.log(np.pi / 4 * w / np.cos(u) ** 2)])
     rule.setflags(write=False)
@@ -558,7 +564,7 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
 
     q, a, beta, n = pb.q, law_big.a_k, law_big.beta_k, d * kp
     z0 = beta * _quad_form(xs.reshape(-1, k, d), pb.v, pb.S)[:, None] + law_big.nu_k
-    log_c = math.log(2.0) + n / 2 * math.log(math.pi / beta) - gammaln(n / 2) \
+    log_c = math.log(2.0) + n / 2 * math.log(math.pi / beta) - math.lgamma(n / 2) \
         - kp / 2 * pb._logdet
 
     def integral(n_nodes):

@@ -301,7 +301,8 @@ def test_lln_config_rejects_simulation_flags(capsys, tmp_path):
     path.write_text('{"q": 1.5, "d": 1, "v": [0.0]}')
     base = ["lln", "bounds", "--config", str(path), "--k", "100", "--eps", "0.5"]
     code, out = run(capsys, *base)
-    assert code == 0 and json.loads(out)["bound_F"] == 6.44011734364753e-05
+    # 4.5e-16 off a 50-digit evaluation of this bound
+    assert code == 0 and json.loads(out)["bound_F"] == 6.440117343647522e-05
     for flag, value in (("--q", "2.0"), ("--d", "1"), ("--v", "0"), ("--variant", "identity"),
                         ("--k-max", "10"), ("--reps", "10"), ("--eps-grid", "0.5"),
                         ("--seed", "9"), ("--seed", "0")):
@@ -619,10 +620,25 @@ _EPS_RULE = "need k >= 1 and a positive finite eps with k**3 eps**4 inside doubl
      "equivalence transform requires finite a1, a2, a3 and lam > 0"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --lam inf""",
      "equivalence transform requires finite a1, a2, a3 and lam > 0"),
+    ("qgauss moments --q 1.5 --d -1", "d must be a positive integer"),
+    ("qgauss marginal-check --q 1.5 --d -1 --k 1 --kprime 1", "d must be a positive integer"),
+    ("qgauss sample --q 1.5 --d -1 --k 1 --n 2", "d must be a positive integer"),
+    ("qgauss lambda --q 1.5 --d -1", "d must be a positive integer"),
+    ("lln run --q 1.5 --d -1 --k-max 10 --reps 2", "d must be a positive integer"),
+    ("qgauss density --q 1.5 --d 2 --v 0 --x 0.3,0.1", "v must be finite, of length 2"),
+    ("qgauss density --q 1.5 --d 2 --S '1,0;0' --x 0.3,0.1", "S must be square"),
+    ("qgauss lambda --q 1.5 --d 2 --S '1,0;0'", "S must be square"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --lam 1e308""",
+     "equivalence transform overflows on the gauge's interval"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a1 1e308""",
+     "equivalence transform overflows on the gauge's interval"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
-        "summability-eps-underflow", "equiv-a1-nan", "equiv-lam-inf"])
+        "summability-eps-underflow", "equiv-a1-nan", "equiv-lam-inf", "moments-d-negative",
+        "marginal-d-negative", "sample-d-negative", "lambda-d-negative", "lln-run-d-negative",
+        "density-v-short", "density-S-ragged", "lambda-S-ragged", "equiv-lam-overflow",
+        "equiv-a1-overflow"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()

@@ -26,7 +26,7 @@ from dgeo import (
     legendre_conjugate,
 )
 from dgeo import discrete as dc
-from dgeo.gauge import _exp_q_factory, _ln_q_range, _rtsafe
+from dgeo.gauge import _exp_q_factory, _gauss_legendre, _gl_rule, _ln_q_range, _rtsafe
 from conftest import rtsafe_on_two_copies
 
 
@@ -695,6 +695,67 @@ def test_pair_rejects_nonmonotone():
     _, ell = _kl_pair()
     with pytest.raises(DomainError):
         gauge_from_pair(tau, ell, a=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+
+def _mp_legendre_rule(n, idx):
+    """Node and weight i (in ascending order) of the n-node rule for each i in idx,
+    by Newton on P_n at 40 digits from the guess -cos(pi (i + 3/4)/(n + 1/2))."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(40):
+        for i in idx:
+            x = -mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(50):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = n * (p0 - x * p1) / (1 - x * x)  # P_n'(x)
+                x, dx = x - p1 / dp, p1 / dp
+                if abs(dx) < mpmath.mpf(10) ** -35:
+                    break
+            out.append((x, 2 / ((1 - x * x) * dp ** 2)))
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_gauss_legendre_rule_matches_mpmath(n):
+    """Every node at n = 16 and 64, the first, second and middle one at 256,
+    no further from a 40-digit rule than scipy's roots_legendre."""
+    from scipy.special import roots_legendre
+
+    idx = range(n) if n <= 64 else [0, 1, n // 2]
+    ref = _mp_legendre_rule(n, idx)
+    errors = []
+    for x, w in (_gauss_legendre(n), roots_legendre(n)):
+        errors.append((max(abs(float(x[i] - r[0])) for i, r in zip(idx, ref)),
+                       max(abs(float(w[i] / r[1] - 1)) for i, r in zip(idx, ref))))
+    (ex, ew), (ex_scipy, ew_scipy) = errors
+    assert ex <= ex_scipy and ew <= ew_scipy
+    assert ex <= 1e-16 and ew <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 256])
+def test_gauss_legendre_rule_is_symmetric_and_exact(n):
+    x, w = _gauss_legendre(n)
+    assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 4 * np.spacing(2.0)
+    # exact for degree 2n - 1; x**(2n - 2) is the highest even monomial
+    assert abs(w @ x ** (2 * n - 2) * (2 * n - 1) / 2.0 - 1.0) <= 1e-14
+
+
+def test_shared_rules_are_read_only():
+    from dgeo.qgauss import _radial_rule
+
+    for arr in (*_gl_rule(16), _radial_rule(64)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
