@@ -553,11 +553,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
 
     Solves I_{T tau}(p) = I_{T tau}(rho) and sum mu p = 1 for (theta, psi)
     by one damped Newton.  A gauge with exp_fn takes p = exp_fn(u - psi),
-    u = <theta, T> - c; any other gauge carries p in the x of
-    ``_coordinate`` and adds r = ell(p) - u + psi = 0.  With chi = 1/ell'(p),
-    a = mu tau' chi and b = mu chi, dp = chi (dtheta T - dpsi - r) gives one
-    (n+1)-square system for (dtheta, dpsi); p moves by dp (dx = dp / (dt/dx),
-    capped at _FLAT_DX).  No psi is solved per step.  A step is halved while
+    u = <theta, T> - c, and carries no r; any other gauge carries p in the x
+    of ``_coordinate`` and adds r = ell(p) - u + psi = 0.  With chi = 1/ell'(p),
+    the rows R = (T mu tau' chi; mu chi) and dp = chi (dtheta T - dpsi - r) give
+    one (n+1)-square system R S^T (dtheta, dpsi) = R r - F, F = (moments, mass);
+    R and F are filled in place.  p moves by dp (dx = dp / (dt/dx), capped at
+    _FLAT_DX).  No psi is solved per step.  A step is halved while
     theta leaves theta_box, x leaves ``_X_TABLE``, p leaves I or the merit
     max(|F|, |r|) does not drop.  It stops when the moment residual is at
     most tol * scale and |sum mu p - 1| at most _MASS_TOL, and without exp_fn
@@ -575,30 +576,36 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     rho = density_vector(spec, rho)
     target = _tau_moments(spec, rho)
     scale = max(1.0, float(np.max(np.abs(target))))
-    g, w, T, d = spec.gauge, spec.base.weights, spec.T, derived(spec.gauge)
+    g, w, T, d, box = spec.gauge, spec.base.weights, spec.T, derived(spec.gauge), spec.theta_box
+    closed = g.exp_fn is not None
     tmap, xmap = _coordinate(g.I)
     p0 = 1.0 / w.sum()  # the cold start; in I, since rho in I has sum mu rho = 1
     x0, ell0 = xmap(p0), float(d.ell.value(p0))
-    ones = np.ones(w.size)
-    S = np.vstack([T, -ones])  # d(u - psi) = (dtheta, dpsi) @ S
+    S = np.vstack([T, -np.ones(w.size)])  # d(u - psi) = (dtheta, dpsi) @ S
+    R, F = np.empty_like(S), np.empty(spec.dim + 1)
 
     def evaluate(th, psi, x):
-        """p, dt/dx, F = (moments, mass), r, and whether the point is admissible."""
+        """p, dt/dx, r and whether the point is admissible; fills F."""
         u = th @ T - spec.c
-        if g.exp_fn is not None:
-            p, dtdx, ok = np.asarray(exp_htau(g, u - psi), dtype=float), None, True
+        if closed:
+            p, dtdx, r, ok = np.asarray(exp_htau(g, u - psi), dtype=float), None, None, True
         else:
-            (p, dtdx), ok = tmap(x), np.all((x >= _X_TABLE[0]) & (x <= _X_TABLE[-1]))
-        r = np.zeros_like(p) if dtdx is None else np.asarray(d.ell.value(p), dtype=float) - u + psi
-        F = np.concatenate((_tau_moments(spec, p) - target, [p @ w - 1.0]))
-        return p, dtdx, F, r, bool(ok and _in_box(spec, th) and g.I.contains(p).all())
+            (p, dtdx), ok = tmap(x), _X_TABLE[0] <= x.min() and x.max() <= _X_TABLE[-1]
+            r = np.asarray(d.ell.value(p), dtype=float) - u + psi
+        np.subtract(_tau_moments(spec, p), target, out=F[:-1])
+        F[-1] = p @ w - 1.0
+        return p, dtdx, r, bool(ok and (box is None or _in_box(spec, th))
+                                and g.I.lo < p.min() and p.max() < g.I.hi)
+
+    def merit(r):  # of the point F was last filled for
+        return max(np.abs(F).max(), 0.0 if r is None else np.abs(r).max())
 
     def thetas():
         yield np.zeros(spec.dim)
         rng = np.random.default_rng(0)
         for _ in range(_PROJ_RESTARTS):
-            if spec.theta_box is not None:
-                yield rng.uniform(spec.theta_box[:, 0], spec.theta_box[:, 1])
+            if box is not None:
+                yield rng.uniform(box[:, 0], box[:, 1])
             else:
                 yield rng.normal(scale=1.0, size=spec.dim)
 
@@ -614,10 +621,10 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     total_iter = 0
     with np.errstate(all="ignore"):
         for th, psi, x in starts():
-            p, dtdx, F, r, ok = evaluate(th, psi, x)
+            p, dtdx, r, ok = evaluate(th, psi, x)
             if not ok:
                 continue
-            settled = g.exp_fn is not None
+            settled = closed
             for _ in range(_PROJ_STEPS):
                 total_iter += 1
                 norm = float(np.abs(F[:-1]).max())
@@ -628,24 +635,24 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                     itau_res = abs(float(_tau_mass(spec, p)) - float(_tau_mass(spec, rho)))
                     return ProjectionResult(th, p, norm, itau_res, total_iter)
                 chi = np.asarray(d.chi(p), dtype=float)
-                R = np.vstack([T * np.asarray(g.tau.d1(p), dtype=float), ones]) * (w * chi)
+                R[-1] = w * chi
+                np.multiply(T * g.tau.d1(p), R[-1], out=R[:-1])
                 try:  # J = R S^T: rows T a and b, columns (T, -1)
-                    step = np.linalg.solve(R @ S.T, R @ r - F)
+                    step = np.linalg.solve(R @ S.T, -F if closed else R @ r - F)
                 except np.linalg.LinAlgError:
                     break
-                dx = 0.0 if dtdx is None else np.clip(
+                dx = 0.0 if closed else np.clip(
                     chi * (step @ S - r) / dtdx, -_FLAT_DX, _FLAT_DX)
-                small = dtdx is not None and max(
+                small = not closed and max(
                     np.abs(dx).max(), abs(step[-1]) / max(1.0, abs(psi))) <= _NEWTON_SETTLED
-                merit = max(np.abs(F).max(), np.abs(r).max())
+                before = merit(r)
                 alpha = 1.0
                 while alpha >= 1e-8:
                     trial = (th + alpha * step[:-1], psi + alpha * step[-1], x + alpha * dx)
-                    p_t, dtdx_t, F_t, r_t, ok = evaluate(*trial)
-                    if ok and (small and done or max(np.abs(F_t).max(), np.abs(r_t).max())
-                               < (1 - 1e-4 * alpha) * merit):
-                        (th, psi, x), p, dtdx, F, r = trial, p_t, dtdx_t, F_t, r_t
-                        settled = g.exp_fn is not None or small and alpha == 1.0
+                    p_t, dtdx_t, r_t, ok = evaluate(*trial)
+                    if ok and (small and done or merit(r_t) < (1 - 1e-4 * alpha) * before):
+                        (th, psi, x), p, dtdx, r = trial, p_t, dtdx_t, r_t
+                        settled = closed or small and alpha == 1.0
                         break
                     alpha *= 0.5
                 else:

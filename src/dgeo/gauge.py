@@ -228,7 +228,8 @@ def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:
 
 def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable:
     """exp_q(u - c), the inverse of ell = ln_q + c, clipped to 0 at or below
-    lo_ell and to +inf at or above hi_ell."""
+    lo_ell and to +inf at or above hi_ell.  An array skips a clip whose bound
+    is infinite: only u = -inf (+inf) meets it, where the core is already 0 (inf)."""
     def exp_q(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):  # overflow is the clip to +inf
@@ -238,8 +239,10 @@ def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable
                 core = np.exp(np.log1p(np.fmax((1.0 - q) * (u - c), -1.0)) / (1.0 - q))
         if not core.ndim:
             return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(core)
-        core[u <= lo_ell] = 0.0
-        core[u >= hi_ell] = math.inf
+        if math.isfinite(lo_ell):
+            core[u <= lo_ell] = 0.0
+        if math.isfinite(hi_ell):
+            core[u >= hi_ell] = math.inf
         return core
 
     return exp_q
@@ -662,14 +665,21 @@ def apply_equivalence(g: GaugeTriple, tr: EquivalenceTransform) -> GaugeTriple:
         domain=g.I)
 
     derived1 = derived(g)
-    # the transform's affine maps must stay finite where the gauge is probed
+    # the transform's affine maps must stay finite where the gauge is probed,
+    # and its shifts must come back off tau and h o tau there, each to within
+    # 1e-8 max(1, |value|) (relative alone would refuse where tau is tiny)
     probe = log_grid(*g.I.finite_slice(), 16)
     with np.errstate(all="ignore"):
-        t1 = tau1.value(probe)
+        t1, ht = tau1.value(probe), -derived1.s(probe)
         parts = np.concatenate([np.float64(lam) ** np.array([2.0, -2.0]), lam * t1 + a3,
                                 a1 * t1 + a2, (derived1.ell.value(probe) - a1) / lam])
+        trips = [(t1, (lam * t1 + a3 - a3) / lam), (ht, (ht - a1 * t1 - a2) + a1 * t1 + a2)]
+        kept = all(np.all(np.abs(b - v) <= 1e-8 * np.maximum(1.0, np.abs(v))) for v, b in trips)
     if not np.all(np.isfinite(parts)):
         raise DomainError("equivalence transform overflows on the gauge's interval")
+    if not kept:
+        raise DomainError("equivalence transform shifts tau or h o tau beyond rounding on "
+                          "the gauge's interval")
     ell2 = ScalarFn(lambda t: (derived1.ell.value(t) - a1) / lam,
                     lambda t: derived1.ell.d1(t) / lam,
                     lambda t: derived1.ell.d2(t) / lam, g.I)

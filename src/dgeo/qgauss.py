@@ -151,11 +151,32 @@ def _lambda(q: float, d: int, S: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(S / math.pi)
     if q == 1.0:
         return -0.5 * logdet
-    logz = 0.5 * (d * math.log(q - 1.0) + logdet) \
-        + math.lgamma(1.0 / (q - 1.0)) - math.lgamma(1.0 / (q - 1.0) - d / 2.0)
+    logz = 0.5 * logdet + _log_gamma_ratio(q, d)
     c = 2.0 / (2.0 + d * (1.0 - q))
     # lambda = -ln_q(exp(c*logz)) evaluated in log space
     return math.expm1((1.0 - q) * c * logz) / (q - 1.0)
+
+
+def _log_gamma_ratio(q: float, d: int) -> float:
+    """(d/2) log(q - 1) + log Gamma(a) / Gamma(a - d/2) at a = 1/(q - 1) > d/2, to rounding.
+
+    Gamma(a) / Gamma(a - k), k = d // 2, is the product of a - j for j = 1..k, and
+    (q - 1)(a - j) = 1 - j (q - 1).  An odd d leaves log Gamma(y) / Gamma(y - 1/2) at
+    y = a - k.  Raised by m steps to y + m >= 16, that is the sum of log(1 - 1/(2(y + i)))
+    for i < m, plus (1/2) log w and an even series in 1/w at w = y + m - 3/4, whose
+    sixth term is below rounding there; (q - 1) w = 1 - (k + 3/4 - m)(q - 1).
+    """
+    e, k = q - 1.0, d // 2
+    terms = [math.log1p(-j * e) for j in range(1, k + 1)]
+    if d % 2:
+        y = 1.0 / e - k
+        m = max(0, math.ceil(16.0 - y))
+        iw2 = (y + m - 0.75) ** -2
+        series = iw2 * (1 / 64 - iw2 * (5 / 2048 - iw2 * (61 / 49152 - iw2 * (
+            1385 / 1048576 - iw2 * 50521 / 20971520))))
+        terms += [math.log1p(-0.5 / (y + i)) for i in range(m)]
+        terms += [0.5 * math.log1p(-(k + 0.75 - m) * e), series]
+    return math.fsum(terms)
 
 
 def density(params: QGaussianParams, x) -> np.ndarray | float:

@@ -597,6 +597,7 @@ def test_domain_error_exits_2(capsys):
 
 
 _EPS_RULE = "need k >= 1 and a positive finite eps with k**3 eps**4 inside double range"
+LOST_SHIFT = "equivalence transform shifts tau or h o tau beyond rounding on the gauge's interval"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -632,13 +633,18 @@ _EPS_RULE = "need k >= 1 and a positive finite eps with k**3 eps**4 inside doubl
      "equivalence transform overflows on the gauge's interval"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --a1 1e308""",
      "equivalence transform overflows on the gauge's interval"),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a2 1e308""", LOST_SHIFT),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a2 -1e308""", LOST_SHIFT),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a3 1e308""", LOST_SHIFT),
+    ("""gauge equiv-check --gauge '{"kind":"kl"}' --a3 -1e308""", LOST_SHIFT),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
         "summability-eps-underflow", "equiv-a1-nan", "equiv-lam-inf", "moments-d-negative",
         "marginal-d-negative", "sample-d-negative", "lambda-d-negative", "lln-run-d-negative",
         "density-v-short", "density-S-ragged", "lambda-S-ragged", "equiv-lam-overflow",
-        "equiv-a1-overflow"])
+        "equiv-a1-overflow", "equiv-a2-lost", "equiv-a2-negative-lost", "equiv-a3-lost",
+        "equiv-a3-negative-lost"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()

@@ -816,6 +816,90 @@ def test_projection_retries_a_start_whose_cold_newton_stalls(kind, w1):
     assert res.p == pytest.approx(rho, abs=1e-10)
 
 
+LEAN_KINDS = {"kl": lambda: builtin_gauge("kl"), "power": lambda: builtin_gauge("power", q=1.5),
+              "escort": lambda: builtin_gauge("escort", q=1.5),
+              "scaled_log": lambda: builtin_gauge("scaled_log", lam=2.0), "pair": pair_gauge,
+              "transformed": lambda: apply_equivalence(pair_gauge(), BENCH_TRANSFORM)}
+
+# (exp_fn or ell evaluations, np.linalg.solve calls, iterations) per projection,
+# as the projection took them when it built its rows and residual anew at each
+# step; a far rho halves some steps
+LEAN_PINNED = {
+    ("kl", False): (5, 4, 5), ("power", False): (5, 4, 5), ("escort", False): (5, 4, 5),
+    ("scaled_log", False): (5, 4, 5), ("pair", False): (6, 4, 5),
+    ("transformed", False): (6, 4, 5),
+    ("kl", True): (7, 6, 7), ("power", True): (8, 6, 7), ("escort", True): (11, 7, 8),
+    ("scaled_log", True): (9, 6, 7), ("pair", True): (10, 7, 8), ("transformed", True): (10, 7, 8),
+}
+
+
+@pytest.mark.parametrize("kind,far", list(LEAN_PINNED))
+def test_projection_takes_the_pinned_evaluations_and_solves(monkeypatch, kind, far):
+    # same iterates, same work: a change to a step, its halving or the stop rule
+    # moves these counts.  A 50-atom, 3-statistic family drawn as the benchmark's
+    # builtin ones are, or with far, a rho whose moments lie far from the cold start's
+    calls = {"f": 0, "solve": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    g = LEAN_KINDS[kind]()
+    if g.exp_fn is not None:
+        g = replace(g, exp_fn=counted("f", g.exp_fn))
+    else:
+        d = derived(g)
+        g = replace(g, derived_fns=replace(d, ell=replace(d.ell, value=counted("f", d.ell.value))))
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 1.5, size=50)
+    w /= w.sum()
+    T = rng.normal(size=(3, 50))
+    raw = rng.uniform(0.5, 1.5, size=50) * (np.exp(0.8 * T[0]) if far else 1.0)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w), g, T, np.zeros(50))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    res = dc.pythagorean_project(spec, raw / (w @ raw))
+    assert (calls["f"], calls["solve"], res.iterations) == LEAN_PINNED[kind, far]
+    assert res.moment_residual <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["kl", "power"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_projection_matches_mpmath_moment_equations(kind, n):
+    # an independent solve: sum mu T p = sum mu T rho and sum mu p = 1 (tau = id)
+    # for (theta, psi) by mpmath.findroot at 50 digits from theta = 0, with
+    # p = exp(u - psi - 1) on kl and (1 - (u - psi)/2)**-2 on power(1.5)
+    import mpmath
+
+    rng = np.random.default_rng(40 + n)
+    w, T, raw = rng.uniform(0.5, 1.5, size=6), rng.normal(size=(n, 6)), rng.uniform(0.3, 2.0, 6)
+    g = builtin_gauge("kl") if kind == "kl" else builtin_gauge("power", q=1.5)
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w), g, T, np.zeros(6))
+    rho = raw / (w @ raw)
+    res = dc.pythagorean_project(spec, rho)
+    with mpmath.workdps(50):
+        W, Tm, R = ([mpmath.mpf(v) for v in a] for a in (w, T.ravel(), rho))
+
+        def density(x):
+            u = [mpmath.fsum(x[i] * Tm[i * 6 + j] for i in range(n)) - x[n] for j in range(6)]
+            return [mpmath.exp(v - 1) if kind == "kl" else (1 - v / 2) ** -2 for v in u]
+
+        def equations(*x):
+            p = density(x)
+            return [mpmath.fsum(W[j] * Tm[i * 6 + j] * (p[j] - R[j]) for j in range(6))
+                    for i in range(n)] + [mpmath.fsum(W[j] * p[j] for j in range(6)) - 1]
+
+        mass = mpmath.fsum(W)
+        psi0 = mpmath.log(mass) - 1 if kind == "kl" else 2 * (mpmath.sqrt(mass) - 1)
+        root = mpmath.findroot(equations, [mpmath.mpf(0)] * n + [psi0])
+        p_ref = np.array([float(v) for v in density(list(root))])
+        eta_ref = np.array([float(mpmath.fsum(W[j] * Tm[i * 6 + j] * R[j] for j in range(6)))
+                            for i in range(n)])
+    assert np.max(np.abs(res.p - p_ref)) <= 1e-10
+    assert np.max(np.abs(T @ (w * res.p) - eta_ref)) <= 1e-10 * max(1.0, np.max(np.abs(eta_ref)))
+
+
 def test_member_projection_is_identity_on_entropy():
     spec = sub_spec(builtin_gauge("kl"), m=3)
     _, p = dc.normalize(spec, [0.4])

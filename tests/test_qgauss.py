@@ -219,6 +219,25 @@ def test_lambda_q_to_one_continuity():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.mark.parametrize("q,d", [(q, d) for q in (1.001, 1.01, 1.1, 1.5, 1.9) for d in (1, 2, 3)
+                                 if d * (q - 1.0) < 2.0])
+def test_lambda_matches_mpmath(q, d):
+    # lambda_q to rounding against 50 digits, at S = I and three random SPD S;
+    # a difference of two lgamma near a = 1/(q - 1) loses up to 1e-12 relative
+    import mpmath
+
+    rng = np.random.default_rng(round(100 * q) + d)
+    mats = [np.eye(d)] + [A @ A.T + 0.5 * np.eye(d) for A in rng.normal(size=(3, d, d))]
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        for S in mats:
+            logz = (d * mpmath.log(qm - 1) + mpmath.log(mpmath.det(mpmath.matrix(S.tolist())
+                                                                  / mpmath.pi))) / 2 \
+                + mpmath.loggamma(1 / (qm - 1)) - mpmath.loggamma(1 / (qm - 1) - mpmath.mpf(d) / 2)
+            ref = mpmath.expm1((1 - qm) * 2 / (2 + d * (1 - qm)) * logz) / (qm - 1)
+            assert abs(qg.lambda_q(q, d, S) - ref) <= 1e-14 * abs(ref)
+
+
 def test_lambda_domain_errors():
     with pytest.raises(DomainError):
         qg.lambda_q(3.5, 1, [[1.0]])
