@@ -249,10 +249,10 @@ def cmd_discrete_entropy_max(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _qparams(args, variant: str = "full") -> qg.QGaussianParams:
+def _qparams(args) -> qg.QGaussianParams:
     v = _floats(args.v) if args.v else None
     S = _matrix(args.S) if args.S else None
-    return qg.QGaussianParams(args.q, args.d, v, S, variant)
+    return qg.QGaussianParams(args.q, args.d, v, S)
 
 
 def _coord_names(k: int, d: int) -> list[str]:
@@ -339,16 +339,17 @@ def cmd_qgauss_moments(args) -> int:
 
 
 def _sim_config(args) -> lln.SimConfig:
-    given = [f"--{k.replace('_', '-')}" for k in _SIM_DEFAULTS if getattr(args, k) is not None]
-    vars(args).update({k: v for k, v in _SIM_DEFAULTS.items() if getattr(args, k) is None})
+    given = {k: getattr(args, k) for k in _SIM_NAMES if getattr(args, k) is not None}
     if args.config:
         if given:
-            raise DomainError(f"--config would ignore {', '.join(given)}")
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise DomainError(f"--config would ignore {flags}")
         return lln.SimConfig.from_json(_load_json_file(args.config))
-    v = _floats(args.v) if args.v else (0.0,) * args.d
-    return lln.SimConfig(q=args.q, d=args.d, v=tuple(v), variant=args.variant,
-                         k_max=args.k_max, reps=args.reps, seed=args.seed,
-                         eps_grid=tuple(_floats(args.eps_grid)))
+    d = given.setdefault("d", 1)
+    given["v"] = tuple(_floats(given["v"])) if given.get("v") else (0.0,) * d
+    if "eps_grid" in given:
+        given["eps_grid"] = tuple(_floats(given["eps_grid"]))
+    return lln.SimConfig(**{"q": 1.5, **given})  # SimConfig's defaults for the rest
 
 
 def cmd_lln_run(args) -> int:
@@ -454,10 +455,9 @@ _FLAGS = {
     "--format": dict(choices=("json", "csv"), default="json"),
 }
 # the simulation flags that every lln verb turns into a SimConfig, --seed
-# among them; they parse to None and _sim_config fills in _SIM_DEFAULTS, so
-# that a flag given beside --config shows even at its default value
-_SIM_DEFAULTS = {"q": 1.5, "d": 1, "v": None, "variant": "identity", "k_max": 10_000,
-                 "reps": 100, "eps_grid": "0.25,0.5,1.0", "seed": 0}
+# among them; they parse to None, so that a flag given beside --config shows
+# even at its default value, and _sim_config passes on only those given
+_SIM_NAMES = ("q", "d", "v", "variant", "k_max", "reps", "eps_grid", "seed")
 _SIM = (("--config", dict(default=None, help="simulation config JSON file")),
         ("--q", dict(type=float)), ("--d", dict(type=int)), "--v",
         ("--variant", dict(choices=("identity", "trace_d"))), ("--k-max", dict(type=int)),

@@ -181,8 +181,9 @@ class GaugeTriple:
         td1 = np.asarray(self.tau.d1(probe), dtype=float)
         if not np.all(td1 > 0):
             raise DomainError(f"tau' must be positive on I for gauge '{self.name}'")
-        hd2 = np.asarray(self.h.d2(self.tau.value(probe)), dtype=float)
-        if not np.all(hd2 > 0):
+        # ell' = h''(tau) tau' with tau' > 0: h'' > 0 on tau(I), read in t, no tau^-1
+        ld1 = np.asarray(self.derived_fns.ell.d1(probe), dtype=float)
+        if not np.all(ld1 > 0):
             raise DomainError(f"h'' must be positive on tau(I) for gauge '{self.name}'")
 
 

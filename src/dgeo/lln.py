@@ -58,13 +58,18 @@ class SimConfig:
     S: Optional[tuple] = None  # row tuples; defaults to the identity
 
     def __post_init__(self):
-        if self.variant not in ("identity", "trace_d"):  # QGaussianParams takes "full" too
+        if self.variant not in ("identity", "trace_d"):
             raise DomainError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "v", tuple(float(x) for x in np.asarray(self.v).reshape(-1)))
         if self.S is not None:
             S = np.asarray(self.S, dtype=float)
             object.__setattr__(self, "S", tuple(tuple(row) for row in S))
-        self.params()  # checks q, d, v and S, non-finite values included
+        S = self.params().S  # checks q, d, v and S, non-finite values included
+        eye = np.eye(self.d)  # the next test decides as allclose(S, eye, atol=1e-12)
+        if self.variant == "identity" and np.any(np.abs(S - eye) > 1e-12 + 1e-5 * eye):
+            raise DomainError("identity variant requires S = I")
+        if self.variant == "trace_d" and abs(np.trace(S) - self.d) > 1e-10:
+            raise DomainError("trace_d variant requires tr S = d")
         if self.k_max < 1 or not 1 <= self.reps < 2 ** 32:  # one-word spawn keys
             raise DomainError("k_max must be positive and reps in [1, 2**32)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
@@ -93,7 +98,7 @@ class SimConfig:
             raise DomainError(f"malformed simulation config: {exc}") from None
 
     def params(self) -> qg.QGaussianParams:
-        return qg.QGaussianParams(self.q, self.d, self.v, self.S, self.variant)
+        return qg.QGaussianParams(self.q, self.d, self.v, self.S)
 
     def k_schedule(self) -> list[int]:
         return _decades(self.k_max)
@@ -137,7 +142,6 @@ class SimReport:
     targets: np.ndarray          # (n_stats,)
     averages: np.ndarray         # (reps, n_checkpoints, n_stats)
     deviations: np.ndarray       # same shape, |avg - target|
-    seed_convention: str = "SeedSequence(seed, spawn_key=(rep,))"
 
     def exceedance(self, eps: float, stat: int = 0) -> np.ndarray:
         """Fraction of reps with |avg_k - target| > eps, per checkpoint."""
@@ -166,7 +170,7 @@ class SimReport:
             "targets": [float(t) for t in self.targets],
             "median_deviation": {lab: [float(x) for x in self.median_deviation(si)]
                                  for si, lab in enumerate(self.stat_labels)},
-            "seed_convention": self.seed_convention,
+            "seed_convention": "SeedSequence(seed, spawn_key=(rep,))",
         }
 
 

@@ -7,23 +7,23 @@ constants (a_k, q_k, beta_k, nu_k); the joints are mutually consistent
 (integrating out trailing coordinates recovers the shorter joint), which
 defines dependent, identically distributed sequences.
 
-The joint (a = a_k) and its escort rho^{q_k} (a = a_k q_k) are one law,
-exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk}.  For q > 1, with s = a/(q-1)
-and t = 1 + (q-1) nu_k, it is an elliptical Student-t law (Kotz and
-Nadarajah, Multivariate t Distributions, 2004) with dof = 2s - dk and
-scale I_k (x) B for the one d-by-d block B = t/((q-1) beta_k dof) S^{-1};
-its mass is t^{dk/2-s} det((q-1) beta_k S/pi)^{-k/2} Gamma(s-dk/2)/Gamma(s),
-which is 1 for the joint.  The joint's dof is 2/(q-1) + 3d and its B the
-same for every k.  For q = 1 both are i.i.d. Gaussians: B = S^{-1}/(2 beta_k),
-dof = inf and mass 1.
+The joint is (1 + (q-1)(beta_k |x-v|^2_S + nu_k))^{-s_k} on R^{dk}, with
+s_k = a_k/(q-1).  For q > 1, with t = 1 + (q-1) nu_k, it is an elliptical
+Student-t law (Kotz and Nadarajah, Multivariate t Distributions, 2004) with
+dof = 2 s_k - dk = 2/(q-1) + 3d and scale I_k (x) B for the one d-by-d block
+B = t/((q-1) beta_k dof) S^{-1}, the same for every k.  As a_k q_k = a_k + q - 1,
+the escort rho^{q_k} is the same form at s_k + 1: a t law with dof + 2 and
+scale B dof/(dof + 2), so its covariance is B itself.  Its mass is the
+joint's, 1, times Gamma(s_k + 1 - dk/2) Gamma(s_k) / (Gamma(s_k - dk/2)
+Gamma(s_k + 1) t) = dof/(2 s_k t), with no gamma function left.  For q = 1
+both are i.i.d. Gaussians: B = S^{-1}/(2 beta_k), dof = inf, escort mass 1.
 
 S is factored once per QGaussianParams: S^-1, log det S and lambda_q(S) are
-read-only values computed on first use.  _t_form builds (mass, dof, B) once
-per law and form from S^-1 and a closed-form determinant, and sampling,
-moments and escort integrals read it by index.  The quadratic forms of
-density, joint_density and marginal_check go through _quad_form.  The dense
-dk-by-dk matrices exist only in the public views embed_joint, joint_t_params
-and escort_cov, each written block by block by _block_diag.
+read-only values computed on first use.  Each RepetitionLaw builds B once,
+and sampling, moments and escort integrals read it by index.  The quadratic
+forms of density, joint_density and marginal_check go through _quad_form.
+The dense dk-by-dk matrices exist only in the public views embed_joint,
+joint_t_params and escort_cov, each written block by block by _block_diag.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class QGaussianParams:
     d: int
     v: Optional[np.ndarray] = None  # defaults to zeros
     S: Optional[np.ndarray] = None  # defaults to the identity
-    variant: str = "full"  # full | identity | trace_d
 
     def __post_init__(self):
         if not math.isfinite(self.q):
@@ -113,13 +112,6 @@ class QGaussianParams:
         S = _check_spd(np.eye(self.d) if self.S is None else self.S)
         if S.shape != (self.d, self.d):
             raise DomainError(f"S must be ({self.d}, {self.d})")
-        eye = np.eye(self.d)  # the next test decides as allclose(S, eye, atol=1e-12)
-        if self.variant == "identity" and np.any(np.abs(S - eye) > 1e-12 + 1e-5 * eye):
-            raise DomainError("identity variant requires S = I")
-        if self.variant == "trace_d" and abs(np.trace(S) - self.d) > 1e-10:
-            raise DomainError("trace_d variant requires tr S = d")
-        if self.variant not in ("full", "identity", "trace_d"):
-            raise DomainError(f"unknown variant {self.variant!r}")
         for name, arr in (("v", v), ("S", S)):  # private read-only copies stay valid
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -222,8 +214,9 @@ def _exp_q_pow(u: np.ndarray, q: float, a: float) -> np.ndarray:
 class RepetitionLaw:
     """Joint-density description for k dependent repetitions.
 
-    nu_dof is the Student-t degrees of freedom of the joint on R^{dk};
-    it equals 2/(q-1) + 3d for every k (math.inf when q = 1).
+    The joint is a Student-t law on R^{dk} (see the module doc): nu_dof is
+    its degrees of freedom, 2/(q-1) + 3d for every k (math.inf when q = 1),
+    which exceeds 4d, so its second and fourth moments are finite.
     """
 
     base: QGaussianParams
@@ -234,14 +227,42 @@ class RepetitionLaw:
     nu_k: float
     nu_dof: float
 
-    # the t forms of the joint and of its escort, each built on first use
     @cached_property
-    def _joint(self) -> _TForm:
-        return _t_form(self, self.a_k)
+    def _block(self) -> np.ndarray:
+        """The block B of the joint's scale I_k (x) B, built on first use."""
+        p = self.base
+        if p.q == 1.0:
+            return p._S_inv / (2.0 * self.beta_k)
+        t = 1.0 + (p.q - 1.0) * self.nu_k
+        return t / ((p.q - 1.0) * self.beta_k * self.nu_dof) * p._S_inv
 
-    @cached_property
-    def _escort(self) -> _TForm:
-        return _t_form(self, self.a_k * self.q_k)
+    @property
+    def _escort_mass(self) -> float:
+        """Integral of rho^{q_k}: dof/(2 s_k t), s_k = a_k/(q-1) (the module doc)."""
+        q = self.base.q
+        if q == 1.0:
+            return 1.0
+        return self.nu_dof * (q - 1.0) / (2.0 * self.a_k * (1.0 + (q - 1.0) * self.nu_k))
+
+    def _entry(self, a: int, b: int) -> float:
+        """Entry (a, b) of I_k (x) B, read without forming the matrix."""
+        d = self.base.d
+        # _check_index's rule, inline: a moment reads up to 15 entries
+        if not (0 <= a < self.k * d and 0 <= b < self.k * d):
+            raise DomainError(f"coordinate index out of range 0..{self.k * d - 1}")
+        return float(self._block[a % d, b % d]) if a // d == b // d else 0.0
+
+    def _second(self, x):
+        """Covariance from scale entries x: x dof/(dof-2)."""
+        if math.isinf(self.nu_dof):
+            return x
+        return x * self.nu_dof / (self.nu_dof - 2.0)
+
+    def _fourth(self, x):
+        """Fourth moment from its Isserlis sum x of scale entries."""
+        if math.isinf(self.nu_dof):
+            return x
+        return x * self.nu_dof * self.nu_dof / ((self.nu_dof - 2.0) * (self.nu_dof - 4.0))
 
 
 def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, float, float]:
@@ -311,64 +332,12 @@ def embed_joint(law: RepetitionLaw) -> tuple[np.ndarray, np.ndarray, float]:
     return V, Sigma, law.a_k * law.nu_k
 
 
-@dataclass(frozen=True)
-class _TForm:
-    """The law exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law: its
-    mass, dof and the block B of its scale I_k (x) B (see the module doc).
-    Every law ``repetition`` builds has dof > 4d, so its second and fourth
-    moments are finite."""
-
-    mass: float
-    dof: float
-    block: np.ndarray
-    k: int
-
-    def entry(self, a: int, b: int) -> float:
-        """Entry (a, b) of I_k (x) B, read without forming the matrix."""
-        d = self.block.shape[0]
-        # _check_index's rule, inline: a moment reads up to 15 entries
-        if not (0 <= a < self.k * d and 0 <= b < self.k * d):
-            raise DomainError(f"coordinate index out of range 0..{self.k * d - 1}")
-        return float(self.block[a % d, b % d]) if a // d == b // d else 0.0
-
-    def second(self, x):
-        """Covariance from scale entries x: x dof/(dof-2)."""
-        if math.isinf(self.dof):
-            return x
-        return x * self.dof / (self.dof - 2.0)
-
-    def fourth(self, x):
-        """Fourth moment from its Isserlis sum x of scale entries."""
-        if math.isinf(self.dof):
-            return x
-        return x * self.dof * self.dof / ((self.dof - 2.0) * (self.dof - 4.0))
-
-
 def _check_index(n: int, *idx: int) -> None:
     """Raise DomainError unless every index is in 0..n-1: n = k d for a flat
     coordinate of the joint, n = d for a coordinate of one repetition."""
     for a in idx:
         if not 0 <= a < n:
             raise DomainError(f"coordinate index out of range 0..{n - 1}")
-
-
-def _t_form(law: RepetitionLaw, a: float) -> _TForm:
-    """exp_q(-beta_k |x-v|^2_S - nu_k)^a on R^{dk} as a t law; a = a_k gives
-    the joint and a = a_k q_k the escort."""
-    p = law.base
-    if p.q == 1.0:
-        return _TForm(1.0, math.inf, p._S_inv / (2.0 * law.beta_k), law.k)
-    D = p.d * law.k
-    s = a / (p.q - 1.0)
-    dof = 2.0 * s - D  # > 0: s - D/2 >= 1/(q-1) + 3d/2 for a >= a_k
-    # log det((q-1) beta_k S/pi) with no determinant: by the definition of
-    # beta_k in _constants it is -d lgamma(s_k)/s_k, s_k = a_k/(q - 1)
-    s_k = law.a_k / (p.q - 1.0)
-    logdet = -p.d * math.lgamma(s_k) / s_k
-    log_mass = (D / 2.0 - s) * math.log1p((p.q - 1.0) * law.nu_k) - 0.5 * law.k * logdet \
-        + math.lgamma(s - D / 2.0) - math.lgamma(s)
-    block = (1.0 + (p.q - 1.0) * law.nu_k) / ((p.q - 1.0) * law.beta_k * dof) * p._S_inv
-    return _TForm(math.exp(log_mass), dof, block, law.k)
 
 
 def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
@@ -378,8 +347,7 @@ def joint_t_params(law: RepetitionLaw) -> tuple[float, np.ndarray, np.ndarray]:
     is inf.  The scale is a dense O((kd)^2) view from _block_diag, kept for
     callers; the library itself never builds it.
     """
-    f = law._joint
-    return f.dof, np.tile(law.base.v, law.k), _block_diag(law.k, f.block)
+    return law.nu_dof, np.tile(law.base.v, law.k), _block_diag(law.k, law._block)
 
 
 def joint_factor(law: RepetitionLaw) -> tuple[float, np.ndarray]:
@@ -391,8 +359,7 @@ def joint_factor(law: RepetitionLaw) -> tuple[float, np.ndarray]:
     chi-square(dof) variable W shared by the whole draw; for q = 1, dof is
     inf and the factor sqrt(dof/W) is 1.
     """
-    f = law._joint
-    return f.dof, np.linalg.cholesky(f.block)
+    return law.nu_dof, np.linalg.cholesky(law._block)
 
 
 def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
@@ -423,8 +390,8 @@ def sample_joint(law: RepetitionLaw, n: int, seed) -> np.ndarray:
 
 
 def escort_mass(law: RepetitionLaw) -> float:
-    """Integral of rho^{q_k}; independent of v and of the scale of S."""
-    return law._escort.mass
+    """Integral of rho^{q_k}; independent of v and of S."""
+    return law._escort_mass
 
 
 def escort_mean(law: RepetitionLaw) -> np.ndarray:
@@ -432,13 +399,13 @@ def escort_mean(law: RepetitionLaw) -> np.ndarray:
 
 
 def escort_cov(law: RepetitionLaw) -> np.ndarray:
-    """Covariance of the normalized escort law on R^{dk}.
+    """Covariance of the normalized escort law on R^{dk}: the joint's scale
+    I_k (x) B (see the module doc).
 
     A dense O((kd)^2) view from _block_diag, kept for callers; the library
     itself never builds it.
     """
-    f = law._escort
-    return _block_diag(law.k, f.second(f.block))
+    return _block_diag(law.k, law._block)
 
 
 def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
@@ -447,17 +414,17 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
     idx=None gives the escort mass, (a,) the first moment of flat
     coordinate a, and (a, b) the second moment; all unnormalized.
     """
-    f = law._escort
+    mass = law._escort_mass
     if idx is None:
-        return f.mass
+        return mass
     if len(idx) not in (1, 2):
         raise DomainError("idx must be None, (a,) or (a, b)")
     _check_index(law.k * law.base.d, *idx)
     V = escort_mean(law)
     if len(idx) == 1:
-        return f.mass * float(V[idx[0]])
+        return mass * float(V[idx[0]])
     a, b = idx
-    return f.mass * float(V[a] * V[b] + f.second(f.entry(a, b)))
+    return mass * float(V[a] * V[b] + law._entry(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +435,13 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
 def central_second(law: RepetitionLaw, a: int, b: int) -> float:
     """E[Y_a Y_b] for the centered joint coordinates; exactly 0.0 across
     repetitions."""
-    f = law._joint
-    return f.second(f.entry(a, b))
+    return law._second(law._entry(a, b))
 
 
 def central_fourth(law: RepetitionLaw, a: int, b: int, c: int, d: int) -> float:
     """E[Y_a Y_b Y_c Y_d]; elliptical-t closed form (Isserlis at q = 1)."""
-    s = law._joint.entry
-    return law._joint.fourth(s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c))
+    s = law._entry
+    return law._fourth(s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c))
 
 
 @dataclass(frozen=True)
@@ -666,10 +632,9 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, xsum: np.ndarray,
     """
     p = law.base
     d, k = p.d, law.k
-    f = law._escort
     iu = _triu(d)
-    second = np.outer(p.v, p.v) + f.second(f.block)
-    r = f.mass * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
+    second = np.outer(p.v, p.v) + law._block  # the escort's covariance is B
+    r = law._escort_mass * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
     T = _slice_tangents(law, family)  # no row is zero, as S is positive definite
     nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
     return float(np.max(np.abs(T @ r) / nrm))
@@ -702,7 +667,7 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     xsum = x.sum(axis=0)
     v = xsum / k  # the bits of x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
-        S, variant = np.eye(d), "identity"
+        S = np.eye(d)
     else:
         centered = x - v
         M = centered.T @ centered
@@ -710,6 +675,5 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
             raise InfeasibleError("scatter matrix is singular; full-family fit undetermined")
         S = np.linalg.inv(M)
         S *= d / np.trace(S)
-        variant = "trace_d"
-    law = repetition(QGaussianParams(q, d, v, S, variant), k)
+    law = repetition(QGaussianParams(q, d, v, S), k)
     return MLEResult(v, S, _stationarity_defect(law, x, xsum, family), 0, True)

@@ -38,6 +38,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def _fresh_main(argv):
+    """cli.main(argv) in a fresh interpreter, whose warnings reach stderr as
+    they do from the command line."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from dgeo.cli import main; sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+
+
 # ---------------------------------------------------------------------------
 # gauge verbs
 # ---------------------------------------------------------------------------
@@ -85,6 +93,16 @@ def test_gauge_equiv_check(capsys):
     payload = json.loads(out)
     assert payload["max_kernel_defect"] <= 1e-12
     assert payload["max_m_defect"] <= 1e-8
+
+
+def test_transformed_escort_gauge_checks_without_a_warning():
+    # the gauge constructor probes ell' > 0 in t; h'' at tau(t) would read the
+    # transformed tau back as (lam tau + a3 - a3)/lam, which is 0 where
+    # tau = 1e-18, and divide by zero there
+    run = _fresh_main(["gauge", "equiv-check", "--gauge", '{"kind":"escort","q":3}',
+                       "--a3", "5", "--lam", "0.2"])
+    assert run.returncode == 0 and run.stderr == ""
+    assert json.loads(run.stdout)["max_kernel_defect"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +712,7 @@ def test_mle_data_file_without_values_exits_2_without_a_warning(tmp_path, text, 
     path = tmp_path / "data.csv"
     path.write_text(text)
     argv = ["qgauss", "mle", "--q", "1.5", "--k", "3", "--data", str(path)] + ["--header"] * header
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); from dgeo.cli import main; sys.exit(main({argv!r}))"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    run = _fresh_main(argv)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr == "invalid: data must hold k*d = 3 values, not 0\n"
 

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.stats import multivariate_normal, multivariate_t
 from conftest import ks_critical, ks_statistic_vs_density, tan_quad
 from dgeo.errors import DomainError, InfeasibleError
 from dgeo.gauge import builtin_gauge, exp_htau
-from dgeo import qgauss as qg
+from dgeo import lln, qgauss as qg
 
 
 def law(q, d=1, k=1, v=None, S=None):
@@ -37,11 +38,13 @@ def test_hypothesis_d_q_minus_one():
 
 
 def test_variant_constraints():
-    with pytest.raises(DomainError):
-        qg.QGaussianParams(1.2, 2, np.zeros(2), 2 * np.eye(2), variant="identity")
-    with pytest.raises(DomainError):
-        qg.QGaussianParams(1.2, 2, np.zeros(2), np.diag([1.5, 1.0]), variant="trace_d")
-    qg.QGaussianParams(1.2, 2, np.zeros(2), np.diag([1.5, 0.5]), variant="trace_d")
+    # the variant selects the F_ij statistics of a simulation, so SimConfig,
+    # not QGaussianParams, checks that S fits it
+    with pytest.raises(DomainError, match="identity variant requires S = I"):
+        lln.SimConfig(1.2, 2, np.zeros(2), "identity", S=2 * np.eye(2))
+    with pytest.raises(DomainError, match="trace_d variant requires tr S = d"):
+        lln.SimConfig(1.2, 2, np.zeros(2), "trace_d", S=np.diag([1.5, 1.0]))
+    lln.SimConfig(1.2, 2, np.zeros(2), "trace_d", S=np.diag([1.5, 0.5]))
 
 
 def test_s_must_be_spd():
@@ -75,10 +78,10 @@ def test_identity_variant_decides_as_allclose(d, diag, off):
     S = np.full((d, d), off)
     np.fill_diagonal(S, diag)
     if np.allclose(S, np.eye(d), atol=1e-12):
-        qg.QGaussianParams(1.2, d, np.zeros(d), S, variant="identity")
+        lln.SimConfig(1.2, d, np.zeros(d), "identity", S=S)
     else:
         with pytest.raises(DomainError, match="identity variant"):
-            qg.QGaussianParams(1.2, d, np.zeros(d), S, variant="identity")
+            lln.SimConfig(1.2, d, np.zeros(d), "identity", S=S)
     # the margins sit on both sides of the rule
     assert np.allclose(S, np.eye(d), atol=1e-12) == (
         abs(diag - 1.0) <= IDENTITY_TOL and (d == 1 or off <= 1e-12))
@@ -90,7 +93,7 @@ def test_non_finite_s_fails_before_the_symmetry_test(bad):
     with pytest.raises(DomainError, match="must be finite"):
         qg._check_spd(S)
     with pytest.raises(DomainError, match="must be finite"):
-        qg.QGaussianParams(1.2, 2, np.zeros(2), S, variant="identity")
+        lln.SimConfig(1.2, 2, np.zeros(2), "identity", S=S)
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
@@ -359,37 +362,37 @@ def test_det_beta_k_s_independent_of_s(q):
 
 def test_validation_and_t_forms_run_once(monkeypatch):
     """density trusts the S that QGaussianParams checked, repetition computes
-    its constants once, and each law builds its joint and escort t forms at
-    most once however many moments are read."""
+    its constants once, and each law builds the block B of its t form at most
+    once however many moments are read; the escort mass builds nothing."""
     calls = {}
 
-    def count(name):
-        real = getattr(qg, name)
-
-        def counted(*args):
+    def counted(name, real):
+        def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
             return real(*args)
-
-        monkeypatch.setattr(qg, name, counted)
+        return wrapper
 
     p = qg.QGaussianParams(1.3, 2, [0.1, -0.2], [[1.2, 0.3], [0.3, 0.8]])
-    for name in ("_check_spd", "_constants", "_t_form"):
-        count(name)
+    for name in ("_check_spd", "_constants"):
+        monkeypatch.setattr(qg, name, counted(name, getattr(qg, name)))
+    block = cached_property(counted("_block", qg.RepetitionLaw._block.func))
+    block.__set_name__(qg.RepetitionLaw, "_block")
+    monkeypatch.setattr(qg.RepetitionLaw, "_block", block)
     qg.density(p, np.zeros((4, 2)))
     l = qg.repetition(p, 2)
+    qg.escort_mass(l), qg.escort_moment(l), qg.escort_moment(l, (1,))
     assert calls == {"_constants": 1}
     qg.fij_pair_moments(l, 0, 1)
-    assert calls["_t_form"] == 1
+    assert calls["_block"] == 1
     qg.fi_pair_moments(l, 1), qg.coordinate_moments(l), qg.joint_factor(l)
-    qg.escort_mass(l), qg.escort_cov(l), qg.escort_moment(l, (0, 1))
-    assert calls == {"_constants": 1, "_t_form": 2}
+    qg.escort_mass(l), qg.escort_cov(l), qg.escort_moment(l, (0, 1)), qg.joint_t_params(l)
+    assert calls == {"_constants": 1, "_block": 1}
 
 
 @pytest.mark.parametrize("q", [1.01, 1.3, 1.5])
 def test_t_form_log_det_closed_form_matches_slogdet(q):
     # log det((q-1) beta_k S/pi) = -d lgamma(s_k)/s_k, s_k = a_k/(q - 1), by the
-    # definition of beta_k; the t forms use it in place of slogdet, so their
-    # log masses move by at most k/2 times its difference
+    # definition of beta_k
     rng = np.random.default_rng(int(q * 100))
     for d in (1, 2, 3):
         if d * (q - 1.0) >= 2.0:
@@ -402,11 +405,6 @@ def test_t_form_log_det_closed_form_matches_slogdet(q):
             closed = -d * math.lgamma(s_k) / s_k
             logdet = np.linalg.slogdet((q - 1.0) * l.beta_k * S / math.pi)[1]
             assert abs(closed - logdet) <= 1e-13
-            for a in (l.a_k, l.a_k * l.q_k):
-                s, D = a / (q - 1.0), d * k
-                ref = (D / 2 - s) * math.log1p((q - 1.0) * l.nu_k) - 0.5 * k * logdet \
-                    + math.lgamma(s - D / 2) - math.lgamma(s)
-                assert abs(math.log(qg._t_form(l, a).mass) - ref) <= 0.5 * k * 1e-13
 
 
 def test_embedding_normalizer_identity():
@@ -915,14 +913,22 @@ def test_dense_views_equal_kronecker_products(q, d, k):
     if d == 3:
         assert np.any(S < 0) and np.any(np.linalg.inv(S) < 0)
     eye = np.eye(k)
-    f, e = l._joint, l._escort
     _, _, scale = qg.joint_t_params(l)
     _, Sigma, _ = qg.embed_joint(l)
-    for got, block in ((qg.escort_cov(l), e.second(e.block)), (scale, f.block),
+    for got, block in ((qg.escort_cov(l), l._block), (scale, l._block),
                        (Sigma, l.a_k * l.beta_k * S)):
         assert np.array_equal(got, np.kron(eye, block))
         off = np.kron(eye, np.ones((d, d))) == 0
         assert not np.any(np.signbit(got[off]))
+
+
+@pytest.mark.parametrize("q,d,k", [(q, d, k) for q in (1.0, 1.0001, 1.01, 1.3, 1.9)
+                                   for d in (1, 2, 3) for k in (1, 2, 7) if d * (q - 1.0) < 2.0])
+def test_escort_covariance_is_the_joint_scale(q, d, k):
+    # the escort is the joint's t form at s_k + 1: dof + 2 and scale
+    # B dof/(dof + 2), whose covariance is B itself, bit for bit
+    l = qg.repetition(oracle_params(q, d), k)
+    assert np.array_equal(qg.escort_cov(l), qg.joint_t_params(l)[2])
 
 
 def test_moment_index_out_of_range():
@@ -1161,7 +1167,7 @@ def oracle_params(q, d):
     return qg.QGaussianParams(q, d, np.linspace(0.4, -0.2, d), S)
 
 
-def radial(f, D, det_M, r0):
+def radial(f, D, det_M, r0, maxdegree=5):
     """Integral over R^D of f(y^T M y), det M = det_M, as a 1-D integral in
     the radius r = |y|_M: 2 pi^{D/2}/Gamma(D/2) det(M)^{-1/2} times
     int_0^inf f(r^2) r^{D-1} dr, by mpmath.quad in x = r/r0.  With r0 near
@@ -1170,7 +1176,7 @@ def radial(f, D, det_M, r0):
 
     area = 2 * mpmath.pi ** (mpmath.mpf(D) / 2) / mpmath.gamma(mpmath.mpf(D) / 2)
     inner = mpmath.quad(lambda x: f((r0 * x) ** 2) * (r0 * x) ** (D - 1), [0, mpmath.inf],
-                        maxdegree=5)
+                        maxdegree=maxdegree)
     return area / mpmath.sqrt(det_M) * r0 * inner
 
 
@@ -1225,3 +1231,29 @@ def test_escort_mass_and_second_moment_mpmath(q, d, k):
     for i, j in {(0, 0), (0, d - 1), (0, D - 1), (D - 1, D - 1)}:
         cov = S_inv[i % d, j % d] * mQ / D if i // d == j // d else 0.0
         assert qg.escort_moment(l, (i, j)) == pytest.approx(mass * V[i] * V[j] + cov, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0001, 1.001, 1.01, 1.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_escort_mass_is_a_ratio_of_integrals_mpmath(q, d, k):
+    """escort_mass is the integral of rho^{q_k} over that of rho, both taken
+    with the law's own constants, so the joint's rounding of 1 cancels; the
+    exponent of rho^{q_k} is (a_k + q - 1)/(q - 1), not from the rounded q_k."""
+    import mpmath
+
+    p = oracle_params(q, d)
+    l = qg.repetition(p, k)
+    D = d * k
+    with mpmath.workdps(50):
+        mq, a, beta, nu = (mpmath.mpf(c) for c in (q, l.a_k, l.beta_k, l.nu_k))
+        s = a / (mq - 1)
+
+        def both(Q):  # rho^{q_k} + i rho
+            base = 1 + (mq - 1) * (beta * Q + nu)
+            return mpmath.mpc(base ** (-s - 1), base ** -s)
+
+        det, r0 = mpmath.mpf(np.linalg.det(p.S)) ** k, mpmath.sqrt(D / (a * beta))
+        ratios = [I.real / I.imag for I in (radial(both, D, det, r0, m) for m in (6, 7))]
+        assert abs(ratios[1] / ratios[0] - 1) <= 1e-14  # the oracle holds
+    assert qg.escort_mass(l) == pytest.approx(float(ratios[1]), rel=1e-13)
