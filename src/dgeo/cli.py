@@ -4,11 +4,13 @@ Every subcommand is a thin mapping onto one library operation; no
 numerics live here.  One output rule: stdout is JSON, with floats in
 shortest round-trip form, or CSV under --format csv; --out bundles the
 printed text, or the verb's named files, plus a SHA-256 manifest, so
-seeded runs can be reproduced byte for byte.  _emit does all of it.  Only
-`gauge eval`/`conjugate` (a bare float), `validate` (PASS/FAIL) and
-`sample` without --out (its CSV) print elsewhere.  CSV tables of samples
-and points write floats as .17g, which round-trips but is not shortest
-(0.1 is 0.10000000000000001).  Each verb takes only the flags it reads.
+seeded runs can be reproduced byte for byte.  _emit does all of it; a
+library result prints as its dataclass fields in declaration order
+(_jsonable), so no verb lists them by hand.  Only `gauge eval`/`conjugate`
+(a bare float), `validate` (PASS/FAIL) and `sample` without --out (its
+CSV) print elsewhere.  CSV tables of samples and points write floats as
+.17g, which round-trips but is not shortest (0.1 is 0.10000000000000001).
+Each verb takes only the flags it reads.
 
 Exit codes: 0 success, 2 validation failure or an identity whose
 hypothesis does not hold, 1 runtime error (including malformed input
@@ -18,6 +20,7 @@ files).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -57,6 +60,7 @@ def _matrix(text: str) -> list:
 
 
 def _jsonable(obj):
+    """obj as JSON values; a dataclass result is its fields in declaration order."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
@@ -67,10 +71,12 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return _jsonable(vars(obj))
     return obj
 
 
-def _emit(payload: dict, args, csv=None, files=None, config=None) -> None:
+def _emit(payload, args, csv=None, files=None, config=None) -> None:
     """Print a result and, with --out, bundle it: the one output rule above."""
     if getattr(args, "format", "json") == "csv":
         rows = (f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}\n"
@@ -212,7 +218,7 @@ def cmd_discrete_geometry(args) -> int:
 
 def cmd_discrete_hessian_check(args) -> int:
     rep = dc.hessian_check(_spec_of(args), _floats(args.theta))
-    _emit(rep.to_json(), args)
+    _emit(rep, args)
     return EXIT_OK if rep.status == "ok" else EXIT_VALIDATION
 
 
@@ -225,14 +231,13 @@ def cmd_discrete_canonical_check(args) -> int:
 
 def cmd_discrete_conformal_check(args) -> int:
     res = dc.conformal_check(_spec_of(args), _floats(args.theta), _floats(args.theta2))
-    _emit({"defect": res.defect, "grad_defect": res.grad_defect, "itau": res.itau}, args)
+    _emit(res, args)
     return EXIT_OK
 
 
 def cmd_discrete_project(args) -> int:
     res = dc.pythagorean_project(_spec_of(args), _floats(args.rho), tol=args.tol)
-    _emit({"theta": res.theta, "p": res.p, "moment_residual": res.moment_residual,
-           "itau_residual": res.itau_residual, "iterations": res.iterations}, args)
+    _emit(res, args)
     return EXIT_OK
 
 
@@ -283,8 +288,7 @@ def cmd_qgauss_marginal_check(args) -> int:
     res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
                             xs=xs, epsabs=args.tol)
     names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
-    _emit({"max_defect": res.max_defect, "points": res.points,
-           "defects": res.defects, "abserr": res.abserr}, args,
+    _emit({"max_defect": res.max_defect, **vars(res)}, args,
           csv=_csv(names + ["defect"], np.column_stack([res.points, res.defects])))
     return EXIT_OK
 
@@ -314,9 +318,7 @@ def cmd_qgauss_mle(args) -> int:
         x = _floats(args.x)
     else:
         raise DomainError("mle needs --data or --x")
-    res = qg.mle(args.q, args.d, args.k, x, args.family)
-    _emit({"v": res.v, "S": res.S, "defect": res.defect,
-           "iterations": res.iterations, "converged": res.converged}, args)
+    _emit(qg.mle(args.q, args.d, args.k, x, args.family), args)
     return EXIT_OK
 
 
@@ -326,9 +328,7 @@ def cmd_qgauss_moments(args) -> int:
     mom = qg.coordinate_moments(law, args.i)
     ey4, ey22 = qg.fi_pair_moments(law, args.i)
     ez2, ez12 = qg.fij_pair_moments(law, args.i, args.i)
-    _emit({"mean": mom.mean, "var": mom.var, "central4": mom.central4,
-           "raw2": mom.raw2, "raw4": mom.raw4,
-           "pair": {"EY4": ey4, "EY22": ey22, "EZ2": ez2, "EZ12": ez12},
+    _emit({**vars(mom), "pair": {"EY4": ey4, "EY22": ey22, "EZ2": ez2, "EZ12": ez12},
            "nu_dof": law.nu_dof}, args)
     return EXIT_OK
 
@@ -370,8 +370,7 @@ def cmd_lln_run(args) -> int:
 
 def cmd_lln_bounds(args) -> int:
     cfg = _sim_config(args)
-    b = lln.chebyshev_bounds(cfg, args.k, args.eps)
-    _emit({"bound_F": b.bound_F, "bound_FF": b.bound_FF}, args,
+    _emit(lln.chebyshev_bounds(cfg, args.k, args.eps), args,
           config={**cfg.to_json(), "k": args.k, "eps": args.eps})
     return EXIT_OK
 
@@ -381,15 +380,15 @@ def cmd_lln_verify(args) -> int:
     report = lln.run_lln(cfg, workers=args.workers)
     table = lln.verify_bounds(cfg, report)
     csv = table.to_csv()
-    _emit({"all_pass": table.all_pass, "rows": table.to_json()}, args, csv=csv,
+    _emit({"all_pass": table.all_pass, "rows": table.rows}, args, csv=csv,
           files={"exceedance.csv": csv}, config=cfg.to_json())
     return EXIT_OK if table.all_pass else EXIT_VALIDATION
 
 
 def cmd_lln_summability(args) -> int:
     cfg = _sim_config(args)
-    s = lln.borel_cantelli_summability(cfg, args.eps, k_terms=args.k_terms)
-    _emit(s.to_json(), args, config={**cfg.to_json(), "eps": args.eps, "k_terms": args.k_terms})
+    _emit(lln.borel_cantelli_summability(cfg, args.eps, k_terms=args.k_terms), args,
+          config={**cfg.to_json(), "eps": args.eps, "k_terms": args.k_terms})
     return EXIT_OK
 
 

@@ -412,10 +412,6 @@ class GeometryReport:
     status: str  # "ok" or "not_applicable"
     message: str = ""
 
-    def to_json(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in vars(self).items()}
-
 
 def _tau_mass(spec: DiscreteFamilySpec, P: np.ndarray):
     return np.asarray(spec.gauge.tau.value(P), dtype=float) @ spec.base.weights

@@ -603,12 +603,22 @@ def exp_htau(g: GaugeTriple, u):
 
 
 def legendre_conjugate(g: GaugeTriple, r_star: float) -> float:
-    """Value of the convex conjugate of h at r_star in h'(tau(I))."""
+    """Value of the convex conjugate of h at r_star in h'(tau(I)).
+
+    Raises DomainError unless t = exp_htau(r_star) lies inside I, tau(t) is
+    positive and finite, and the value is finite: t or tau(t) may leave
+    double range although r_star is inside the image.
+    """
     lo_e, hi_e = g.ell_range
     if not (lo_e < r_star < hi_e):
         raise DomainError(f"r_star={r_star} outside the image of h' over tau(I)")
-    t = exp_htau(g, r_star)
-    return float(g.tau.value(t)) * r_star + float(derived(g).s(t))
+    with np.errstate(all="ignore"):  # refused below
+        t = exp_htau(g, r_star)
+        tau = float(g.tau.value(t))
+        val = tau * r_star + float(derived(g).s(t))
+    if not (g.I.contains(t) and 0.0 < tau < math.inf and math.isfinite(val)):
+        raise DomainError(f"the conjugate at r_star={r_star} leaves double range")
+    return val
 
 
 def conjugate_fn(f: ScalarFn) -> ScalarFn:

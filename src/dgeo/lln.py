@@ -435,9 +435,6 @@ class BoundTable:
                          f"{int(r.passed)},{r.note}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> list:
-        return [r.__dict__ for r in self.rows]
-
 
 def verify_bounds(cfg: SimConfig, report: Optional[SimReport] = None) -> BoundTable:
     """Empirical exceedance frequencies against the theoretical bounds.
@@ -477,15 +474,6 @@ class SummabilityTable:
     partial_sums: np.ndarray
     terms_times_k2: np.ndarray
     final_relative_change: float
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "checkpoints": [int(k) for k in self.checkpoints],
-            "partial_sums": [float(s) for s in self.partial_sums],
-            "terms_times_k2": [float(t) for t in self.terms_times_k2],
-            "final_relative_change": self.final_relative_change,
-        }
 
 
 def borel_cantelli_summability(cfg: SimConfig, eps: float,

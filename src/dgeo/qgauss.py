@@ -252,18 +252,6 @@ class RepetitionLaw:
             raise DomainError(f"coordinate index out of range 0..{self.k * d - 1}")
         return float(self._block[a % d, b % d]) if a // d == b // d else 0.0
 
-    def _second(self, x):
-        """Covariance from scale entries x: x dof/(dof-2)."""
-        if math.isinf(self.nu_dof):
-            return x
-        return x * self.nu_dof / (self.nu_dof - 2.0)
-
-    def _fourth(self, x):
-        """Fourth moment from its Isserlis sum x of scale entries."""
-        if math.isinf(self.nu_dof):
-            return x
-        return x * self.nu_dof * self.nu_dof / ((self.nu_dof - 2.0) * (self.nu_dof - 4.0))
-
 
 def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, float, float]:
     a_k = 1.0 + (k + 3) * d * (q - 1.0) / 2.0
@@ -434,14 +422,16 @@ def escort_moment(law: RepetitionLaw, idx: Optional[tuple] = None) -> float:
 
 def central_second(law: RepetitionLaw, a: int, b: int) -> float:
     """E[Y_a Y_b] for the centered joint coordinates; exactly 0.0 across
-    repetitions."""
-    return law._second(law._entry(a, b))
+    repetitions.  The covariance is the scale entry times dof/(dof-2)."""
+    x, dof = law._entry(a, b), law.nu_dof
+    return x if math.isinf(dof) else x * dof / (dof - 2.0)
 
 
 def central_fourth(law: RepetitionLaw, a: int, b: int, c: int, d: int) -> float:
     """E[Y_a Y_b Y_c Y_d]; elliptical-t closed form (Isserlis at q = 1)."""
-    s = law._entry
-    return law._fourth(s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c))
+    s, dof = law._entry, law.nu_dof
+    x = s(a, b) * s(c, d) + s(a, c) * s(b, d) + s(a, d) * s(b, c)  # Isserlis sum
+    return x if math.isinf(dof) else x * dof * dof / ((dof - 2.0) * (dof - 4.0))
 
 
 @dataclass(frozen=True)
@@ -575,8 +565,6 @@ class MLEResult:
     v: np.ndarray
     S: np.ndarray
     defect: float
-    iterations: int
-    converged: bool
 
 
 @lru_cache(maxsize=8)
@@ -650,8 +638,7 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     is the closed-form stationary point S proportional to the inverse
     scatter matrix, which requires the scatter of the data around the
     mean to be nonsingular.  The reported defect is the tangent-projected
-    escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3);
-    iterations is always 0.
+    escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3).
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError("k must be a positive integer")
@@ -676,4 +663,4 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
         S = np.linalg.inv(M)
         S *= d / np.trace(S)
     law = repetition(QGaussianParams(q, d, v, S), k)
-    return MLEResult(v, S, _stationarity_defect(law, x, xsum, family), 0, True)
+    return MLEResult(v, S, _stationarity_defect(law, x, xsum, family))

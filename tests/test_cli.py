@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dgeo import cli
@@ -265,6 +267,9 @@ def test_qgauss_mle_inline(capsys):
     payload = json.loads(out)
     assert payload["v"] == pytest.approx([0.5], abs=1e-9)
     assert payload["defect"] <= 1e-6
+    res = qg.mle(1.5, 1, 3, [0.3, 1.7, -0.5])
+    assert payload == {"v": res.v.tolist(), "S": res.S.tolist(), "defect": res.defect}
+    assert list(payload) == ["v", "S", "defect"]
 
 
 def test_qgauss_moments(capsys):
@@ -616,6 +621,7 @@ def test_domain_error_exits_2(capsys):
 
 _EPS_RULE = "need k >= 1 and a positive finite eps with k**3 eps**4 inside double range"
 LOST_SHIFT = "equivalence transform shifts tau or h o tau beyond rounding on the gauge's interval"
+_CONJUGATE = "the conjugate at r_star={} leaves double range"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -655,6 +661,14 @@ LOST_SHIFT = "equivalence transform shifts tau or h o tau beyond rounding on the
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --a2 -1e308""", LOST_SHIFT),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --a3 1e308""", LOST_SHIFT),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --a3 -1e308""", LOST_SHIFT),
+    ("""gauge conjugate --gauge '{"kind":"kl"}' --x -800""", _CONJUGATE.format(-800.0)),
+    ("""gauge conjugate --gauge '{"kind":"scaled_log","lam":2.0}' --x 400""",
+     _CONJUGATE.format(400.0)),
+    ("""gauge conjugate --gauge '{"kind":"scaled_log","lam":2.0}' --x -400""",
+     _CONJUGATE.format(-400.0)),
+    ("""gauge conjugate --gauge '{"kind":"power","q":0.5}' --x 1e308""", _CONJUGATE.format(1e308)),
+    ("""gauge conjugate --gauge '{"kind":"escort","q":1.5}' --x -1e308""",
+     _CONJUGATE.format(-1e308)),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
@@ -662,7 +676,9 @@ LOST_SHIFT = "equivalence transform shifts tau or h o tau beyond rounding on the
         "marginal-d-negative", "sample-d-negative", "lambda-d-negative", "lln-run-d-negative",
         "density-v-short", "density-S-ragged", "lambda-S-ragged", "equiv-lam-overflow",
         "equiv-a1-overflow", "equiv-a2-lost", "equiv-a2-negative-lost", "equiv-a3-lost",
-        "equiv-a3-negative-lost"])
+        "equiv-a3-negative-lost", "conjugate-kl-t-underflow", "conjugate-scaled-log-tau-overflow",
+        "conjugate-scaled-log-tau-underflow", "conjugate-power-t-overflow",
+        "conjugate-escort-t-underflow"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()
@@ -810,3 +826,91 @@ def test_bundle_holds_what_was_printed(capsys, coin_file, escort_file, tmp_path,
     if name is not None:
         assert name in [entry["name"] for entry in manifest["files"]]
         assert (out_dir / name).read_text() == out
+
+
+def _moments_listed(coin, escort):
+    law = qg.repetition(qg.QGaussianParams(1.5, 1), 2)
+    mom = qg.coordinate_moments(law, 0)
+    ey4, ey22 = qg.fi_pair_moments(law, 0)
+    ez2, ez12 = qg.fij_pair_moments(law, 0, 0)
+    return {"mean": mom.mean, "var": mom.var, "central4": mom.central4,
+            "raw2": mom.raw2, "raw4": mom.raw4,
+            "pair": {"EY4": ey4, "EY22": ey22, "EZ2": ez2, "EZ12": ez12},
+            "nu_dof": law.nu_dof}, None
+
+
+def _marginal_listed(coin, escort):
+    p = qg.QGaussianParams(1.5, 1)
+    res = qg.marginal_check(qg.repetition(p, 2), qg.repetition(p, 1), xs=[0.0, 0.5])
+    return ({"max_defect": res.max_defect, "points": res.points,
+             "defects": res.defects, "abserr": res.abserr},
+            cli._csv(["x_1", "defect"], np.column_stack([res.points, res.defects])))
+
+
+def _verify_listed(coin, escort):
+    cfg = lln.SimConfig(q=1.5, d=1, v=(0.0,), k_max=100, reps=150, seed=3, eps_grid=(0.5, 1.0))
+    table = lln.verify_bounds(cfg, lln.run_lln(cfg))
+    rows = [{"k": r.k, "eps": r.eps, "stat": r.stat, "exceedance": r.exceedance,
+             "wilson_lo": r.wilson_lo, "wilson_hi": r.wilson_hi, "bound": r.bound,
+             "passed": r.passed, "note": r.note} for r in table.rows]
+    return {"all_pass": table.all_pass, "rows": rows}, table.to_csv()
+
+
+def _hessian_listed(coin, escort):
+    rep = dc.hessian_check(dc.spec_from_json(json.loads(Path(coin).read_text())), [0.2])
+    return {"theta": rep.theta.tolist(), "g": rep.g.tolist(),
+            "christoffel_raw": rep.christoffel_raw.tolist(), "potential": rep.potential,
+            "hess_potential": None if rep.hess_potential is None else rep.hess_potential.tolist(),
+            "max_defect": rep.max_defect,
+            "connection_max": rep.connection_max, "itau_gradient": rep.itau_gradient,
+            "status": rep.status, "message": rep.message}, None
+
+
+def _conformal_listed(coin, escort):
+    res = dc.conformal_check(dc.spec_from_json(json.loads(Path(escort).read_text())),
+                             [0.2, 0.1], [0.1, 0.3])
+    return {"defect": res.defect, "grad_defect": res.grad_defect, "itau": res.itau}, None
+
+
+def _project_listed(coin, escort):
+    res = dc.pythagorean_project(dc.spec_from_json(json.loads(Path(escort).read_text())),
+                                 [0.2, 0.3, 0.5])
+    return {"theta": res.theta, "p": res.p, "moment_residual": res.moment_residual,
+            "itau_residual": res.itau_residual, "iterations": res.iterations}, None
+
+
+def _bounds_listed(coin, escort):
+    b = lln.chebyshev_bounds(lln.SimConfig(q=1.5, d=1, v=(0.0,)), 100, 0.5)
+    return {"bound_F": b.bound_F, "bound_FF": b.bound_FF}, None
+
+
+def _summability_listed(coin, escort):
+    s = lln.borel_cantelli_summability(lln.SimConfig(q=1.5, d=1, v=(0.0,)), 0.5, k_terms=1000)
+    return {"eps": s.eps, "checkpoints": [int(k) for k in s.checkpoints],
+            "partial_sums": [float(x) for x in s.partial_sums],
+            "terms_times_k2": [float(t) for t in s.terms_times_k2],
+            "final_relative_change": s.final_relative_change}, None
+
+
+# Per verb that prints a library result: the payload (and the CSV, where the
+# verb has its own) with the result's fields listed one by one, for the
+# arguments of EMIT_ARGV.  The verb prints the result's dataclass fields, which
+# must give the same text, keys in the same order, under both formats.
+LISTED = {"discrete hessian-check": _hessian_listed,
+          "discrete conformal-check": _conformal_listed,
+          "discrete project": _project_listed,
+          "qgauss marginal-check": _marginal_listed,
+          "qgauss moments": _moments_listed,
+          "lln bounds": _bounds_listed,
+          "lln verify": _verify_listed,
+          "lln summability": _summability_listed}
+LISTED_CASES = [(verb, fmt) for verb in LISTED for fmt in ("json", "csv")]
+
+
+@pytest.mark.parametrize("verb,fmt", LISTED_CASES, ids=[f"{v}-{f}" for v, f in LISTED_CASES])
+def test_result_prints_as_its_listed_fields(capsys, coin_file, escort_file, verb, fmt):
+    argv = verb.split() + shlex.split(EMIT_ARGV[verb].format(coin=coin_file, escort=escort_file))
+    _, out = run(capsys, *argv, "--format", fmt)
+    payload, csv = LISTED[verb](coin_file, escort_file)
+    cli._emit(payload, argparse.Namespace(format=fmt), csv=csv)
+    assert out == capsys.readouterr().out

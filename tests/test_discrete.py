@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from dgeo.errors import DomainError, InfeasibleError
 from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivalence,
                         builtin_gauge, derived, gauge_from_pair)
+from dgeo import cli
 from dgeo import discrete as dc
 from dgeo.gauge import _rtsafe
 from conftest import rtsafe_on_two_copies
@@ -593,9 +594,9 @@ def test_canonical_divergence_power_random_pairs():
 
 def test_geometry_report_json():
     rep = dc.hessian_check(coin_spec(), [0.0])
-    obj = rep.to_json()
+    obj = json.loads(json.dumps(cli._jsonable(rep)))
     assert obj["status"] == "ok"
-    json.dumps(obj)
+    assert list(obj) == [f.name for f in fields(rep)]
 
 
 # ---------------------------------------------------------------------------
@@ -941,13 +942,17 @@ def test_affine_rejects_singular():
 
 
 def test_spec_json_roundtrip():
-    spec = simplex_spec(builtin_gauge("power", q=1.5))
-    obj = dc.spec_to_json(spec)
-    spec2 = dc.spec_from_json(json.dumps(obj))
-    psi1, p1 = dc.normalize(spec, [0.2, -0.1])
-    psi2, p2 = dc.normalize(spec2, [0.2, -0.1])
-    assert psi1 == psi2
-    assert p1 == pytest.approx(p2, abs=0)
+    free = simplex_spec(builtin_gauge("power", q=1.5))
+    for spec in (free, replace(free, theta_box=[[-1.0, 1.0], [-0.5, 0.5]])):
+        obj = dc.spec_to_json(spec)
+        spec2 = dc.spec_from_json(json.dumps(obj))
+        assert ("theta_box" in obj) == (spec.theta_box is not None)
+        assert (spec2.theta_box is None if spec.theta_box is None
+                else spec2.theta_box.tolist() == spec.theta_box.tolist())
+        psi1, p1 = dc.normalize(spec, [0.2, -0.1])
+        psi2, p2 = dc.normalize(spec2, [0.2, -0.1])
+        assert psi1 == psi2
+        assert p1 == pytest.approx(p2, abs=0)
 
 
 def test_spec_json_missing_field():
