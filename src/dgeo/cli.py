@@ -149,7 +149,10 @@ def cmd_gauge_eval(args) -> int:
         val = gg.exp_htau(g, args.x)
     else:
         g.I.require(args.x, "--x")  # every derived function lives on I
-        val = float(getattr(gg.derived(g), args.fn)(args.x))
+        with np.errstate(all="ignore"):  # refused below, as legendre_conjugate does
+            val = float(getattr(gg.derived(g), args.fn)(args.x))
+        if not math.isfinite(val):
+            raise DomainError(f"{args.fn} at x={args.x} leaves double range")
     print(repr(float(val)))
     return EXIT_OK
 
@@ -265,10 +268,21 @@ def _coord_names(k: int, d: int) -> list[str]:
     return [f"x_{m + 1}_{i + 1}" for m in range(k) for i in range(d)]
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text of rows of floats as .17g, which round-trips but is not shortest."""
-    lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_blocks(header: list[str], rows: np.ndarray):
+    """CSV text of rows of floats as .17g, which round-trips but is not shortest:
+    the header, then 256 rows at a time."""
+    yield ",".join(header) + "\n"
+    for lo in range(0, len(rows), 256):
+        yield "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                      for row in rows[lo:lo + 256].tolist())
+
+
+def _encoded(blocks) -> bytearray:
+    """The UTF-8 bytes of a text given in blocks, so it never exists whole as a str."""
+    data = bytearray()
+    for block in blocks:
+        data += block.encode()
+    return data
 
 
 def cmd_qgauss_density(args) -> int:
@@ -288,8 +302,8 @@ def cmd_qgauss_marginal_check(args) -> int:
     res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
                             xs=xs, epsabs=args.tol)
     names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
-    _emit({"max_defect": res.max_defect, **vars(res)}, args,
-          csv=_csv(names + ["defect"], np.column_stack([res.points, res.defects])))
+    csv = "".join(_csv_blocks(names + ["defect"], np.column_stack([res.points, res.defects])))
+    _emit({"max_defect": res.max_defect, **vars(res)}, args, csv=csv)
     return EXIT_OK
 
 
@@ -297,12 +311,12 @@ def cmd_qgauss_sample(args) -> int:
     p = _qparams(args)
     law = qg.repetition(p, args.k)
     draws = qg.sample_joint(law, args.n, seed=args.seed)
-    csv = _csv(_coord_names(args.k, p.d), draws.reshape(args.n, -1))
+    blocks = _csv_blocks(_coord_names(args.k, p.d), draws.reshape(args.n, -1))
     if args.out:  # without --out the samples stream to stdout; sample has no --format
         _emit({"written": str(Path(args.out) / "samples.csv"), "n": args.n}, args,
-              files={"samples.csv": csv})
+              files={"samples.csv": _encoded(blocks)})
     else:
-        sys.stdout.write(csv)
+        sys.stdout.writelines(blocks)
     return EXIT_OK
 
 
@@ -359,8 +373,8 @@ def cmd_lln_run(args) -> int:
     summary = report.to_json()
     if table is not None:
         summary["bounds_all_pass"] = table.all_pass
-    csv = report.averages_csv() if args.out or args.format == "csv" else None
-    files = args.out and {"averages.csv": csv,
+    csv = report.averages_csv() if args.format == "csv" else None
+    files = args.out and {"averages.csv": csv or _encoded(report.averages_csv_blocks()),
                           "summary.json": json.dumps(_jsonable(summary), indent=2) + "\n"}
     if files and table is not None:
         files["exceedance.csv"] = table.to_csv()

@@ -7,7 +7,9 @@ draw has exactly the law of the shorter joint, so running averages along
 the path probe the dependent law of large numbers directly.  Paths are
 never materialised: the standard normals behind them stream through a
 fixed buffer and only their sums between checkpoints are kept, so memory
-is O(buffer + reps x checkpoints) whatever k_max is.  Rep r draws from
+is O(buffer + reps x checkpoints) whatever k_max is; so is the table, as
+``SimReport.averages_csv_blocks`` formats averages.csv by blocks of reps and
+a ``lln run --out`` bundle holds it once, as bytes.  Rep r draws from
 SeedSequence(seed, spawn_key=(r,)), hashed in bulk for all reps.  The module
 also evaluates the fourth-moment and second-moment Chebyshev-type tail
 bounds, compares them against empirical exceedance frequencies with
@@ -134,7 +136,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Running averages and deviations per (checkpoint, rep, statistic)."""
+    """Running averages and deviations per (checkpoint, rep, statistic); a --out
+    bundle holds their table averages.csv once, as bytes, formatted by rep blocks."""
 
     config: SimConfig
     k_schedule: list
@@ -151,16 +154,20 @@ class SimReport:
         return np.median(self.deviations[:, :, stat], axis=0)
 
     def averages_csv(self) -> str:
-        # one str.format per rep, over a template of all its rows
+        return "".join(self.averages_csv_blocks())
+
+    def averages_csv_blocks(self):
+        """averages.csv as text: the header, then the rows of _CSV_BLOCK reps at a time,
+        formatted by one str.format per rep over a template of all its rows."""
         keys = [(k, lab) for k in self.k_schedule for lab in self.stat_labels]
-        template = "\n".join(f"{k},{{0}},{lab},{{{2 * i + 1}:.17g}},{{{2 * i + 2}:.17g}}"
-                             for i, (k, lab) in enumerate(keys))
-        reps = self.averages.shape[0]
-        rows = np.stack([self.averages.reshape(reps, -1),
-                         self.deviations.reshape(reps, -1)], axis=2).reshape(reps, -1)
-        lines = ["k,rep,stat,average,deviation"]
-        lines += [template.format(r, *row) for r, row in enumerate(rows.tolist())]
-        return "\n".join(lines) + "\n"
+        template = "".join(f"{k},{{0}},{lab},{{{2 * i + 1}:.17g}},{{{2 * i + 2}:.17g}}\n"
+                           for i, (k, lab) in enumerate(keys))
+        yield "k,rep,stat,average,deviation\n"
+        for lo in range(0, len(self.averages), _CSV_BLOCK):
+            pairs = np.stack([a[lo:lo + _CSV_BLOCK] for a in (self.averages, self.deviations)],
+                             axis=-1)  # (average, deviation) per row
+            yield "".join(template.format(r, *row)
+                          for r, row in enumerate(pairs.reshape(len(pairs), -1).tolist(), lo))
 
     def to_json(self) -> dict:
         return {
@@ -185,6 +192,7 @@ def _targets(cfg: SimConfig) -> np.ndarray:
 
 
 _CHUNK = 1 << 17  # standard normals per buffer fill in _run_reps
+_CSV_BLOCK = 256  # reps per text block of averages.csv
 
 # numpy's SeedSequence hash constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _M32 = (
@@ -237,8 +245,8 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     keeps only the sums of z, and of z_i z_j for trace_d, over the pieces
     between checkpoints.  Each rep draws its chi-square W after its last
     normal, so every z and W stream is that of
-    qgauss.sample_joint(law, 1, rng); _averages then turns the sums of a
-    block of reps into averages.
+    qgauss.sample_joint(law, 1, rng); one _averages call then turns the
+    sums of all reps into averages.
     """
     d, k_max = cfg.d, cfg.k_max
     dof, A = qg.joint_factor(qg.repetition(cfg.params(), k_max))
@@ -250,13 +258,12 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
     buf = np.empty(B * K * d)
     prod = np.empty(B * K if n_cols > d else 0)  # z_i z_j of one pair (i, j)
     v = np.asarray(cfg.v)
-    out = np.empty((hi - lo, ks.size, n_cols))
+    seg = np.zeros((hi - lo, ks.size, n_cols))  # sums over the pieces between checkpoints
+    chi2 = []  # the chi-square draw W of each rep
     words = _child_words(cfg.seed, lo, hi)
-    for b0 in range(lo, hi, B):
-        rngs = [np.random.Generator(np.random.PCG64(_Words(w)))
-                for w in words[b0 - lo:b0 - lo + B]]
+    for b0 in range(0, hi - lo, B):
+        rngs = [np.random.Generator(np.random.PCG64(_Words(w))) for w in words[b0:b0 + B]]
         nb = len(rngs)
-        seg = np.zeros((nb, ks.size, n_cols))  # sums over the pieces between checkpoints
         for c0 in range(0, k_max, K):
             n = min(K, k_max - c0)
             z = buf[:nb * n * d].reshape(nb, n, d)
@@ -267,17 +274,15 @@ def _run_reps(cfg: SimConfig, lo: int, hi: int) -> np.ndarray:
             starts = np.concatenate([[0], ks[(ks > c0) & (ks < c0 + n)] - c0])
             first = int(np.searchsorted(ks, c0, side="right"))
             idx = (np.arange(nb)[:, None] * n + starts).ravel()
-            piece = seg[:, first:first + starts.size]
+            piece = seg[b0:b0 + nb, first:first + starts.size]
             piece[..., :d] += np.add.reduceat(z, idx, axis=0).reshape(nb, starts.size, d)
             for p in range(n_cols - d):
                 x = np.multiply(z[:, iu[p]], z[:, ju[p]], out=prod[:nb * n])
                 piece[..., d + p] += np.add.reduceat(x, idx).reshape(nb, starts.size)
         if math.isfinite(dof):
-            s = np.sqrt(dof / np.array([rng.chisquare(dof, size=1)[0] for rng in rngs]))
-        else:
-            s = np.ones(nb)
-        out[b0 - lo:b0 - lo + nb] = _averages(np.cumsum(seg, axis=1), s, A, v, ks)
-    return out
+            chi2 += [rng.chisquare(dof) for rng in rngs]
+    s = np.sqrt(dof / np.array(chi2)) if math.isfinite(dof) else np.ones(hi - lo)
+    return _averages(np.cumsum(seg, axis=1), s, A, v, ks)
 
 
 def _averages(S: np.ndarray, s: np.ndarray, A: np.ndarray, v: np.ndarray,

@@ -260,6 +260,18 @@ def test_qgauss_sample_csv_header_and_determinism(capsys, tmp_path):
     assert out1 == out2
 
 
+def test_qgauss_sample_prints_and_bundles_the_same_csv(capsys, tmp_path):
+    # 600 draws cross two 256-row blocks of the CSV writer
+    argv = ["qgauss", "sample", "--q", "1.5", "--d", "2", "--k", "2", "--n", "600", "--seed", "4"]
+    code, out = run(capsys, *argv)
+    draws = qg.sample_joint(qg.repetition(qg.QGaussianParams(1.5, 2), 2), 600, seed=4)
+    lines = ["x_1_1,x_1_2,x_2_1,x_2_2"]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in draws.reshape(600, -1)]
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    assert run(capsys, *argv, "--out", str(tmp_path / "b"))[0] == 0
+    assert (tmp_path / "b" / "samples.csv").read_bytes() == out.encode()
+
+
 def test_qgauss_mle_inline(capsys):
     code, out = run(capsys, "qgauss", "mle", "--q", "1.5", "--d", "1", "--k", "3",
                     "--x", "0.3,1.7,-0.5", "--family", "identity_mean_only")
@@ -669,6 +681,12 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
     ("""gauge conjugate --gauge '{"kind":"power","q":0.5}' --x 1e308""", _CONJUGATE.format(1e308)),
     ("""gauge conjugate --gauge '{"kind":"escort","q":1.5}' --x -1e308""",
      _CONJUGATE.format(-1e308)),
+    ("""gauge eval --gauge '{"kind":"kl"}' --fn s --x 1e308""",
+     "s at x=1e+308 leaves double range"),
+    ("""gauge eval --gauge '{"kind":"scaled_log","lam":2.0}' --fn s --x 1e300""",
+     "s at x=1e+300 leaves double range"),
+    ("""gauge eval --gauge '{"kind":"power","q":1.5}' --fn m --x 1e-310""",
+     "m at x=1e-310 leaves double range"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
@@ -678,7 +696,8 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         "equiv-a1-overflow", "equiv-a2-lost", "equiv-a2-negative-lost", "equiv-a3-lost",
         "equiv-a3-negative-lost", "conjugate-kl-t-underflow", "conjugate-scaled-log-tau-overflow",
         "conjugate-scaled-log-tau-underflow", "conjugate-power-t-overflow",
-        "conjugate-escort-t-underflow"])
+        "conjugate-escort-t-underflow", "eval-kl-s-overflow", "eval-scaled-log-s-nan",
+        "eval-power-m-overflow"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()
@@ -844,7 +863,8 @@ def _marginal_listed(coin, escort):
     res = qg.marginal_check(qg.repetition(p, 2), qg.repetition(p, 1), xs=[0.0, 0.5])
     return ({"max_defect": res.max_defect, "points": res.points,
              "defects": res.defects, "abserr": res.abserr},
-            cli._csv(["x_1", "defect"], np.column_stack([res.points, res.defects])))
+            "".join(cli._csv_blocks(["x_1", "defect"],
+                                    np.column_stack([res.points, res.defects]))))
 
 
 def _verify_listed(coin, escort):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import tan_quad
 from dgeo.errors import DomainError
-from dgeo import lln
+from dgeo import cli, lln
 from dgeo import qgauss as qg
 
 
@@ -279,6 +280,40 @@ AVERAGES_HASHES = [
 def test_averages_bit_identical(config, digest):
     csv = lln.run_lln(lln.SimConfig(**config)).averages_csv()
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def _lln_run_out(tmp_path, name, config):
+    """Run `dgeo lln run --config ... --out DIR` in process; the bundle's directory."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["lln", "run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    return tmp_path / name
+
+
+def test_bundle_averages_csv_is_the_report_text(tmp_path, capsys):
+    # the bundle encodes averages.csv by blocks of reps; 300 reps cross a block edge
+    config, digest = AVERAGES_HASHES[0]
+    cfg = lln.SimConfig(**config)
+    data = (_lln_run_out(tmp_path, "b", cfg.to_json()) / "averages.csv").read_bytes()
+    assert data == lln.run_lln(cfg).averages_csv().encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_lln_run_out_holds_averages_csv_once(tmp_path, capsys):
+    # the bundle holds averages.csv whole only as the bytes it writes; a whole
+    # str, its lines and its encoding would take the peak past twice the file
+    import tracemalloc
+
+    config = dict(q=1.3, d=2, v=[0.3, -0.2], variant="trace_d", k_max=1000, reps=5000,
+                  seed=5, S=[[1.2, 0.3], [0.3, 0.8]])
+    _lln_run_out(tmp_path, "warm", {**config, "k_max": 100, "reps": 100})  # first-call caches
+    tracemalloc.start()
+    try:
+        out = _lln_run_out(tmp_path, "b", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (out / "averages.csv").stat().st_size
 
 
 @settings(max_examples=50)
