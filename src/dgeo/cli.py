@@ -141,19 +141,21 @@ def _gauge_of(args) -> gg.GaugeTriple:
 
 def cmd_gauge_eval(args) -> int:
     g = _gauge_of(args)
-    if args.fn == "d":
-        if args.y is None:
-            raise DomainError("--fn d needs both --x and --y")
-        val = gg.d_htau(g, args.x, args.y)
-    elif args.fn == "exp":
-        val = gg.exp_htau(g, args.x)
-    else:
-        g.I.require(args.x, "--x")  # every derived function lives on I
-        with np.errstate(all="ignore"):  # refused below, as legendre_conjugate does
+    if args.fn == "exp":  # clips to 0 and inf by design
+        print(repr(float(gg.exp_htau(g, args.x))))
+        return EXIT_OK
+    at = f"x={args.x}"
+    with np.errstate(all="ignore"):  # refused below, as legendre_conjugate does
+        if args.fn == "d":
+            if args.y is None:
+                raise DomainError("--fn d needs both --x and --y")
+            val, at = float(gg.d_htau(g, args.x, args.y)), f"{at}, y={args.y}"
+        else:
+            g.I.require(args.x, "--x")  # every derived function lives on I
             val = float(getattr(gg.derived(g), args.fn)(args.x))
-        if not math.isfinite(val):
-            raise DomainError(f"{args.fn} at x={args.x} leaves double range")
-    print(repr(float(val)))
+    if not math.isfinite(val):
+        raise DomainError(f"{args.fn} at {at} leaves double range")
+    print(repr(val))
     return EXIT_OK
 
 

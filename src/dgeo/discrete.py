@@ -13,7 +13,8 @@ theta coordinates, verifies the Hessian-potential identity g = d eta / d theta
 by first differences of eta = grad Phi, and the canonical-divergence identity,
 where the tau-mass is constant as its exact gradient reads it, projects by
 moment matching in one Newton on (theta, psi), with no psi-solve per step,
-and checks affine reparametrization invariance.
+and checks affine reparametrization invariance.  A check reads h o tau (as -s)
+once, on all its densities, and shares it between Phi and D or two entropies.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
-from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _rtsafe, derived,
-                    d_htau, exp_htau, gauge_from_json, gauge_to_json)
+from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _kernel, _rtsafe,
+                    derived, d_htau, exp_htau, gauge_from_json, gauge_to_json)
 
 # Not scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks the
 # name up to save it before it patches in its brentq stand-in.  Goes with
@@ -422,9 +423,12 @@ def _tau_moments(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
     return (np.asarray(spec.gauge.tau.value(P), dtype=float) * spec.base.weights) @ spec.T.T
 
 
-def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray):
-    """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows."""
-    s_star = np.asarray(derived(spec.gauge).s_star(P), dtype=float)
+def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray, hts=None):
+    """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows;
+    s_star = h o tau - tau ell takes h o tau from hts (-s at P) when it is given."""
+    d = derived(spec.gauge)
+    s_star = np.asarray(d.s_star(P) if hts is None
+                        else hts - spec.gauge.tau.value(P) * d.ell.value(P), dtype=float)
     return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
 
 
@@ -495,9 +499,12 @@ def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float
     m2 = _member(spec, th2, m.warm(th2)) if m.flat() else None
     if m2 is None or not m2.flat():
         raise DomainError("canonical divergence check needs a constant tau-mass")
-    phi2, phi = _potential(spec, np.array([m2.psi, m.psi]), np.stack([m2.p, m.p]))
+    # one read of h o tau at (p', p) serves Phi and D; members need no density_vector
+    P = np.stack([m2.p, m.p])
+    hts = -np.asarray(derived(spec.gauge).s(P), dtype=float)
+    phi2, phi = _potential(spec, np.array([m2.psi, m.psi]), P, hts)
     canon = phi2 - phi + float((m.theta - th2) @ _tau_moments(spec, m.p))
-    return abs(canon - divergence(spec, m.p, m2.p))
+    return abs(canon - float(spec.base.weights @ _kernel(spec.gauge, m.p, m2.p, hts[::-1])))
 
 
 @dataclass(frozen=True)
@@ -581,7 +588,8 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     R, F = np.empty_like(S), np.empty(spec.dim + 1)
 
     def evaluate(th, psi, x):
-        """p, dt/dx, r and whether the point is admissible; fills F."""
+        """p, dt/dx, r and, if the point is admissible, its moment norm max |F[:-1]|
+        and merit max(|F|, |r|), from one |F| (else None); fills F."""
         u = th @ T - spec.c
         if closed:
             p, dtdx, r, ok = np.asarray(exp_htau(g, u - psi), dtype=float), None, None, True
@@ -590,11 +598,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
             r = np.asarray(d.ell.value(p), dtype=float) - u + psi
         np.subtract(_tau_moments(spec, p), target, out=F[:-1])
         F[-1] = p @ w - 1.0
-        return p, dtdx, r, bool(ok and (box is None or _in_box(spec, th))
-                                and g.I.lo < p.min() and p.max() < g.I.hi)
-
-    def merit(r):  # of the point F was last filled for
-        return max(np.abs(F).max(), 0.0 if r is None else np.abs(r).max())
+        if not (ok and (box is None or _in_box(spec, th)) and g.I.lo < p.min()
+                and p.max() < g.I.hi):
+            return p, dtdx, r, None
+        aF = np.abs(F)
+        return p, dtdx, r, (float(aF[:-1].max()),
+                            max(aF.max(), 0.0 if r is None else np.abs(r).max()))
 
     def thetas():
         yield np.zeros(spec.dim)
@@ -617,13 +626,13 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     total_iter = 0
     with np.errstate(all="ignore"):
         for th, psi, x in starts():
-            p, dtdx, r, ok = evaluate(th, psi, x)
-            if not ok:
+            p, dtdx, r, at = evaluate(th, psi, x)
+            if at is None:
                 continue
             settled = closed
             for _ in range(_PROJ_STEPS):
                 total_iter += 1
-                norm = float(np.abs(F[:-1]).max())
+                norm, before = at
                 if best is None or norm < best[0]:
                     best = (norm, th.copy(), p)
                 done = norm <= tol * scale and abs(F[-1]) <= _MASS_TOL
@@ -641,13 +650,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                     chi * (step @ S - r) / dtdx, -_FLAT_DX, _FLAT_DX)
                 small = not closed and max(
                     np.abs(dx).max(), abs(step[-1]) / max(1.0, abs(psi))) <= _NEWTON_SETTLED
-                before = merit(r)
                 alpha = 1.0
                 while alpha >= 1e-8:
                     trial = (th + alpha * step[:-1], psi + alpha * step[-1], x + alpha * dx)
-                    p_t, dtdx_t, r_t, ok = evaluate(*trial)
-                    if ok and (small and done or merit(r_t) < (1 - 1e-4 * alpha) * before):
-                        (th, psi, x), p, dtdx, r = trial, p_t, dtdx_t, r_t
+                    p_t, dtdx_t, r_t, at_t = evaluate(*trial)
+                    if at_t and (small and done or at_t[1] < (1 - 1e-4 * alpha) * before):
+                        (th, psi, x), p, dtdx, r, at = trial, p_t, dtdx_t, r_t, at_t
                         settled = closed or small and alpha == 1.0
                         break
                     alpha *= 0.5
@@ -670,9 +678,10 @@ def entropy_max_check(spec: DiscreteFamilySpec, rho) -> EntropyMaxResult:
     """Projected member has no smaller entropy, to 1e-10, when the offset c vanishes."""
     if np.any(spec.c != 0):
         raise DomainError("entropy maximality requires a vanishing offset c")
-    proj = pythagorean_project(spec, rho)
-    e_rho = entropy(spec, rho)
-    e_star = entropy(spec, proj.p)
+    proj = pythagorean_project(spec, rho)  # checks rho by density_vector
+    # one read of s on (rho, p*); each entropy is the dot product of ``entropy``
+    s = np.asarray(derived(spec.gauge).s(np.stack([rho, proj.p])), dtype=float)
+    e_rho, e_star = (float(spec.base.weights @ row) for row in s)
     return EntropyMaxResult(e_rho, e_star, e_star >= e_rho - 1e-10, proj)
 
 

@@ -380,12 +380,21 @@ def _derived_from(h_tau: Callable, tau: ScalarFn, ell: ScalarFn) -> DerivedFunct
 def d_htau(g: GaugeTriple, t, s):
     """Divergence kernel d(t, s) >= 0 with equality iff t == s.
 
-    h(tau(t)) is read as -s(t), a function of t, so no gauge inverts tau here."""
+    h(tau(t)) is read as -s(t), a function of t, so no gauge inverts tau here,
+    and it is read once, on t and s together (one quadrature on a pair gauge)."""
     g.I.require(t, "t")
     g.I.require(s, "s")
+    return _kernel(g, t, s)
+
+
+def _kernel(g: GaugeTriple, t, s, hts=None):
+    """d_htau without its checks; hts is h o tau at t and s stacked after
+    np.broadcast_arrays (-s of ``derived``), read here when it is None."""
     d = derived(g)
-    ht = -d.s(t)
-    hs = -d.s(s)
+    if hts is None:
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        hts = -d.s(np.stack([t, s]))
+    ht, hs = hts
     val = np.asarray(ht - hs - (g.tau.value(t) - g.tau.value(s)) * d.ell.value(s), dtype=float)
     scale = 1.0 + np.abs(ht) + np.abs(hs)
     val = np.where((val < 0) & (val > -1e-12 * scale), 0.0, val)

@@ -484,6 +484,11 @@ def fij_pair_moments(law: RepetitionLaw, i: int = 0, j: int = 0) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
+# marginal_check's default rows v + t sd, read-only
+_T_GRID = np.linspace(-2.0, 2.0, 9)[:, None]
+_T_GRID.setflags(write=False)
+
+
 @lru_cache(maxsize=8)
 def _radial_rule(n_nodes: int) -> np.ndarray:
     """Rows tan^2 u, log tan u and log(w sec^2 u) of the n-node Gauss-Legendre
@@ -518,7 +523,9 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     2 pi^{n/2}/Gamma(n/2) det(S)^{-k'/2} int_0^inf g(r0 + s^2) s^{n-1} ds, taken
     for all rows at once by Gauss-Legendre in u on [0, pi/2], s = tan(u)/sqrt(beta_k):
     64 nodes, doubled until every row has |I_2N - I_N| <= max(epsabs,
-    1e-10 |I_2N|); InfeasibleError past 4096 nodes.
+    1e-10 |I_2N|); InfeasibleError past 4096 nodes.  One quadratic form
+    r0 = sum_m |x_m - v|^2_S per row serves both the integral and the target,
+    the shorter joint exp_q(-beta_k' r0 - nu_k')^a_k' as joint_density forms it.
     """
     pb, ps = law_big.base, law_small.base
     if pb is not ps and ((pb.q, pb.d) != (ps.q, ps.d) or not np.allclose(pb.v, ps.v)
@@ -529,7 +536,7 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
         raise DomainError("need law_big.k > law_small.k and a finite epsabs > 0")
     if xs is None:
         sd = np.sqrt([max(central_second(law_small, i, i), 1e-6) for i in range(d)])
-        xs = np.tile(pb.v + np.linspace(-2.0, 2.0, 9)[:, None] * sd, k)
+        xs = np.tile(pb.v + _T_GRID * sd, k)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim <= 1:
         xs = np.repeat(xs.reshape(-1, 1), k * d, axis=1)
@@ -540,7 +547,8 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
         raise DomainError("points must be finite and not empty")
 
     q, a, beta, n = pb.q, law_big.a_k, law_big.beta_k, d * kp
-    z0 = beta * _quad_form(xs.reshape(-1, k, d), pb.v, pb.S)[:, None] + law_big.nu_k
+    Q = _quad_form(xs.reshape(-1, k, d), pb.v, pb.S)
+    z0 = beta * Q[:, None] + law_big.nu_k
     log_c = math.log(2.0) + n / 2 * math.log(math.pi / beta) - math.lgamma(n / 2) \
         - kp / 2 * pb._logdet
 
@@ -551,7 +559,9 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
         return np.exp(log_g + ((n - 1) * log_t + log_ws + log_c)).sum(axis=1)
 
     fine, abserr = _doubling(integral, 64, 4096, epsabs, 1e-10, "radial quadrature")
-    target = joint_density(law_small, xs.reshape(-1, k, d))
+    if ps is not pb:  # equal to allclose only: the target keeps its own form
+        Q = _quad_form(xs.reshape(-1, k, d), ps.v, ps.S)
+    target = _exp_q_pow(-(law_small.beta_k * Q) - law_small.nu_k, q, law_small.a_k)
     return MarginalCheckResult(xs, np.abs(fine - target), abserr)
 
 

@@ -687,6 +687,10 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
      "s at x=1e+300 leaves double range"),
     ("""gauge eval --gauge '{"kind":"power","q":1.5}' --fn m --x 1e-310""",
      "m at x=1e-310 leaves double range"),
+    ("""gauge eval --gauge '{"kind":"kl"}' --fn d --x 1 --y 1e308""",
+     "d at x=1.0, y=1e+308 leaves double range"),
+    ("""gauge eval --gauge '{"kind":"kl"}' --fn d --x 1e308 --y 1""",
+     "d at x=1e+308, y=1.0 leaves double range"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
@@ -697,7 +701,7 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         "equiv-a3-negative-lost", "conjugate-kl-t-underflow", "conjugate-scaled-log-tau-overflow",
         "conjugate-scaled-log-tau-underflow", "conjugate-power-t-overflow",
         "conjugate-escort-t-underflow", "eval-kl-s-overflow", "eval-scaled-log-s-nan",
-        "eval-power-m-overflow"])
+        "eval-power-m-overflow", "eval-kl-d-nan", "eval-kl-d-overflow"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
     code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
     captured = capsys.readouterr()

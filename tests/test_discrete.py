@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dgeo.errors import DomainError, InfeasibleError
 from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivalence,
-                        builtin_gauge, derived, gauge_from_pair)
+                        builtin_gauge, d_htau, derived, gauge_from_pair)
 from dgeo import cli
 from dgeo import discrete as dc
 from dgeo.gauge import _rtsafe
@@ -906,6 +906,113 @@ def test_member_projection_is_identity_on_entropy():
     _, p = dc.normalize(spec, [0.4])
     res = dc.entropy_max_check(spec, p)
     assert res.entropy_projected == pytest.approx(res.entropy_source, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one read of h o tau per check, with the numbers of the reads it replaced
+# ---------------------------------------------------------------------------
+
+
+def check_family(kind, seed, m, n):
+    """bench_family with a theta', a member p' at it and a rho in I of mass one."""
+    spec, th = bench_family(kind, seed, m, n)
+    rng = np.random.default_rng(seed + 100)
+    th2 = rng.normal(scale=0.3, size=n)
+    raw = rng.uniform(0.5, 1.5, size=m)
+    return spec, th, th2, dc.normalize(spec, th2)[1], raw / (spec.base.weights @ raw)
+
+
+def two_read_kernel(g, t, s):
+    """d_htau as it read h o tau before: -s once at t and once at s."""
+    d = derived(g)
+    ht, hs = -d.s(t), -d.s(s)
+    val = np.asarray(ht - hs - (g.tau.value(t) - g.tau.value(s)) * d.ell.value(s), dtype=float)
+    val = np.where((val < 0) & (val > -1e-12 * (1.0 + np.abs(ht) + np.abs(hs))), 0.0, val)
+    return val if val.ndim else float(val)
+
+
+def two_read_canonical(spec, theta, theta2):
+    """(canonical_divergence_check, D) with Phi from s_star and D from divergence
+    over two_read_kernel, as the check took them before."""
+    w, g = spec.base.weights, spec.gauge
+    m = dc._member(spec, theta)
+    m2 = dc._member(spec, theta2, m.warm(theta2))
+    P = np.stack([m2.p, m.p])
+    s_star = np.asarray(derived(g).s_star(P), dtype=float)
+    tau_mass = np.asarray(g.tau.value(P), dtype=float) @ w
+    phi2, phi = -(s_star @ w) + np.array([m2.psi, m.psi]) * tau_mass
+    canon = phi2 - phi + float((m.theta - m2.theta) @ dc._tau_moments(spec, m.p))
+    D = float(w @ np.asarray(two_read_kernel(g, m.p, m2.p), dtype=float))
+    return abs(canon - D), D
+
+
+def counting(g, reads):
+    """g whose derived s and s_star append the size of each read to reads."""
+    d = derived(g)
+
+    def counted(key, f):
+        def value(u):
+            reads[key].append(np.size(u))
+            return f(u)
+        return value
+
+    return replace(g, derived_fns=replace(d, s=counted("s", d.s),
+                                          s_star=counted("s_star", d.s_star)))
+
+
+@pytest.mark.parametrize("kind,m,n", [("kl", 50, 3), ("pair", 4, 1), ("transformed", 4, 1)])
+@pytest.mark.parametrize("call", ["d_htau", "divergence", "canonical", "entropy_max"])
+def test_each_check_reads_h_tau_once(kind, m, n, call):
+    # each call reads -s once, on its 2m densities together (on a pair gauge that
+    # is one quadrature), and Phi takes s_star from that read
+    spec, th, th2, p2, rho = check_family(kind, 3, m, n)
+    reads = {"s": [], "s_star": []}
+    probe = replace(spec, gauge=counting(spec.gauge, reads))
+    {"d_htau": lambda: d_htau(probe.gauge, rho, p2),
+     "divergence": lambda: dc.divergence(probe, rho, p2),
+     "canonical": lambda: dc.canonical_divergence_check(probe, th, th2),
+     "entropy_max": lambda: dc.entropy_max_check(probe, rho)}[call]()
+    assert reads == {"s": [2 * m], "s_star": []}
+
+
+@pytest.mark.parametrize("kind", ["kl", "power", "escort", "scaled_log"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_read_checks_give_the_two_read_numbers(kind, seed):
+    # the builtins are elementwise, so one read on the stacked densities gives
+    # the bits of one read per density
+    spec, th, th2, p2, rho = check_family(kind, seed, 50, 3)
+    g, w = spec.gauge, spec.base.weights
+    assert np.array_equal(d_htau(g, rho, p2), two_read_kernel(g, rho, p2))
+    for t, s in ((rho[:, None], p2[:5]), (float(rho[0]), float(p2[0]))):  # broadcast, scalar
+        assert np.array_equal(d_htau(g, t, s), two_read_kernel(g, t, s))
+    assert dc.divergence(spec, rho, p2) == float(w @ two_read_kernel(g, rho, p2))
+    res = dc.entropy_max_check(spec, rho)
+    assert (res.entropy_source, res.entropy_projected) == (dc.entropy(spec, rho),
+                                                           dc.entropy(spec, res.projection.p))
+    if kind in ("kl", "power"):  # tau = id: a constant tau-mass
+        assert dc.canonical_divergence_check(spec, th, th2) == two_read_canonical(spec, th, th2)[0]
+
+
+@pytest.mark.parametrize("kind", ["pair", "transformed"])
+@pytest.mark.parametrize("m,n", [(4, 1), (12, 2)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_read_checks_keep_the_pair_numbers_to_the_quadrature_rule(kind, m, n, seed):
+    # stacked, the quadrature of h o tau may refine once more for the half that
+    # converged first; its rule is 1e-12 relative
+    spec, th, th2, p2, rho = check_family(kind, seed, m, n)
+    g, w = spec.gauge, spec.base.weights
+
+    def close(a, b, scale=None):
+        return np.all(np.abs(a - b) <= 1e-12 * np.abs(b if scale is None else scale))
+
+    assert close(d_htau(g, rho, p2), two_read_kernel(g, rho, p2))
+    assert close(dc.divergence(spec, rho, p2), float(w @ two_read_kernel(g, rho, p2)))
+    res = dc.entropy_max_check(spec, rho)
+    assert close(res.entropy_source, dc.entropy(spec, rho))
+    assert close(res.entropy_projected, dc.entropy(spec, res.projection.p))
+    defect, D = two_read_canonical(spec, th, th2)
+    # the defect is at rounding level: it may move by the rule's share of D
+    assert close(dc.canonical_divergence_check(spec, th, th2), defect, D)
 
 
 # ---------------------------------------------------------------------------

@@ -554,8 +554,8 @@ def test_pair_reconstructs_kl(rng):
 
 def test_pair_kernel_evaluates_h_once_per_argument():
     # on a pair gauge every evaluation of h o tau is one quadrature per point;
-    # the kernel reads it in t as -s, once per argument, and never calls
-    # h.value, which would first invert tau
+    # the kernel reads it in t as -s, once, on both arguments stacked, and
+    # never calls h.value, which would first invert tau
     tau, ell = _kl_pair()
     g = gauge_from_pair(tau, ell, a=1.0)
     d = derived(g)
@@ -571,7 +571,7 @@ def test_pair_kernel_evaluates_h_once_per_argument():
                     derived_fns=replace(d, s=counted("s", d.s)))
     t, s = np.array([0.5, 1.0, 2.5]), np.array([1.5, 1.0, 0.7])
     assert np.array_equal(d_htau(probe, t, s), d_htau(g, t, s))
-    assert calls == {"h": [], "s": [3, 3]}
+    assert calls == {"h": [], "s": [6]}
 
 
 @pytest.mark.parametrize("tr", [None, EquivalenceTransform(0.3, -0.2, 0.1, 1.5)],

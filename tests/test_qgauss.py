@@ -567,7 +567,7 @@ def _marginal_integrals(law_big, law_small, xs):
     """marginal_check's integrals themselves: against a zero target its
     defects are the integrals."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qg, "joint_density", lambda l, x: np.zeros(len(x)))
+        mp.setattr(qg, "_exp_q_pow", lambda u, q, a: np.zeros(len(u)))
         return qg.marginal_check(law_big, law_small, xs=xs).defects
 
 
@@ -608,8 +608,10 @@ def test_marginal_d2_matches_nested_quadrature():
     assert qg.marginal_check(big, small, xs=x.reshape(1, 1, 2)).max_defect <= 1e-12
 
 
-@pytest.mark.parametrize("q,d,k,kp", [(1.2, 1, 1, 3), (1.5, 1, 2, 3), (1.3, 3, 1, 1),
-                                      (1.2, 2, 2, 3)])
+MARGINAL_GRID = [(1.2, 1, 1, 3), (1.5, 1, 2, 3), (1.3, 3, 1, 1), (1.2, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("q,d,k,kp", MARGINAL_GRID)
 def test_marginal_any_d_and_kprime(q, d, k, kp):
     """Odd n = d k' (3, 3, 3) and a larger even one (6), on the default grid."""
     v = np.linspace(-0.5, 0.5, d)
@@ -618,6 +620,37 @@ def test_marginal_any_d_and_kprime(q, d, k, kp):
     assert res.points.shape == (9, k * d)
     assert res.abserr.shape == (9,) and np.all(res.abserr <= 1e-10)
     assert res.max_defect <= 1e-12
+
+
+@pytest.mark.parametrize("q,d,k,kp", MARGINAL_GRID + [(1.0, 2, 1, 2)])
+def test_marginal_target_is_the_joint_density(q, d, k, kp):
+    # the target reuses the integral's quadratic form; its defects must be
+    # |integral - joint_density| to the bit, as when joint_density formed the
+    # target, for laws of one QGaussianParams and of two equal ones
+    v = np.linspace(-0.5, 0.5, d)
+    S = np.eye(d) + 0.2 * (np.ones((d, d)) - np.eye(d))
+    p = qg.QGaussianParams(q, d, v, S)
+    shared = qg.marginal_check(qg.repetition(p, k + kp), qg.repetition(p, k))
+    big, small = law(q, d=d, k=k + kp, v=v, S=S), law(q, d=d, k=k, v=v, S=S)
+    assert big.base is not small.base and big.base.q == small.base.q
+    apart = qg.marginal_check(big, small)
+    pts = apart.points
+    fine = _marginal_integrals(big, small, pts)
+    want = np.abs(fine - qg.joint_density(small, pts.reshape(-1, k, d)))
+    for res in (shared, apart):
+        assert np.array_equal(res.points, pts) and np.array_equal(res.defects, want)
+
+
+def test_marginal_check_forms_one_quadratic_form(monkeypatch):
+    # one |x - v|^2_S per row serves the radial integral and the target
+    calls = []
+    real = qg._quad_form
+    monkeypatch.setattr(qg, "_quad_form", lambda x, v, S: calls.append(x.shape) or real(x, v, S))
+    p = qg.QGaussianParams(1.3, 2, [0.2, -0.1], [[1.0, 0.3], [0.3, 0.8]])
+    for k, kp in ((1, 1), (2, 3)):
+        calls.clear()
+        qg.marginal_check(qg.repetition(p, k + kp), qg.repetition(p, k))
+        assert calls == [(9, k, 2)]
 
 
 def test_marginal_points_layout():
