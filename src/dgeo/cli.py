@@ -327,7 +327,8 @@ def cmd_qgauss_mle(args) -> int:
         try:
             with warnings.catch_warnings():  # an empty file: mle reports its 0 values
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0)
+                x = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.header else 0,
+                               ndmin=1)
         except ValueError as exc:  # a non-numeric field, or rows of unequal length
             raise _MalformedInput(f"{args.data}: {exc}") from exc
     elif args.x:
@@ -510,7 +511,7 @@ _VERBS = (
      ("--q", "--d", "--k", ("--n", dict(type=int, required=True)), "--v", "--S",
       "--out", "--seed")),
     ("qgauss", "mle", cmd_qgauss_mle,
-     ("--q", "--d", "--k", ("--data", dict(default=None, help="CSV file of shape (k, d)")),
+     ("--q", "--d", "--k", ("--data", dict(default=None, help="CSV file of shape (k, d) or flat")),
       ("--x", dict(default=None, help="inline comma separated data")),
       ("--header", dict(action="store_true")),
       ("--family", dict(choices=("identity_mean_only", "full"), default="identity_mean_only")),

@@ -525,7 +525,7 @@ def _doubling(integral: Callable, n_nodes: int, n_max: int, epsabs: float, epsre
         n_nodes *= 2
         fine = integral(n_nodes)
         abserr = np.abs(fine - coarse)
-        if np.all(abserr <= np.maximum(epsabs, epsrel * np.abs(fine))):
+        if (abserr <= np.maximum(epsabs, epsrel * np.abs(fine))).all():
             return fine, abserr
         coarse = fine
     raise InfeasibleError(f"{what} unconverged at {n_max} nodes ({np.max(abserr):.3g})")

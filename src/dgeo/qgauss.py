@@ -78,13 +78,19 @@ def _check_spd(S) -> np.ndarray:
         raise DomainError("S must be square") from None
     if S.shape[0] != S.shape[1]:
         raise DomainError("S must be square")
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise DomainError("S must be finite")
-    if np.max(np.abs(S - S.T)) > 1e-12:  # decides as allclose(S, S.T, rtol=0, atol=1e-12)
+    if np.abs(S - S.T).max() > 1e-12:  # decides as allclose(S, S.T, rtol=0, atol=1e-12)
         raise DomainError("S must be symmetric")
-    if np.min(np.linalg.eigvalsh(S)) <= 0:
+    if np.linalg.eigvalsh(S)[0] <= 0:  # the eigenvalues come back ascending
         raise DomainError("S must be positive definite")
     return S
+
+
+def _check_positive_int(n, name: str) -> None:
+    """Raise DomainError unless n is an int or numpy integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,13 @@ class QGaussianParams:
             raise DomainError("q must be finite")
         if self.q < 1.0:
             raise DomainError("q must be at least 1")
-        if self.d < 1:
+        # d < 1 raises TypeError for a d that is no number, as isfinite does for q
+        if self.d < 1 or isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)):
             raise DomainError("d must be a positive integer")
         if self.d * (self.q - 1.0) >= 2.0:
             raise DomainError("need d(q-1) < 2")
         v = np.zeros(self.d) if self.v is None else np.array(self.v, dtype=float)
-        if v.size != self.d or not np.all(np.isfinite(v)):
+        if v.size != self.d or not np.isfinite(v).all():
             raise DomainError(f"v must be finite, of length {self.d}")
         v = v.reshape(self.d)
         S = _check_spd(np.eye(self.d) if self.S is None else self.S)
@@ -176,7 +183,7 @@ def density(params: QGaussianParams, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
-    if pts.shape[-1] != params.d or not np.all(np.isfinite(pts)):
+    if pts.shape[-1] != params.d or not np.isfinite(pts).all():
         raise DomainError(f"points must be finite, with trailing dimension {params.d}")
     Q = _quad_form(pts.reshape(-1, 1, params.d), params.v, params.S).reshape(pts.shape[:-1])
     out = _exp_q_pow(-Q - params._lam, params.q, 1.0)
@@ -271,8 +278,7 @@ def _constants(q: float, d: int, k: int, S: np.ndarray) -> tuple[float, float, f
 
 def repetition(params: QGaussianParams, k: int) -> RepetitionLaw:
     """Constants (a_k, q_k, beta_k, nu_k) and the t degrees of freedom."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError("k must be a positive integer")
+    _check_positive_int(k, "k")
     q, d = params.q, params.d
     a_k, q_k, beta_k, nu_k = _constants(q, d, k, params.S)
     # d(q-1) < 2 makes nu_dof = 2/(q-1) + 3d > 4
@@ -287,7 +293,7 @@ def joint_density(law: RepetitionLaw, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 2
     pts = x[None] if squeeze else x
-    if pts.shape[-2:] != (law.k, p.d) or not np.all(np.isfinite(pts)):
+    if pts.shape[-2:] != (law.k, p.d) or not np.isfinite(pts).all():
         raise DomainError(f"points must be finite, with trailing shape ({law.k}, {p.d})")
     Q = law.beta_k * _quad_form(pts.reshape(-1, law.k, p.d), p.v, p.S).reshape(pts.shape[:-2])
     out = _exp_q_pow(-Q - law.nu_k, p.q, law.a_k)
@@ -508,7 +514,7 @@ class MarginalCheckResult:
 
     @property
     def max_defect(self) -> float:
-        return float(np.max(self.defects))
+        return float(self.defects.max())
 
 
 def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
@@ -543,7 +549,7 @@ def marginal_check(law_big: RepetitionLaw, law_small: RepetitionLaw,
     elif xs.shape[-1] != k * d and xs.shape[-2:] != (k, d):
         raise DomainError(f"points must have trailing shape ({k * d},) or ({k}, {d})")
     xs = xs.reshape(-1, k * d)
-    if xs.size == 0 or not np.all(np.isfinite(xs)):
+    if xs.size == 0 or not np.isfinite(xs).all():
         raise DomainError("points must be finite and not empty")
 
     q, a, beta, n = pb.q, law_big.a_k, law_big.beta_k, d * kp
@@ -627,15 +633,22 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, xsum: np.ndarray,
     unit-norm tangent basis.  Every tangent repeats one block u_b in each
     of the k repetitions, so u . r = u_b . (sum over m of the block
     residuals) and |u| = sqrt(k) |u_b|: only Sum_m x_m and X^T X are needed.
+    The residual is formed only where a tangent reads it.  Its linear part
+    is mass (k v - Sum_m x_m).  Its quadratic part, mass (k (v v^T + B) - X^T X)
+    on i <= j, is formed only for the full family at d >= 2; otherwise the
+    tangents are the linear block alone, whose quadratic columns are zero.
     """
     p = law.base
     d, k = p.d, law.k
-    iu = _triu(d)
-    second = np.outer(p.v, p.v) + law._block  # the escort's covariance is B
-    r = law._escort_mass * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
     T = _slice_tangents(law, family)  # no row is zero, as S is positive definite
+    r = k * p.v - xsum
+    if len(T) == d:  # the linear block alone
+        T = T[:, :d]
+    else:
+        second = np.outer(p.v, p.v) + law._block  # the escort's covariance is B
+        r = np.concatenate([r, (k * second - x.T @ x)[_triu(d)]])
     nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
-    return float(np.max(np.abs(T @ r) / nrm))
+    return float((np.abs(T @ (law._escort_mass * r)) / nrm).max())
 
 
 def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLEResult:
@@ -649,28 +662,42 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
     scatter matrix, which requires the scatter of the data around the
     mean to be nonsingular.  The reported defect is the tangent-projected
     escort-moment residual, zero at a true maximizer.  Cost O(kd^2 + d^3).
+
+    d and k are positive integers (not bools), and x holds the k points as
+    an array of shape (k, d) or flat, of shape (k d,), read point by point;
+    any other shape, a (d, k) array included, raises DomainError.  So do
+    data that are not finite, or whose sum or scatter around the mean
+    leaves double range.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError("k must be a positive integer")
+    _check_positive_int(d, "d")
+    _check_positive_int(k, "k")
     x = np.asarray(x, dtype=float)
     if x.size != k * d:
         raise DomainError(f"data must hold k*d = {k * d} values, not {x.size}")
+    if x.shape not in ((k, d), (k * d,)):
+        raise DomainError(f"data must be of shape ({k}, {d}) or ({k * d},), not {x.shape}")
     x = x.reshape(k, d)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError("data must be finite")
     if family not in ("identity_mean_only", "full"):
         raise DomainError(f"unknown family {family!r}")
 
-    xsum = x.sum(axis=0)
+    with np.errstate(over="ignore"):
+        xsum = x.sum(axis=0)
+    if not np.isfinite(xsum).all():
+        raise DomainError("the data's sum leaves double range")
     v = xsum / k  # the bits of x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
         S = np.eye(d)
     else:
-        centered = x - v
-        M = centered.T @ centered
-        if np.min(np.linalg.eigvalsh(M)) <= 1e-12 * max(1.0, float(np.max(np.abs(M)))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = x - v
+            M = centered.T @ centered
+        if not np.isfinite(M).all():
+            raise DomainError("the data's scatter leaves double range")
+        if np.linalg.eigvalsh(M)[0] <= 1e-12 * max(1.0, float(np.abs(M).max())):
             raise InfeasibleError("scatter matrix is singular; full-family fit undetermined")
         S = np.linalg.inv(M)
-        S *= d / np.trace(S)
+        S *= d / S.trace()
     law = repetition(QGaussianParams(q, d, v, S), k)
     return MLEResult(v, S, _stationarity_defect(law, x, xsum, family))

@@ -34,6 +34,14 @@ def escort_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def transposed_file(tmp_path):
+    # the k = 4 points of R^2 (0.1, 2.0), (0.9, 1.1), ... one coordinate a row: shape (d, k)
+    path = tmp_path / "transposed.csv"
+    path.write_text("0.1,0.9,-0.4,1.3\n2.0,1.1,-0.7,0.2\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -282,6 +290,24 @@ def test_qgauss_mle_inline(capsys):
     res = qg.mle(1.5, 1, 3, [0.3, 1.7, -0.5])
     assert payload == {"v": res.v.tolist(), "S": res.S.tolist(), "defect": res.defect}
     assert list(payload) == ["v", "S", "defect"]
+
+
+@pytest.mark.parametrize("d,k,texts", [
+    (2, 4, ["0.1,2.0\n0.9,1.1\n-0.4,-0.7\n1.3,0.2\n",    # (k, d)
+            "0.1,2.0,0.9,1.1,-0.4,-0.7,1.3,0.2\n",          # one row
+            "0.1\n2.0\n0.9\n1.1\n-0.4\n-0.7\n1.3\n0.2\n"]),  # one column
+    (1, 1, ["0.83\n"]),                                       # one value
+], ids=["d2-k4", "d1-k1"])
+def test_qgauss_mle_data_file_layouts_fit_as_inline_x(capsys, tmp_path, d, k, texts):
+    # a (k, d) file and a flat one, a row or a column, hold the points in the order of --x
+    path = tmp_path / "data.csv"
+    flat = ",".join(texts[0].split())
+    argv = ["qgauss", "mle", "--q", "1.3", "--d", str(d), "--k", str(k), "--family", "full"]
+    code, expected = run(capsys, *argv, "--x", flat)
+    assert code == 0
+    for text in texts:
+        path.write_text(text)
+        assert run(capsys, *argv, "--data", str(path)) == (0, expected)
 
 
 def test_qgauss_moments(capsys):
@@ -640,6 +666,11 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
     ("qgauss mle --q 1.5 --k 3", "mle needs --data or --x"),
     ("qgauss mle --q 1.5 --k 3 --x 1,2", "data must hold k*d = 3 values, not 2"),
     ("qgauss mle --q 1.5 --k 0 --x ,", "k must be a positive integer"),
+    ("qgauss mle --q 1.5 --k 3 --x 1e308,1e308,1e308", "the data's sum leaves double range"),
+    ("qgauss mle --q 1.5 --d 2 --k 3 --family full --x 1e200,1,-1e200,2,0,5",
+     "the data's scatter leaves double range"),
+    ("qgauss mle --q 1.3 --d 2 --k 4 --family full --data {transposed}",
+     "data must be of shape (4, 2) or (8,), not (2, 4)"),
     ("qgauss sample --q 1.5 --k 2 --n 0", "n must be a positive integer"),
     ("qgauss sample --q 1.5 --k 2 --n -1", "n must be a positive integer"),
     ("""gauge equiv-check --gauge '{"kind":"kl"}' --n 0""", "--n must be a positive integer"),
@@ -691,7 +722,8 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
      "d at x=1.0, y=1e+308 leaves double range"),
     ("""gauge eval --gauge '{"kind":"kl"}' --fn d --x 1e308 --y 1""",
      "d at x=1e+308, y=1.0 leaves double range"),
-], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "sample-n-0", "sample-n-negative",
+], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "mle-sum-overflow",
+        "mle-scatter-overflow", "mle-data-transposed", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
         "bounds-eps-underflow", "bounds-eps-overflow", "bounds-k-overflow",
         "summability-eps-underflow", "equiv-a1-nan", "equiv-lam-inf", "moments-d-negative",
@@ -702,8 +734,9 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         "conjugate-scaled-log-tau-underflow", "conjugate-power-t-overflow",
         "conjugate-escort-t-underflow", "eval-kl-s-overflow", "eval-scaled-log-s-nan",
         "eval-power-m-overflow", "eval-kl-d-nan", "eval-kl-d-overflow"])
-def test_bad_input_exits_2_with_message(capsys, coin_file, argv, message):
-    code = cli.main(shlex.split(argv.replace("{coin}", coin_file)))
+def test_bad_input_exits_2_with_message(capsys, coin_file, transposed_file, argv, message):
+    argv = argv.replace("{coin}", coin_file).replace("{transposed}", transposed_file)
+    code = cli.main(shlex.split(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"invalid: {message}\n"

@@ -55,6 +55,13 @@ def test_config_from_json_rejects_malformed(obj):
         lln.SimConfig.from_json(obj)
 
 
+@pytest.mark.parametrize("d", [2.0, True])
+def test_config_refuses_a_non_integer_d_by_the_d_rule(d):
+    # the d rule of QGaussianParams, not "malformed simulation config"
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        lln.SimConfig.from_json({"q": 1.5, "d": d, "v": [0.0, 0.0]})
+
+
 def test_config_from_json_inverts_to_json():
     cfg = lln.SimConfig(q=1.3, d=2, v=(0.5, -1.0), variant="trace_d", k_max=500, reps=120,
                         seed=9, eps_grid=(0.5,), S=((1.5, 0.2), (0.2, 0.5)))

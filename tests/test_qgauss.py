@@ -1063,12 +1063,13 @@ def test_non_integer_k_is_rejected(k):
     assert qg.repetition(p, np.int64(2)).k == 2
 
 
-@pytest.mark.parametrize("d,k,family,most", [(1, 1600, "identity_mean_only", 3),
+@pytest.mark.parametrize("d,k,family,most", [(1, 1600, "identity_mean_only", 2),
                                              (2, 400, "full", 5)])
 def test_mle_factors_each_matrix_once(monkeypatch, d, k, family, most):
-    # one eigvalsh per checked matrix, one slogdet in _constants and one
-    # inv of S, shared by the t form and the tangents; the full fit adds the
-    # scatter's eigvalsh and inv.  Row norms of the tangents take no call
+    # one eigvalsh per checked matrix and one slogdet in _constants; the full
+    # fit adds one inv of S, shared by the t form and the tangents, and the
+    # scatter's eigvalsh and inv.  The mean-only defect reads no B, so no
+    # inv of S, and row norms of the tangents take no call
     calls = []
 
     def counted(name, real):
@@ -1085,6 +1086,130 @@ def test_mle_factors_each_matrix_once(monkeypatch, d, k, family, most):
     res = qg.mle(1.3, d, k, x, family)
     assert len(calls) <= most, calls
     assert np.array_equal(res.v, x.mean(axis=0)) and res.defect <= 1e-6
+
+
+@pytest.mark.parametrize("d", [2.0, True, np.float64(2.0)], ids=["float", "bool", "numpy-float"])
+def test_non_integer_d_is_rejected(d):
+    # the d rule, not a bare TypeError from np.zeros or reshape
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        qg.QGaussianParams(1.5, d)
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        qg.lambda_q(1.5, d)
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        qg.mle(1.5, d, 3, range(6))
+    assert qg.QGaussianParams(1.5, np.int64(2)).d == 2
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_mle_checks_d_before_the_data_size(d):
+    # the d rule comes before the size check, whose k*d would be -3 at d = -1
+    with pytest.raises(DomainError, match="^d must be a positive integer$"):
+        qg.mle(1.5, d, 3, [])
+
+
+@pytest.mark.parametrize("d,x,family,what", [
+    (1, [[1e308], [1e308], [1e308]], "identity_mean_only", "sum"),
+    (2, [[1e308, 0.0], [1e308, 1.0], [0.0, 2.0]], "full", "sum"),
+    (2, [[1e200, 1.0], [-1e200, 2.0], [0.0, 5.0]], "full", "scatter"),
+    # the sum is finite, but a point minus the mean is not
+    (2, [[1.7e308, 1.0], [-1.7e308, 2.0], [-1.7e308, 5.0]], "full", "scatter"),
+], ids=["sum-d1", "sum-d2", "scatter", "scatter-centering"])
+def test_mle_refuses_data_beyond_double_range(d, x, family, what):
+    # the suite turns RuntimeWarnings into errors, so an overflow warning fails here
+    with pytest.raises(DomainError, match=f"^the data's {what} leaves double range$"):
+        qg.mle(1.5, d, 3, x, family)
+
+
+@pytest.mark.parametrize("family", ["identity_mean_only", "full"])
+def test_mle_takes_data_of_shape_k_d_or_flat_only(family):
+    x = np.array([[0.1, 2.0], [0.9, 1.1], [-0.4, -0.7], [1.3, 0.2]])
+    res = qg.mle(1.3, 2, 4, x, family)
+    flat = qg.mle(1.3, 2, 4, x.ravel(), family)
+    assert np.array_equal(flat.v, res.v) and np.array_equal(flat.S, res.S)
+    assert flat.defect == res.defect
+    # a (d, k) array holds k*d values too, but read row-major it is other points
+    with pytest.raises(DomainError, match=r"^data must be of shape \(4, 2\) or \(8,\), "
+                                          r"not \(2, 4\)$"):
+        qg.mle(1.3, 2, 4, x.T, family)
+    for bad in (x.reshape(1, 8), x.reshape(2, 2, 2), x[None]):
+        with pytest.raises(DomainError, match="^data must be of shape"):
+            qg.mle(1.3, 2, 4, bad, family)
+    with pytest.raises(DomainError, match="^data must be of shape"):
+        qg.mle(1.3, 1, 3, [[0.3, 1.7, -0.5]], family)
+    with pytest.raises(DomainError, match="^data must be of shape"):
+        qg.mle(1.3, 1, 1, 0.83, family)
+
+
+def _moved_law(q, d, k, family, seed):
+    """Data x of shape (k, d) and a law away from their fit: v is the mean
+    moved by 0.1 per coordinate and, for the full family, S is a fixed SPD
+    matrix with trace d moved by a small symmetric trace-free step."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(7, size=(k, d)) + rng.normal(size=d)
+    v = x.mean(axis=0) + 0.1
+    S = np.eye(d)
+    if family == "full":
+        S = S + 0.3 * (np.ones((d, d)) - np.eye(d)) / d
+        A = rng.normal(size=(d, d))
+        E = A + A.T - 2.0 * np.trace(A) / d * np.eye(d)
+        S = S + 0.05 * E / max(1.0, np.abs(E).max())
+    return x, law(q, d, k, v, S)
+
+
+def _ambient_defect(l, x, family):
+    """The stationarity defect on R^{dk}: the raw escort moments of every flat
+    coordinate and of every pair i <= j in one repetition, minus the escort
+    mass times the data's statistics, projected on the tangent block of
+    _slice_tangents repeated k times."""
+    d, k = l.base.d, l.k
+    mass = qg.escort_mass(l)
+    r = []
+    for m in range(k):
+        at = m * d
+        r += [qg.escort_moment(l, (at + i,)) - mass * x[m, i] for i in range(d)]
+        r += [qg.escort_moment(l, (at + i, at + j)) - mass * x[m, i] * x[m, j]
+              for i, j in zip(*np.triu_indices(d))]
+    U = np.tile(qg._slice_tangents(l, family), k)
+    return float(np.max(np.abs(U @ np.array(r)) / np.linalg.norm(U, axis=1)))
+
+
+@pytest.mark.parametrize("family", ["identity_mean_only", "full"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stationarity_defect_matches_the_ambient_residual(d, k, family):
+    for seed in range(3):
+        x, l = _moved_law(1.3, d, k, family, seed)
+        got = qg._stationarity_defect(l, x, x.sum(axis=0), family)
+        ref = _ambient_defect(l, x, family)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+        assert got > 1e-3  # away from the fit
+
+
+def _full_residual_defect(l, x, xsum, family):
+    """The defect with the whole residual, linear and quadratic, against
+    every tangent row, whichever columns of the tangents are zero."""
+    p = l.base
+    d, k = p.d, l.k
+    iu = np.triu_indices(d)
+    second = np.outer(p.v, p.v) + l._block
+    r = qg.escort_mass(l) * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
+    T = qg._slice_tangents(l, family)
+    nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
+    return float(np.max(np.abs(T @ r) / nrm))
+
+
+MLE_GRID = [(q, d, k, family) for q in (1.0, 1.3, 1.5) for d in (1, 2, 3) for k in (1, 3, 400)
+            for family in ("identity_mean_only", "full")
+            if not (family == "full" and 1 < d and k <= d)]  # a singular scatter
+
+
+@pytest.mark.parametrize("q,d,k,family", MLE_GRID)
+def test_mle_defect_is_the_full_residual_defect(q, d, k, family):
+    rng = np.random.default_rng(d * 1000 + k)
+    x = rng.standard_t(7, size=(k, d)) + rng.normal(size=d)
+    res = qg.mle(q, d, k, x, family)
+    fit = law(q, d, k, res.v, res.S)
+    assert res.defect == _full_residual_defect(fit, x, x.sum(axis=0), family)
 
 
 def test_mle_k1_returns_data_point():
