@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
-from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _kernel, _rtsafe,
-                    derived, d_htau, exp_htau, gauge_from_json, gauge_to_json)
+from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _kernel, _member_at,
+                    _rtsafe, derived, d_htau, exp_htau, gauge_from_json, gauge_to_json)
 
 # Not scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks the
 # name up to save it before it patches in its brentq stand-in.  Goes with
@@ -254,19 +254,19 @@ def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarra
                    c: float) -> tuple[np.ndarray, np.ndarray]:
     """psi by safeguarded Newton-bisection on -log mass, with p = exp_htau(u - psi).
 
-    -log mass is increasing in psi with slope sum mu chi(p) / mass.  With
-    c = ell(1 / sum(mu)), every p is >= (<=) 1 / sum(mu) at psi = min u - c
-    (max u - c), which brackets the root.
+    -log mass is increasing in psi with slope sum mu chi(p) / mass, p and chi from
+    the gauge's member kernel.  With c = ell(1 / sum(mu)), every p is >= (<=)
+    1 / sum(mu) at psi = min u - c (max u - c), which brackets the root.
     """
-    chi = derived(g).chi
+    kernel = g._member_kernel
     lo_e, hi_e = g.ell_range
     a = np.maximum(U.min(axis=1) - c, U.max(axis=1) - hi_e)
     b = np.minimum(U.max(axis=1) - c, U.min(axis=1) - lo_e)
 
     def evaluate(x, live):
-        P = np.asarray(exp_htau(g, U[live] - x[:, None]), dtype=float)
+        P, chi = kernel(U[live] - x[:, None])[:2]
         mass = P @ w
-        return -np.log(mass), (np.asarray(chi(P), dtype=float) @ w) / mass
+        return -np.log(mass), (chi @ w) / mass
 
     psi = _rtsafe(evaluate, psi0, a, b)
     with np.errstate(all="ignore"):
@@ -555,13 +555,13 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     """Member of the family matching the tau-moments of rho.
 
     Solves I_{T tau}(p) = I_{T tau}(rho) and sum mu p = 1 for (theta, psi)
-    by one damped Newton.  A gauge with exp_fn takes p = exp_fn(u - psi),
-    u = <theta, T> - c, and carries no r; any other gauge carries p in the x
-    of ``_coordinate`` and adds r = ell(p) - u + psi = 0.  With chi = 1/ell'(p),
-    the rows R = (T mu tau' chi; mu chi) and dp = chi (dtheta T - dpsi - r) give
-    one (n+1)-square system R S^T (dtheta, dpsi) = R r - F, F = (moments, mass);
-    R and F are filled in place.  p moves by dp (dx = dp / (dt/dx), capped at
-    _FLAT_DX).  No psi is solved per step.  A step is halved while
+    by one damped Newton.  A gauge with exp_fn reads p = exp_fn(u - psi), u = <theta, T> - c,
+    and chi, tau(p) and tau'(p) from one call of its member kernel, and carries no r or x;
+    any other gauge carries p in the x of ``_coordinate`` and adds r = ell(p) - u + psi = 0.
+    With chi = 1/ell'(p), the rows R = (T mu tau' chi; mu chi) and dp = chi (dtheta T - dpsi - r)
+    give one (n+1)-square system R S^T (dtheta, dpsi) = R r - F, F = (moments, mass), the
+    moments by mu T formed once; R and F are filled in place.  p moves by dp
+    (dx = dp / (dt/dx), capped at _FLAT_DX).  No psi is solved per step.  A step is halved while
     theta leaves theta_box, x leaves ``_X_TABLE``, p leaves I or the merit
     max(|F|, |r|) does not drop.  It stops when the moment residual is at
     most tol * scale and |sum mu p - 1| at most _MASS_TOL, and without exp_fn
@@ -577,33 +577,35 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be a positive finite real")
     rho = density_vector(spec, rho)
-    target = _tau_moments(spec, rho)
-    scale = max(1.0, float(np.max(np.abs(target))))
     g, w, T, d, box = spec.gauge, spec.base.weights, spec.T, derived(spec.gauge), spec.theta_box
-    closed = g.exp_fn is not None
+    wT, tau_rho = w * T, np.asarray(g.tau.value(rho), dtype=float)
+    target = wT @ tau_rho
+    scale = max(1.0, float(np.max(np.abs(target))))
+    closed, kernel = g.exp_fn is not None, g._member_kernel
     tmap, xmap = _coordinate(g.I)
     p0 = 1.0 / w.sum()  # the cold start; in I, since rho in I has sum mu rho = 1
-    x0, ell0 = xmap(p0), float(d.ell.value(p0))
+    x0, ell0 = 0.0 if closed else np.full(w.size, xmap(p0)), float(d.ell.value(p0))
     S = np.vstack([T, -np.ones(w.size)])  # d(u - psi) = (dtheta, dpsi) @ S
     R, F = np.empty_like(S), np.empty(spec.dim + 1)
 
     def evaluate(th, psi, x):
-        """p, dt/dx, r and, if the point is admissible, its moment norm max |F[:-1]|
-        and merit max(|F|, |r|), from one |F| (else None); fills F."""
+        """(p, chi, tau, tau') at the point, r, dt/dx and, if the point is admissible,
+        its moment norm max |F[:-1]| and merit max(|F|, |r|) (else None); fills F."""
         u = th @ T - spec.c
         if closed:
-            p, dtdx, r, ok = np.asarray(exp_htau(g, u - psi), dtype=float), None, None, True
+            at, r, dtdx, ok = kernel(u - psi), None, None, True
         else:
             (p, dtdx), ok = tmap(x), _X_TABLE[0] <= x.min() and x.max() <= _X_TABLE[-1]
-            r = np.asarray(d.ell.value(p), dtype=float) - u + psi
-        np.subtract(_tau_moments(spec, p), target, out=F[:-1])
+            r, at = np.asarray(d.ell.value(p), dtype=float) - u + psi, _member_at(g, p)
+        p = at[0]
+        np.subtract(wT @ at[2], target, out=F[:-1])
         F[-1] = p @ w - 1.0
         if not (ok and (box is None or _in_box(spec, th)) and g.I.lo < p.min()
                 and p.max() < g.I.hi):
-            return p, dtdx, r, None
-        aF = np.abs(F)
-        return p, dtdx, r, (float(aF[:-1].max()),
-                            max(aF.max(), 0.0 if r is None else np.abs(r).max()))
+            return at, r, dtdx, None
+        *moments, mass = F.tolist()  # max keeps NaN only as its first argument
+        norm = math.nan if any(map(math.isnan, moments)) else max(map(abs, moments))
+        return at, r, dtdx, (norm, max(norm, abs(mass), 0.0 if r is None else np.abs(r).max()))
 
     def thetas():
         yield np.zeros(spec.dim)
@@ -616,32 +618,32 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
 
     def starts():  # (theta, psi, x), each drawn only when the one before fails
         for th in thetas():
-            yield th, float((th @ T - spec.c) @ w) * p0 - ell0, np.full(w.size, x0)
+            yield th, float((th @ T - spec.c) @ w) * p0 - ell0, x0
             if _in_box(spec, th):  # once more, from the member at th
                 psi, P, has = _solve_psi(spec, th[None])
                 if has[0]:
-                    yield th, float(psi[0]), xmap(P[0])
+                    yield th, float(psi[0]), x0 if closed else xmap(P[0])
 
     best = None
     total_iter = 0
     with np.errstate(all="ignore"):
         for th, psi, x in starts():
-            p, dtdx, r, at = evaluate(th, psi, x)
-            if at is None:
+            at, r, dtdx, fit = evaluate(th, psi, x)
+            if fit is None:
                 continue
             settled = closed
             for _ in range(_PROJ_STEPS):
                 total_iter += 1
-                norm, before = at
+                norm, before = fit
+                p, chi, tau, tau1 = at
                 if best is None or norm < best[0]:
                     best = (norm, th.copy(), p)
                 done = norm <= tol * scale and abs(F[-1]) <= _MASS_TOL
                 if done and settled:
-                    itau_res = abs(float(_tau_mass(spec, p)) - float(_tau_mass(spec, rho)))
+                    itau_res = abs(float(tau @ w) - float(tau_rho @ w))
                     return ProjectionResult(th, p, norm, itau_res, total_iter)
-                chi = np.asarray(d.chi(p), dtype=float)
-                R[-1] = w * chi
-                np.multiply(T * g.tau.d1(p), R[-1], out=R[:-1])
+                np.multiply(w, chi, out=R[-1])
+                np.multiply(T, R[-1] if tau1 is None else tau1 * R[-1], out=R[:-1])
                 try:  # J = R S^T: rows T a and b, columns (T, -1)
                     step = np.linalg.solve(R @ S.T, -F if closed else R @ r - F)
                 except np.linalg.LinAlgError:
@@ -653,9 +655,9 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                 alpha = 1.0
                 while alpha >= 1e-8:
                     trial = (th + alpha * step[:-1], psi + alpha * step[-1], x + alpha * dx)
-                    p_t, dtdx_t, r_t, at_t = evaluate(*trial)
-                    if at_t and (small and done or at_t[1] < (1 - 1e-4 * alpha) * before):
-                        (th, psi, x), p, dtdx, r, at = trial, p_t, dtdx_t, r_t, at_t
+                    at_t, r_t, dtdx_t, fit_t = evaluate(*trial)
+                    if fit_t and (small and done or fit_t[1] < (1 - 1e-4 * alpha) * before):
+                        (th, psi, x), at, r, dtdx, fit = trial, at_t, r_t, dtdx_t, fit_t
                         settled = closed or small and alpha == 1.0
                         break
                     alpha *= 0.5

@@ -18,7 +18,9 @@ with ln_q the deformed logarithm (t**(1-q) - 1)/(1-q) (log t at q = 1):
     (p, q, c)   (1, 1, 1)   (1, q, 0)   (q, q, 0)   (lam, 1, 0)
 
 Their tau, ell and clipped deformed exponential exp_q(u - c) come from one
-code path; only h keeps a closed form per kind.  One builder
+code path; only h keeps a closed form per kind, and the exp_q core gives each a
+fused member kernel z -> (p, chi, tau(p), tau'(p)) (``_exp_q_factory``), which any
+other gauge composes from ``exp_htau``, chi and tau (``_member_at``).  One builder
 (``_derived_from``) makes the derived functions of every gauge, each
 exact in h o tau, tau, ell and the derivatives of ell and tau; only ell
 carries derivatives of its own.  Custom gauges invert ell by
@@ -162,6 +164,7 @@ class GaugeTriple:
 
     ``ell_range`` is the image of ``ell`` over I (used for clipping the
     deformed exponential); ``exp_fn`` is an optional closed-form inverse.
+    ``_member_kernel`` maps an array z to (p, chi, tau, tau') at p = exp_htau(z).
     """
 
     h: ScalarFn
@@ -174,6 +177,7 @@ class GaugeTriple:
     descriptor: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_member_kernel", lambda z: _member_at(self, exp_htau(self, z)))
         if self.I.lo < 0:
             raise DomainError("gauge interval must lie inside (0, inf)")
         a, b = self.I.finite_slice()
@@ -227,26 +231,50 @@ def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:
     return at(I.lo), at(I.hi)
 
 
-def _exp_q_factory(q: float, c: float, lo_ell: float, hi_ell: float) -> Callable:
-    """exp_q(u - c), the inverse of ell = ln_q + c, clipped to 0 at or below
-    lo_ell and to +inf at or above hi_ell.  An array skips a clip whose bound
-    is infinite: only u = -inf (+inf) meets it, where the core is already 0 (inf)."""
+def _exp_q_factory(power: float, q: float, c: float, lo_ell: float, hi_ell: float):
+    """exp_q(u - c), the inverse of ell = ln_q + c, clipped to 0 at or below lo_ell
+    and to +inf at or above hi_ell, and the member kernel of the built-in with
+    tau = t**power, both from one core and one clip table.  An array skips a clip
+    whose bound is infinite: only u = -inf (+inf) meets it, where p is already 0 (inf).
+
+    The kernel takes an array z under ignored errors: p = exp_q(z) bit for bit,
+    chi = p**q as p / base, base = 1 + (1 - q)(z - c) (chi is p at q = 1), tau = p
+    with tau' None at power 1, the escort's tau = chi and tau' = q / base, else
+    p**power and its derivative; at a clipped z, their values at p = 0 and +inf."""
+    def core(u):  # unclipped, and a (None at q = 1): (1 + a)**(1/(1-q)) by log1p, exact
+        # as q -> 1; a <= -1, NaN: log1p(-1) = -inf
+        a = None if q == 1.0 else (1.0 - q) * (u - c)
+        return np.exp(u - c if a is None else np.log1p(np.fmax(a, -1.0)) / (1.0 - q)), a
+
+    with np.errstate(divide="ignore"):  # (p, chi, tau, tau') at p = 0 and p = +inf
+        ends = np.array([[0.0], [math.inf]]) ** [1.0, 1.0, 1.0, power - 1.0] * [1, 1, 1, power]
+    clips = [(cmp, bound, at) for cmp, bound, at in zip(
+        (np.less_equal, np.greater_equal), (lo_ell, hi_ell), ends) if math.isfinite(bound)]
+    # the kernel's outputs that are arrays of their own: chi is p at q = 1, tau is p or chi
+    own = [0] + [1] * (q != 1.0) + [2] * (power not in (1.0, q)) + [3] * (power != 1.0)
+
     def exp_q(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):  # overflow is the clip to +inf
-            if q == 1.0:
-                core = np.exp(u - c)
-            else:  # (1 + a)**(1/(1-q)) by log1p, exact as q -> 1; a <= -1, NaN: log1p(-1) = -inf
-                core = np.exp(np.log1p(np.fmax((1.0 - q) * (u - c), -1.0)) / (1.0 - q))
-        if not core.ndim:
-            return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(core)
-        if math.isfinite(lo_ell):
-            core[u <= lo_ell] = 0.0
-        if math.isfinite(hi_ell):
-            core[u >= hi_ell] = math.inf
-        return core
+            p = core(u)[0]
+        if not p.ndim:
+            return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(p)
+        for cmp, bound, at in clips:
+            p[cmp(u, bound)] = at[0]
+        return p
 
-    return exp_q
+    def member(z):
+        p, a = core(z)
+        chi = p if a is None else p / (base := 1.0 + a)
+        out = ((p, chi, p, None) if power == 1.0 else (p, chi, chi, q / base) if power == q
+               else (p, chi, p ** power, power * p ** (power - 1.0)))
+        for cmp, bound, at in clips:
+            hit = cmp(z, bound)
+            for i in own:
+                out[i][hit] = at[i]
+        return out
+
+    return exp_q, member
 
 
 # ----------------------------------------------------------------------------
@@ -347,11 +375,12 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
                    lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
     ell_range = tuple(v + c for v in _ln_q_range(q, I))
     params = {pname: a} if pname else {}
-    return GaugeTriple(h, tau, I, kind + "".join(f"({v:g})" for v in params.values()),
-                       ell_range, _derived_from(lambda t: h.value(tau.value(t)), tau, ell),
-                       _exp_q_factory(q, c, *ell_range),
-                       {"kind": kind, **params, "lo": I.lo,
-                        "hi": None if math.isinf(I.hi) else I.hi})
+    exp_q, member = _exp_q_factory(p, q, c, *ell_range)
+    g = GaugeTriple(h, tau, I, kind + "".join(f"({v:g})" for v in params.values()),
+                    ell_range, _derived_from(lambda t: h.value(tau.value(t)), tau, ell), exp_q,
+                    {"kind": kind, **params, "lo": I.lo, "hi": None if math.isinf(I.hi) else I.hi})
+    object.__setattr__(g, "_member_kernel", member)
+    return g
 
 
 def derived(g: GaugeTriple) -> DerivedFunctions:
@@ -609,6 +638,12 @@ def exp_htau(g: GaugeTriple, u):
     t = _solve_increasing(ell.value, ell.d1, u, g.I)
     out = np.where(u >= hi_e, np.inf, np.where(u <= lo_e, 0.0, t))
     return out if out.ndim else float(out)
+
+
+def _member_at(g: GaugeTriple, p):
+    """(p, chi, tau, tau') at the densities p: the member kernel of a gauge at exp_htau(z)."""
+    p = np.asarray(p, dtype=float)
+    return p, *(np.asarray(f(p), dtype=float) for f in (g.derived_fns.chi, g.tau.value, g.tau.d1))
 
 
 def legendre_conjugate(g: GaugeTriple, r_star: float) -> float:

@@ -622,21 +622,23 @@ def _slice_tangents(law: RepetitionLaw, family: str) -> np.ndarray:
     return np.concatenate([lin, quad])
 
 
-def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, xsum: np.ndarray,
-                         family: str) -> float:
-    """Tangent-projected residual of the escort-moment condition, for the
-    data x of shape (k, d) and its column sums xsum.
+def _stationarity_defect(law: RepetitionLaw, xsum: np.ndarray, M, family: str) -> float:
+    """Tangent-projected residual of the escort-moment condition, for data
+    with column sums xsum and scatter M about their mean xsum / k.
 
     At the maximizer the escort statistic integrals match the data
     statistics times the escort mass along every direction the family
     can move; the returned defect is the largest violation over a
     unit-norm tangent basis.  Every tangent repeats one block u_b in each
     of the k repetitions, so u . r = u_b . (sum over m of the block
-    residuals) and |u| = sqrt(k) |u_b|: only Sum_m x_m and X^T X are needed.
+    residuals) and |u| = sqrt(k) |u_b|: only Sum_m x_m and M are needed.
     The residual is formed only where a tangent reads it.  Its linear part
-    is mass (k v - Sum_m x_m).  Its quadratic part, mass (k (v v^T + B) - X^T X)
-    on i <= j, is formed only for the full family at d >= 2; otherwise the
-    tangents are the linear block alone, whose quadratic columns are zero.
+    is mass (k v - Sum_m x_m).  Its quadratic part on i <= j, with B the escort's
+    covariance and X^T X = M + k xbar xbar^T, xbar = xsum / k, is
+    mass (k (v v^T + B) - X^T X) = mass (k (B + e v^T + xbar e^T) - M), e = v - xbar,
+    zero at the fit, so that no term leaves double range.  It is formed only for the
+    full family at d >= 2; otherwise the tangents are the linear block alone, whose
+    quadratic columns are zero.
     """
     p = law.base
     d, k = p.d, law.k
@@ -645,8 +647,9 @@ def _stationarity_defect(law: RepetitionLaw, x: np.ndarray, xsum: np.ndarray,
     if len(T) == d:  # the linear block alone
         T = T[:, :d]
     else:
-        second = np.outer(p.v, p.v) + law._block  # the escort's covariance is B
-        r = np.concatenate([r, (k * second - x.T @ x)[_triu(d)]])
+        xbar, e = xsum / k, p.v - xsum / k
+        second = law._block + e[:, None] * p.v + xbar[:, None] * e
+        r = np.concatenate([r, (k * second - M)[_triu(d)]])
     nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
     return float((np.abs(T @ (law._escort_mass * r)) / nrm).max())
 
@@ -688,7 +691,7 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
         raise DomainError("the data's sum leaves double range")
     v = xsum / k  # the bits of x.mean(axis=0)
     if family == "identity_mean_only" or d == 1:
-        S = np.eye(d)
+        S, M = np.eye(d), None
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             centered = x - v
@@ -700,4 +703,4 @@ def mle(q: float, d: int, k: int, x, family: str = "identity_mean_only") -> MLER
         S = np.linalg.inv(M)
         S *= d / S.trace()
     law = repetition(QGaussianParams(q, d, v, S), k)
-    return MLEResult(v, S, _stationarity_defect(law, x, xsum, family))
+    return MLEResult(v, S, _stationarity_defect(law, xsum, M, family))

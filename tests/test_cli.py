@@ -292,6 +292,18 @@ def test_qgauss_mle_inline(capsys):
     assert list(payload) == ["v", "S", "defect"]
 
 
+def test_mle_defect_of_data_near_1e160_is_finite_without_a_warning():
+    # in a fresh interpreter, so that a numpy RuntimeWarning would reach stderr:
+    # k (v v^T + B) and X^T X, near 3e320 here, leave double range, while the
+    # residual's in-range form k B - M, with the scatter M near 2e302, does not
+    run = _fresh_main(["qgauss", "mle", "--q", "1.3", "--d", "2", "--k", "3", "--family", "full",
+                       "--x", "1.000000001e160,1e160,1e160,1.000000001e160,"
+                              "0.999999999e160,0.999999999e160"])
+    assert run.returncode == 0 and run.stderr == ""
+    payload = json.loads(run.stdout, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))
+    assert math.isfinite(payload["defect"]) and payload["defect"] <= 1e-6
+
+
 @pytest.mark.parametrize("d,k,texts", [
     (2, 4, ["0.1,2.0\n0.9,1.1\n-0.4,-0.7\n1.3,0.2\n",    # (k, d)
             "0.1,2.0,0.9,1.1,-0.4,-0.7,1.3,0.2\n",          # one row

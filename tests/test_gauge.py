@@ -412,7 +412,7 @@ def test_exp_q_matches_the_nested_where_form(q, I):
     # for q != 1, a = (1 - q)(u - c) at and below -1, on arrays and 0-d input
     c = 0.3
     lo, hi = (v + c for v in _ln_q_range(q, I))
-    exp_q = _exp_q_factory(q, c, lo, hi)
+    exp_q = _exp_q_factory(1.0, q, c, lo, hi)[0]
     u = [math.nan, math.inf, -math.inf, c, *np.linspace(-5.0, 5.0, 41)]
     for e in (lo, hi):
         if math.isfinite(e):
@@ -426,6 +426,69 @@ def test_exp_q_matches_the_nested_where_form(q, I):
     for v in u:
         got, ref = exp_q(np.float64(v)), _exp_q_nested_where(q, c, lo, hi, v)
         assert type(got) is float and np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def _ulps(a, b):
+    """|a - b| in units in the last place of b; 0 where a == b, infinities included."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    with np.errstate(invalid="ignore"):
+        return np.where(a == b, 0.0, np.abs(a - b) / np.spacing(np.abs(b)))
+
+
+KERNEL_KINDS = [("kl", {})] + [(kind, {"q": q}) for kind in ("power", "escort")
+                               for q in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5)] \
+    + [("scaled_log", {"lam": lam}) for lam in (0.5, 2.0)]
+
+
+@pytest.mark.parametrize("I", [Interval(0.0, math.inf), Interval(0.05, 20.0)],
+                         ids=["0-inf", "0.05-20"])
+@pytest.mark.parametrize("kind,kw", KERNEL_KINDS, ids=str)
+def test_builtin_kernel_matches_exp_fn_chi_and_tau(kind, kw, I):
+    # the fused kernel against exp_fn, derived chi, tau and tau' at its p: on
+    # ell(t) for t across I or (1e-3, 1e3), and at, next to and beyond each
+    # finite end of ell_range, where p clips to 0 (chi 0) or +inf; power(0.5)
+    # on (0.05, 20) has both ends finite
+    g = builtin_gauge(kind, interval=I, **kw)
+    ends = (max(I.lo * (1 + 1e-9), 1e-3), min(I.hi * (1 - 1e-9), 1e3))
+    z = [np.asarray(derived(g).ell.value(np.geomspace(*ends, 101)))]
+    for e, out in zip(g.ell_range, (-1.0, 1.0)):
+        if math.isfinite(e):
+            z.append([e, np.nextafter(e, out * math.inf), e + out, e + out * 10 * max(1, abs(e))])
+    z = np.concatenate(z)
+    if kind == "power" and kw["q"] == 0.5 and I.lo > 0:
+        assert all(map(math.isfinite, g.ell_range))
+    with np.errstate(all="ignore"):
+        p, chi, tau, tau1 = g._member_kernel(z)
+        want = derived(g).chi(p), g.tau.value(p), g.tau.d1(p)
+    assert p.tobytes() == g.exp_fn(z).tobytes()
+    if any(map(math.isfinite, g.ell_range)):
+        assert np.any((p == 0) | np.isinf(p))
+    assert np.all(chi[p == 0] == 0.0)
+    for got, ref in zip((chi, tau, np.ones_like(p) if tau1 is None else tau1), want):
+        assert np.max(_ulps(got, ref)) <= 4
+
+
+@pytest.mark.parametrize("kind,kw", KERNEL_KINDS, ids=str)
+def test_builtin_kernel_matches_mpmath(kind, kw):
+    # p = (1 + (1 - q)(z - c))**(1/(1-q)) (exp(z - c) at q = 1), chi = p**q,
+    # tau = p**power and tau' = power p**(power - 1), at 30 digits, at three z
+    mpmath = pytest.importorskip("mpmath")
+    g = builtin_gauge(kind, **kw)
+    power, q, c = {"kl": (1.0, 1.0, 1.0), "power": (1.0, kw.get("q"), 0.0),
+                   "escort": (kw.get("q"), kw.get("q"), 0.0),
+                   "scaled_log": (kw.get("lam"), 1.0, 0.0)}[kind]
+    z = np.asarray(derived(g).ell.value(np.array([0.03, 1.7, 40.0])))
+    with np.errstate(all="ignore"):
+        got = g._member_kernel(z)
+    with mpmath.workdps(30):
+        for i, zi in enumerate(z):
+            mq, a = mpmath.mpf(q), mpmath.mpf(float(zi)) - mpmath.mpf(c)
+            pm = mpmath.exp(a) if q == 1.0 else (1 + (1 - mq) * a) ** (1 / (1 - mq))
+            mp_power = mpmath.mpf(power)
+            want = [pm, pm ** mq, pm ** mp_power, mp_power * pm ** (mp_power - 1)]
+            for v, w in zip(got, want):
+                v = 1.0 if v is None else v[i]
+                assert abs(v - w) <= 1e-14 * abs(w)
 
 
 @pytest.mark.parametrize("g_of,x0,a,b", [

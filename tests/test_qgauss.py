@@ -1179,20 +1179,30 @@ def _ambient_defect(l, x, family):
 def test_stationarity_defect_matches_the_ambient_residual(d, k, family):
     for seed in range(3):
         x, l = _moved_law(1.3, d, k, family, seed)
-        got = qg._stationarity_defect(l, x, x.sum(axis=0), family)
+        got = qg._stationarity_defect(l, x.sum(axis=0), _scatter(x), family)
         ref = _ambient_defect(l, x, family)
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         assert got > 1e-3  # away from the fit
 
 
-def _full_residual_defect(l, x, xsum, family):
+def _scatter(x):
+    """The scatter of the rows of x about their mean, as mle forms it."""
+    centered = x - x.sum(axis=0) / len(x)
+    return centered.T @ centered
+
+
+def _full_residual_defect(l, x, family):
     """The defect with the whole residual, linear and quadratic, against
-    every tangent row, whichever columns of the tangents are zero."""
+    every tangent row, whichever columns of the tangents are zero.  The
+    quadratic part k (v v^T + B) - X^T X is formed as k (B + e v^T + m e^T) - M,
+    with m the mean of x, e = v - m and M the scatter of x about m."""
     p = l.base
     d, k = p.d, l.k
     iu = np.triu_indices(d)
-    second = np.outer(p.v, p.v) + l._block
-    r = qg.escort_mass(l) * np.concatenate([k * p.v - xsum, (k * second - x.T @ x)[iu]])
+    xsum = x.sum(axis=0)
+    e = p.v - xsum / k
+    second = l._block + np.outer(e, p.v) + np.outer(xsum / k, e)
+    r = qg.escort_mass(l) * np.concatenate([k * p.v - xsum, (k * second - _scatter(x))[iu]])
     T = qg._slice_tangents(l, family)
     nrm = np.sqrt(np.einsum("ij,ij->i", T, T)) * math.sqrt(k)
     return float(np.max(np.abs(T @ r) / nrm))
@@ -1209,7 +1219,7 @@ def test_mle_defect_is_the_full_residual_defect(q, d, k, family):
     x = rng.standard_t(7, size=(k, d)) + rng.normal(size=d)
     res = qg.mle(q, d, k, x, family)
     fit = law(q, d, k, res.v, res.S)
-    assert res.defect == _full_residual_defect(fit, x, x.sum(axis=0), family)
+    assert res.defect == _full_residual_defect(fit, x, family)
 
 
 def test_mle_k1_returns_data_point():
