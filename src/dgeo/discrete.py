@@ -15,6 +15,9 @@ where the tau-mass is constant as its exact gradient reads it, projects by
 moment matching in one Newton on (theta, psi), with no psi-solve per step,
 and checks affine reparametrization invariance.  A check reads h o tau (as -s)
 once, on all its densities, and shares it between Phi and D or two entropies.
+Each member is read once: the psi-solve hands the member kernel's (p, chi, tau,
+tau') at its root to ``Member``, the first differences and the potential, which
+read no gauge function for them again.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .errors import DomainError, InfeasibleError, NoSolutionError
 from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _kernel, _member_at,
                     _rtsafe, derived, d_htau, exp_htau, gauge_from_json, gauge_to_json)
 
-# Not scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks the
-# name up to save it before it patches in its brentq stand-in.  Goes with
-# that stand-in (ROADMAP item 2, the benchmark refresh).
+# d_htau and exp_htau, which this module does not call, and optimize, not
+# scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks each name
+# up to save it before it patches in its counting wrapper or brentq stand-in.
+# They go with those (ROADMAP item 2, the benchmark refresh).
 optimize = None
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _FD_STEP = 1e-4    # hessian_check's difference step, relative to max(1, |theta_i|)
+_FD_SIGNS = np.array([1.0, -1.0, 0.5, -0.5])[:, None, None]  # its rows, in units of the step
 _ITAU_FLAT = 1e-8  # largest |d I_tau / d theta_i| taken for a constant tau-mass
 
 
@@ -122,18 +127,18 @@ class DiscreteFamilySpec:
         return self.T.shape[0]
 
 
-def _in_box(spec: DiscreteFamilySpec, th: np.ndarray) -> np.ndarray:
-    """Whether each row of th (shape (..., n)) lies in theta_box."""
+def _in_box(spec: DiscreteFamilySpec, th: np.ndarray):
+    """Whether each row of th (shape (..., n)) lies in theta_box; True without one."""
     if spec.theta_box is None:
-        return np.ones(th.shape[:-1], dtype=bool)
-    return np.all((th >= spec.theta_box[:, 0]) & (th <= spec.theta_box[:, 1]), axis=-1)
+        return True
+    return ((th >= spec.theta_box[:, 0]) & (th <= spec.theta_box[:, 1])).all(axis=-1)
 
 
 def _theta_vec(spec: DiscreteFamilySpec, theta) -> np.ndarray:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape != (spec.dim,):
         raise DomainError(f"theta must have length {spec.dim}")
-    if not np.all(np.isfinite(th)):
+    if not np.isfinite(th).all():
         raise DomainError("theta must be finite")
     if not _in_box(spec, th):
         raise DomainError("theta outside theta_box")
@@ -165,17 +170,22 @@ _FLAT_DX = 4.0     # cap on each flat Newton step, in the x of gauge._coordinate
 _MASS_TOL = 1e-12  # |sum mu p - 1| allowed of a member
 _PROJ_STEPS = 100  # Newton steps per projection start
 _PROJ_RESTARTS = 10  # random projection starts after theta = 0, drawn from default_rng(0)
+_PROJ_FLOOR = 1e-12  # max |r| / max(1, |psi|) of a point the projection takes at the rounding floor
 
 
 def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
-               warm=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi (B,), densities (B, |X|) and a has-a-member flag for each row of thetas.
+               warm=None) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """psi (B,), the member kernel's outputs at the densities and a has-a-member
+    flag for each row of thetas.
 
     With u = <theta, T> - c, a gauge with a closed-form exp_fn takes the
-    bracketed path (``_psi_bracketed``) for every row.  Any other gauge
-    takes the flat Newton of ``_psi_flat`` on (p, psi); rows it does not
-    settle, or whose result fails the member test, take the bracketed
-    path, so the flags mean the same on either path.  warm is None or a
+    bracketed path (``_psi_bracketed``) for every row, and the kernel's
+    (p, chi, tau, tau') at its root are the outputs, each (B, |X|) (tau' may
+    be None: ``GaugeTriple``).  Any other gauge takes the flat Newton of
+    ``_psi_flat`` on (p, psi); rows it does not settle, or whose result
+    fails the member test, take the bracketed path, so the flags mean the
+    same on either path.  Its outputs are (p,) alone: a caller that reads
+    chi, tau or tau' composes them at p (``gauge._member_at``).  warm is None or a
     first-order (psi, p) from a nearby member (``Member.warm``); a row
     starts cold, from p = 1 / sum(mu) and psi = the mu-mean of u minus
     ell(1 / sum(mu)), when there is none or its warm p is not inside I.
@@ -183,31 +193,34 @@ def _solve_psi(spec: DiscreteFamilySpec, thetas: np.ndarray,
     g = spec.gauge
     w = spec.base.weights
     U = np.atleast_2d(thetas) @ spec.T - spec.c
-    if not g.I.contains(1.0 / w.sum()):   # the mass lies between sum(mu)*lo and sum(mu)*hi
-        return np.full(len(U), np.nan), np.full(U.shape, np.nan), np.zeros(len(U), dtype=bool)
-    c = float(derived(g).ell.value(1.0 / w.sum()))
+    mass = w.sum()
+    p0 = 1.0 / mass
+    if not g.I.lo < p0 < g.I.hi:   # the mass lies between sum(mu)*lo and sum(mu)*hi
+        return np.full(len(U), np.nan), (np.full(U.shape, np.nan),), np.zeros(len(U), dtype=bool)
+    c = float(derived(g).ell.value(p0))
 
     def cold():
-        return U @ w / w.sum() - c
+        return U @ w / mass - c
 
     def member(P):
         return ((P > g.I.lo) & (P < g.I.hi)).all(axis=1) & (np.abs(P @ w - 1.0) <= _MASS_TOL)
 
     psi0 = cold() if warm is None else np.broadcast_to(warm[0], (len(U),))
     if g.exp_fn is not None:
-        psi, P = _psi_bracketed(g, w, U, psi0, c)
-        return psi, P, member(P)
-    P0 = np.full(U.shape, 1.0 / w.sum())
+        psi, at = _psi_bracketed(g, w, U, psi0, c)
+        return psi, at, member(at[0])
+    P0 = np.full(U.shape, p0)
     start = cold()
     if warm is not None:
         Pw = np.broadcast_to(warm[1], U.shape)
-        inside = np.all(g.I.contains(Pw), axis=1)
+        inside = g.I.contains(Pw).all(axis=1)
         P0[inside], start[inside] = Pw[inside], psi0[inside]
     psi, P = _psi_flat(g, w, U, start, P0)
     rest = ~member(P)
     if rest.any():
-        psi[rest], P[rest] = _psi_bracketed(g, w, U[rest], psi0[rest], c)
-    return psi, P, member(P)
+        psi[rest], at = _psi_bracketed(g, w, U[rest], psi0[rest], c)
+        P[rest] = at[0]
+    return psi, (P,), member(P)
 
 
 def _psi_flat(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi: np.ndarray,
@@ -251,8 +264,9 @@ def _psi_flat(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi: np.ndarray,
 
 
 def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarray,
-                   c: float) -> tuple[np.ndarray, np.ndarray]:
-    """psi by safeguarded Newton-bisection on -log mass, with p = exp_htau(u - psi).
+                   c: float) -> tuple[np.ndarray, tuple]:
+    """psi by safeguarded Newton-bisection on -log mass, with p = exp_htau(u - psi),
+    and the member kernel's (p, chi, tau, tau') at the root.
 
     -log mass is increasing in psi with slope sum mu chi(p) / mass, p and chi from
     the gauge's member kernel.  With c = ell(1 / sum(mu)), every p is >= (<=)
@@ -270,14 +284,15 @@ def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarra
 
     psi = _rtsafe(evaluate, psi0, a, b)
     with np.errstate(all="ignore"):
-        return psi, np.asarray(exp_htau(g, U - psi[:, None]), dtype=float)
+        return psi, kernel(U - psi[:, None])
 
 
-def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, warm=None) -> tuple[float, np.ndarray]:
-    psi, P, ok = _solve_psi(spec, th[None], warm)
+def _solve_one(spec: DiscreteFamilySpec, th: np.ndarray, warm=None) -> tuple[float, list]:
+    """psi and the solve's outputs (``_solve_psi``) at one theta, or InfeasibleError."""
+    psi, at, ok = _solve_psi(spec, th[None], warm)
     if not ok[0]:
         raise InfeasibleError(_NO_MEMBER)
-    return float(psi[0]), P[0]
+    return float(psi[0]), [None if v is None else v[0] for v in at]
 
 
 def normalize(spec: DiscreteFamilySpec, theta) -> tuple[float, np.ndarray]:
@@ -292,7 +307,8 @@ def normalize(spec: DiscreteFamilySpec, theta) -> tuple[float, np.ndarray]:
     cannot reach one with every density value strictly inside I, the
     family has no member at this theta and an InfeasibleError is raised.
     """
-    return _solve_one(spec, _theta_vec(spec, theta))
+    psi, at = _solve_one(spec, _theta_vec(spec, theta))
+    return psi, at[0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +317,10 @@ def normalize(spec: DiscreteFamilySpec, theta) -> tuple[float, np.ndarray]:
 
 
 def divergence(spec: DiscreteFamilySpec, p, p2) -> float:
-    """Weighted sum of the divergence kernel between two densities."""
-    p = density_vector(spec, p)
-    p2 = density_vector(spec, p2)
-    return float(spec.base.weights @ np.asarray(d_htau(spec.gauge, p, p2), dtype=float))
+    """Weighted sum of the divergence kernel between two densities, each checked
+    once (``density_vector``)."""
+    p, p2 = density_vector(spec, p), density_vector(spec, p2)
+    return float(spec.base.weights @ np.asarray(_kernel(spec.gauge, p, p2), dtype=float))
 
 
 def entropy(spec: DiscreteFamilySpec, p) -> float:
@@ -320,9 +336,10 @@ def entropy(spec: DiscreteFamilySpec, p) -> float:
 
 @dataclass(frozen=True)
 class Member:
-    """A member p_theta with chi and chi' at p, the tau-escort weights
+    """A member p_theta with chi, chi' and tau at p, the tau-escort weights
     mu tau' chi, the escort mean grad of T (the gradient of psi) and
-    resid = T - grad."""
+    resid = T - grad.  p, chi, tau and tau' are the solve's reads at its
+    root; chi' = -ell''(p) chi^2 is one read of ell''."""
 
     spec: DiscreteFamilySpec
     theta: np.ndarray
@@ -330,6 +347,7 @@ class Member:
     p: np.ndarray
     chi: np.ndarray
     chi1: np.ndarray
+    tau: np.ndarray
     tau_w: np.ndarray
     grad: np.ndarray
     resid: np.ndarray
@@ -342,7 +360,7 @@ class Member:
         return (self.resid * self.tau_w) @ self.resid.T
 
     def potential(self) -> float:
-        return float(_potential(self.spec, self.psi, self.p))
+        return float(_potential(self.spec, self.psi, self.p, self.tau))
 
     def itau_gradient(self) -> np.ndarray:
         """d I_tau / d theta = sum mu tau' chi (T - grad psi), since dp / d theta
@@ -353,7 +371,7 @@ class Member:
         return bool(np.max(np.abs(self.itau_gradient())) <= _ITAU_FLAT)
 
     def connection(self) -> np.ndarray:
-        return np.einsum("ij,k->ijk", -self.psi_hessian(), self.itau_gradient())
+        return -self.psi_hessian()[:, :, None] * self.itau_gradient()
 
     def warm(self, thetas: np.ndarray):
         """First-order psi and p at nearby thetas: dpsi = dtheta grad and
@@ -366,14 +384,14 @@ class Member:
 
 def _member(spec: DiscreteFamilySpec, theta, warm=None) -> Member:
     th = _theta_vec(spec, theta)
-    psi, p = _solve_one(spec, th, warm)
-    d = derived(spec.gauge)
+    psi, at = _solve_one(spec, th, warm)
+    p, chi, tau, tau1 = at if len(at) == 4 else _member_at(spec.gauge, at[0])
     w = spec.base.weights
-    chi = np.asarray(d.chi(p), dtype=float)
-    grad = (spec.T @ (w * chi)) / float(w @ chi)
-    return Member(spec, th, psi, p, chi, np.asarray(-d.ell.d2(p) / d.ell.d1(p) ** 2, dtype=float),
-                  w * np.asarray(spec.gauge.tau.d1(p), dtype=float) * chi, grad,
-                  spec.T - grad[:, None])
+    w_chi = w * chi
+    grad = (spec.T @ w_chi) / float(w @ chi)
+    chi1 = -np.asarray(derived(spec.gauge).ell.d2(p), dtype=float) * chi ** 2
+    return Member(spec, th, psi, p, chi, chi1, tau, w_chi if tau1 is None else w_chi * tau1,
+                  grad, spec.T - grad[:, None])
 
 
 def psi_gradient(spec: DiscreteFamilySpec, theta) -> np.ndarray:
@@ -414,49 +432,37 @@ class GeometryReport:
     message: str = ""
 
 
-def _tau_mass(spec: DiscreteFamilySpec, P: np.ndarray):
-    return np.asarray(spec.gauge.tau.value(P), dtype=float) @ spec.base.weights
-
-
-def _tau_moments(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
-    """eta = sum_x mu T tau(p), for one density or a batch of rows."""
-    return (np.asarray(spec.gauge.tau.value(P), dtype=float) * spec.base.weights) @ spec.T.T
-
-
-def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray, hts=None):
-    """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows;
-    s_star = h o tau - tau ell takes h o tau from hts (-s at P) when it is given."""
-    d = derived(spec.gauge)
-    s_star = np.asarray(d.s_star(P) if hts is None
-                        else hts - spec.gauge.tau.value(P) * d.ell.value(P), dtype=float)
-    return -(s_star @ spec.base.weights) + psi * _tau_mass(spec, P)
-
-
-def _itau_gradients(spec: DiscreteFamilySpec, P: np.ndarray) -> np.ndarray:
-    """``Member.itau_gradient`` at each row of P: grad psi is sum mu chi T / sum mu chi."""
-    w = spec.base.weights
-    chi = np.asarray(derived(spec.gauge).chi(P), dtype=float)
-    tau_w = w * np.asarray(spec.gauge.tau.d1(P), dtype=float) * chi
-    return tau_w @ spec.T.T - ((w * chi) @ spec.T.T) * (tau_w.sum(1) / (chi @ w))[:, None]
+def _potential(spec: DiscreteFamilySpec, psi, P: np.ndarray, tau: np.ndarray, hts=None):
+    """-sum_x mu s_star(p) + psi * I_tau(p), for one density or a batch of rows, with
+    s_star = h o tau - tau ell from tau (at P) and hts (-s at P), read here when None."""
+    w, d = spec.base.weights, derived(spec.gauge)
+    hts = -np.asarray(d.s(P), dtype=float) if hts is None else hts
+    return -((hts - tau * np.asarray(d.ell.value(P), dtype=float)) @ w) + psi * (tau @ w)
 
 
 def _first_differences(m: Member) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """d eta_j / d theta_i and the gradient of the potential, by Richardson
     central differences on one batched solve at theta +- h e_i, theta +- (h/2) e_i;
     (eta, Phi) at theta, evaluated in the same batch; and the largest
-    |d I_tau / d theta_i| on those rows."""
+    |d I_tau / d theta_i| on those rows (``Member.itau_gradient``, grad psi =
+    sum mu chi T / sum mu chi), all from the solve's tau, chi and tau'."""
+    spec, w = m.spec, m.spec.base.weights
     h = _FD_STEP * np.maximum(1.0, np.abs(m.theta))
-    pts = m.theta + np.concatenate([s * np.diag(h) for s in (1.0, -1.0, 0.5, -0.5)])
-    if not np.all(_in_box(m.spec, pts)):
+    pts = m.theta + (_FD_SIGNS * np.diag(h)).reshape(-1, h.size)
+    if not np.all(_in_box(spec, pts)):
         raise DomainError("theta outside theta_box")
-    psi, P, ok = _solve_psi(m.spec, pts, m.warm(pts))
-    if not np.all(ok):
+    psi, at, ok = _solve_psi(spec, pts, m.warm(pts))
+    if not ok.all():
         raise InfeasibleError(_NO_MEMBER)
-    psi, P = np.append(psi, m.psi), np.vstack([P, m.p])
-    f = np.column_stack([_tau_moments(m.spec, P), _potential(m.spec, psi, P)])
+    P, chi, tau, tau1 = at if len(at) == 4 else _member_at(spec.gauge, at[0])
+    w_chi = w * chi
+    tau_w = w_chi if tau1 is None else w_chi * tau1
+    d_itau = tau_w @ spec.T.T - (w_chi @ spec.T.T) * (tau_w.sum(1) / (chi @ w))[:, None]
+    psi, P, tau = np.append(psi, m.psi), np.vstack([P, m.p]), np.vstack([tau, m.tau])
+    f = np.column_stack([(tau * w) @ spec.T.T, _potential(spec, psi, P, tau)])
     up, down, up2, down2 = np.split(f[:-1], 4)
     d = (4.0 * (up2 - down2) / h[:, None] - (up - down) / (2.0 * h[:, None])) / 3.0
-    return d[:, :-1], d[:, -1], f[-1], float(np.max(np.abs(_itau_gradients(m.spec, P))))
+    return d[:, :-1], d[:, -1], f[-1], float(np.abs(d_itau).max())
 
 
 def hessian_check(spec: DiscreteFamilySpec, theta) -> GeometryReport:
@@ -500,11 +506,11 @@ def canonical_divergence_check(spec: DiscreteFamilySpec, theta, theta2) -> float
     if m2 is None or not m2.flat():
         raise DomainError("canonical divergence check needs a constant tau-mass")
     # one read of h o tau at (p', p) serves Phi and D; members need no density_vector
-    P = np.stack([m2.p, m.p])
+    w, P = spec.base.weights, np.stack([m2.p, m.p])
     hts = -np.asarray(derived(spec.gauge).s(P), dtype=float)
-    phi2, phi = _potential(spec, np.array([m2.psi, m.psi]), P, hts)
-    canon = phi2 - phi + float((m.theta - th2) @ _tau_moments(spec, m.p))
-    return abs(canon - float(spec.base.weights @ _kernel(spec.gauge, m.p, m2.p, hts[::-1])))
+    phi2, phi = _potential(spec, np.array([m2.psi, m.psi]), P, np.stack([m2.tau, m.tau]), hts)
+    canon = phi2 - phi + float((m.theta - th2) @ ((m.tau * w) @ spec.T.T))
+    return abs(canon - float(w @ _kernel(spec.gauge, m.p, m2.p, hts[::-1])))
 
 
 @dataclass(frozen=True)
@@ -529,11 +535,12 @@ def conformal_check(spec: DiscreteFamilySpec, theta, theta2) -> ConformalCheck:
         raise DomainError("conformal check needs tau/chi constant on I")
     th2 = _theta_vec(spec, theta2)
     m = _member(spec, theta)
-    psi2, p2 = _solve_one(spec, th2, m.warm(th2))
-    itau = float(_tau_mass(spec, m.p))
+    psi2, at2 = _solve_one(spec, th2, m.warm(th2))
+    w = spec.base.weights
+    itau = float(m.tau @ w)
     canon = psi2 - m.psi + float((m.theta - th2) @ m.grad)
-    defect = abs(canon - divergence(spec, m.p, p2) / itau)
-    grad_escort = _tau_moments(spec, m.p) / itau
+    defect = abs(canon - divergence(spec, m.p, at2[0]) / itau)
+    grad_escort = ((m.tau * w) @ spec.T.T) / itau
     return ConformalCheck(defect, float(np.max(np.abs(m.grad - grad_escort))), itau)
 
 
@@ -571,8 +578,10 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
     start begins cold (psi = the mu-mean of u minus ell(1 / sum(mu)), p = 1 / sum(mu));
     a start whose iteration stops short, its cold p outside I or its step
     stalled at the edge of theta_box, is taken once more from the member at
-    its theta, the only psi-solve.  The tau-mass mismatch is reported as a
-    residual (an extra constraint only when tau != id).
+    its theta, the only psi-solve.  Where no step lowers the merit, a point
+    that meets the stop rule but for settling is taken if max |r| is at most
+    _PROJ_FLOOR * max(1, |psi|) (the rounding floor).  The tau-mass mismatch
+    is reported as a residual (an extra constraint only when tau != id).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be a positive finite real")
@@ -620,9 +629,12 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
         for th in thetas():
             yield th, float((th @ T - spec.c) @ w) * p0 - ell0, x0
             if _in_box(spec, th):  # once more, from the member at th
-                psi, P, has = _solve_psi(spec, th[None])
+                psi, at, has = _solve_psi(spec, th[None])
                 if has[0]:
-                    yield th, float(psi[0]), x0 if closed else xmap(P[0])
+                    yield th, float(psi[0]), x0 if closed else xmap(at[0][0])
+
+    def result(th, p, norm, tau):
+        return ProjectionResult(th, p, norm, abs(float(tau @ w) - float(tau_rho @ w)), total_iter)
 
     best = None
     total_iter = 0
@@ -640,8 +652,7 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                     best = (norm, th.copy(), p)
                 done = norm <= tol * scale and abs(F[-1]) <= _MASS_TOL
                 if done and settled:
-                    itau_res = abs(float(tau @ w) - float(tau_rho @ w))
-                    return ProjectionResult(th, p, norm, itau_res, total_iter)
+                    return result(th, p, norm, tau)
                 np.multiply(w, chi, out=R[-1])
                 np.multiply(T, R[-1] if tau1 is None else tau1 * R[-1], out=R[:-1])
                 try:  # J = R S^T: rows T a and b, columns (T, -1)
@@ -661,7 +672,9 @@ def pythagorean_project(spec: DiscreteFamilySpec, rho, tol: float = 1e-10) -> Pr
                         settled = closed or small and alpha == 1.0
                         break
                     alpha *= 0.5
-                else:
+                else:  # no step lowers the merit: at the rounding floor a done point is taken
+                    if done and np.abs(r).max() <= _PROJ_FLOOR * max(1.0, abs(psi)):
+                        return result(th, p, norm, tau)
                     break
     raise NoSolutionError(
         "moment matching did not converge; the constraints may be infeasible",
@@ -716,8 +729,8 @@ def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2) -> float:
     rng = np.random.default_rng(0)
     ths = np.array([_theta_vec(spec, th) for th in
                     [np.zeros(n)] + [rng.normal(scale=0.5, size=n) for _ in range(4)]])
-    psi, P, ok = _solve_psi(spec, ths)
-    psi2, P2, ok2 = _solve_psi(spec2, ths @ A.T + v1)
+    psi, (P, *_), ok = _solve_psi(spec, ths)
+    psi2, (P2, *_), ok2 = _solve_psi(spec2, ths @ A.T + v1)
     if not (ok.all() and ok2.all()):
         raise InfeasibleError(_NO_MEMBER)
     return float(max(np.max(np.abs(P - P2)), np.max(np.abs(psi2 - (psi - ths @ v2)))))

@@ -87,7 +87,7 @@ class Interval:
         return (x > self.lo) & (x < self.hi)
 
     def require(self, x, what: str = "argument"):
-        if not np.all(self.contains(x)):
+        if not self.contains(x).all():
             raise DomainError(f"{what} outside the open interval ({self.lo}, {self.hi})")
 
     def finite_slice(self, pad: float = 1e-6) -> tuple[float, float]:
@@ -164,7 +164,8 @@ class GaugeTriple:
 
     ``ell_range`` is the image of ``ell`` over I (used for clipping the
     deformed exponential); ``exp_fn`` is an optional closed-form inverse.
-    ``_member_kernel`` maps an array z to (p, chi, tau, tau') at p = exp_htau(z).
+    ``_member_kernel`` maps an array z to (p, chi, tau, tau') at p = exp_htau(z),
+    with no check of z.
     """
 
     h: ScalarFn
@@ -177,17 +178,21 @@ class GaugeTriple:
     descriptor: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_member_kernel", lambda z: _member_at(self, exp_htau(self, z)))
+        object.__setattr__(self, "_member_kernel", lambda z: _member_at(self, _exp_htau(self, z)))
         if self.I.lo < 0:
             raise DomainError("gauge interval must lie inside (0, inf)")
         a, b = self.I.finite_slice()
         probe = log_grid(a, b, 16)
-        td1 = np.asarray(self.tau.d1(probe), dtype=float)
-        if not np.all(td1 > 0):
+        with np.errstate(all="ignore"):  # a large exponent leaves double range: refused below
+            td1 = np.asarray(self.tau.d1(probe), dtype=float)
+            # ell' = h''(tau) tau' with tau' > 0: h'' > 0 on tau(I), read in t, no tau^-1
+            ld1 = np.asarray(self.derived_fns.ell.d1(probe), dtype=float)
+        for what, v in (("tau'", td1), ("ell' = h''(tau) tau'", ld1)):
+            if not np.isfinite(v).all():
+                raise DomainError(f"{what} leaves double range on I for gauge '{self.name}'")
+        if not (td1 > 0).all():
             raise DomainError(f"tau' must be positive on I for gauge '{self.name}'")
-        # ell' = h''(tau) tau' with tau' > 0: h'' > 0 on tau(I), read in t, no tau^-1
-        ld1 = np.asarray(self.derived_fns.ell.d1(probe), dtype=float)
-        if not np.all(ld1 > 0):
+        if not (ld1 > 0).all():
             raise DomainError(f"h'' must be positive on tau(I) for gauge '{self.name}'")
 
 
@@ -421,7 +426,9 @@ def _kernel(g: GaugeTriple, t, s, hts=None):
     np.broadcast_arrays (-s of ``derived``), read here when it is None."""
     d = derived(g)
     if hts is None:
-        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        if t.shape != s.shape:
+            t, s = np.broadcast_arrays(t, s)
         hts = -d.s(np.stack([t, s]))
     ht, hs = hts
     val = np.asarray(ht - hs - (g.tau.value(t) - g.tau.value(s)) * d.ell.value(s), dtype=float)
@@ -629,7 +636,15 @@ def exp_htau(g: GaugeTriple, u):
 
     Built-in gauges use their closed form; others invert ell at all points
     at once by safeguarded Newton-bisection to a relative tolerance in t.
+    A non-finite u raises DomainError; the member kernels and the solvers
+    read ``_exp_htau``, which takes any u.
     """
+    if not np.isfinite(u).all():
+        raise DomainError("u must be finite")
+    return _exp_htau(g, u)
+
+
+def _exp_htau(g: GaugeTriple, u):
     if g.exp_fn is not None:
         return g.exp_fn(u)
     lo_e, hi_e = g.ell_range

@@ -734,6 +734,15 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
      "d at x=1.0, y=1e+308 leaves double range"),
     ("""gauge eval --gauge '{"kind":"kl"}' --fn d --x 1e308 --y 1""",
      "d at x=1e+308, y=1.0 leaves double range"),
+    *((f"""gauge eval --gauge '{gauge}' --fn exp --x={x}""", "u must be finite")
+      for gauge in ('{"kind":"kl"}', '{"kind":"power","q":0.5}', '{"kind":"power","q":1.5}')
+      for x in ("nan", "inf", "-inf")),
+    ("""gauge eval --gauge '{"kind":"escort","q":60}' --fn ell --x 1""",
+     "tau' leaves double range on I for gauge 'escort(60)'"),
+    ("""gauge eval --gauge '{"kind":"power","q":1e308}' --fn ell --x 1""",
+     "ell' = h''(tau) tau' leaves double range on I for gauge 'power(1e+308)'"),
+    ("""gauge eval --gauge '{"kind":"scaled_log","lam":1e308}' --fn ell --x 1""",
+     "tau' leaves double range on I for gauge 'scaled_log(1e+308)'"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "mle-sum-overflow",
         "mle-scatter-overflow", "mle-data-transposed", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
@@ -745,7 +754,10 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         "equiv-a3-negative-lost", "conjugate-kl-t-underflow", "conjugate-scaled-log-tau-overflow",
         "conjugate-scaled-log-tau-underflow", "conjugate-power-t-overflow",
         "conjugate-escort-t-underflow", "eval-kl-s-overflow", "eval-scaled-log-s-nan",
-        "eval-power-m-overflow", "eval-kl-d-nan", "eval-kl-d-overflow"])
+        "eval-power-m-overflow", "eval-kl-d-nan", "eval-kl-d-overflow",
+        *(f"eval-{g}-exp-{x}" for g in ("kl", "power0.5", "power1.5")
+          for x in ("nan", "inf", "-inf")),
+        "escort-q-60", "power-q-1e308", "scaled-log-lam-1e308"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, transposed_file, argv, message):
     argv = argv.replace("{coin}", coin_file).replace("{transposed}", transposed_file)
     code = cli.main(shlex.split(argv))

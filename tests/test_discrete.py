@@ -11,6 +11,7 @@ from dgeo.gauge import (EquivalenceTransform, Interval, ScalarFn, apply_equivale
                         builtin_gauge, d_htau, derived, gauge_from_pair)
 from dgeo import cli
 from dgeo import discrete as dc
+from dgeo import gauge as gauge_module
 from dgeo.gauge import _member_at, _rtsafe, exp_htau
 from conftest import rtsafe_on_two_copies
 
@@ -121,7 +122,7 @@ def test_batched_solve_matches_one_at_a_time():
     # public normalize is the reference, equal up to rounding
     spec = simplex_spec(builtin_gauge("power", q=1.5), m=4)
     thetas = np.random.default_rng(8).normal(size=(6, 3))
-    psi, P, ok = dc._solve_psi(spec, thetas)
+    psi, (P, *_), ok = dc._solve_psi(spec, thetas)
     assert ok.all()
     for th, psi_b, p_b in zip(thetas, psi, P):
         psi_1, p_1 = dc.normalize(spec, th)
@@ -139,9 +140,15 @@ def test_batched_solve_flags_rows_without_a_member():
     g = builtin_gauge("kl", interval=Interval(0.1, 10.0))
     spec2 = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(2)), g,
                                   np.array([[1.0, 0.0]]), np.zeros(2))
-    psi, P, ok = dc._solve_psi(spec2, np.array([[0.0], [3.0]]))
+    psi, (P, *_), ok = dc._solve_psi(spec2, np.array([[0.0], [3.0]]))
     assert ok.tolist() == [True, False]   # theta = 3 needs p(x2) = 1/(1 + e^3) < 0.1
     assert P[0] == pytest.approx([0.5, 0.5], abs=1e-13)
+
+
+def solve_arrays(spec, thetas):
+    """_solve_psi's psi, each array the solve read at its root and the flags."""
+    psi, at, ok = dc._solve_psi(spec, thetas)
+    return [psi, *(v for v in at if v is not None), ok]
 
 
 @pytest.mark.parametrize("kind,kw", [("kl", {}), ("power", {"q": 0.5}), ("power", {"q": 1.5}),
@@ -171,10 +178,10 @@ def test_one_row_solve_is_the_batch_loop_on_that_row(monkeypatch, kind, kw):
 
     for th in rng.normal(scale=0.3, size=(6, 3)).tolist() + [[6.0, -2.0, 1.0], [0.0, 0.0, 0.0]]:
         monkeypatch.setattr(dc, "_rtsafe", counted)
-        got = dc._solve_psi(spec, np.array([th]))
+        got = solve_arrays(spec, np.array([th]))
         monkeypatch.setattr(dc, "_rtsafe", lambda *args: rtsafe_on_two_copies(*args, two))
-        ref = dc._solve_psi(spec, np.array([th]))
-        assert all(u.tobytes() == v.tobytes() for u, v in zip(got, ref))
+        ref = solve_arrays(spec, np.array([th]))
+        assert len(got) == len(ref) and all(u.tobytes() == v.tobytes() for u, v in zip(got, ref))
     assert one == two and len(one) == 8
 
 
@@ -239,7 +246,7 @@ def solve_bracketed(spec, thetas):
 
 
 def assert_same_solve(a, b):
-    (psi, P, ok), (psi_b, P_b, ok_b) = a, b
+    (psi, (P, *_), ok), (psi_b, (P_b, *_), ok_b) = a, b
     assert np.array_equal(ok, ok_b)
     assert np.all(np.abs(psi[ok] - psi_b[ok]) <= 1e-13 * np.maximum(1.0, np.abs(psi_b[ok])))
     assert np.all(np.abs(P[ok] - P_b[ok]) <= 1e-13 * P_b[ok])
@@ -299,9 +306,9 @@ def test_flat_solve_falls_back_when_unsettled(monkeypatch):
     bracketed = solve_bracketed(spec, thetas)
     assert bracketed[2].all()
     monkeypatch.setattr(dc, "_FLAT_ITER", 2)
-    psi, P, ok = dc._solve_psi(spec, thetas)
+    psi, (P,), ok = dc._solve_psi(spec, thetas)
     assert ok.all()
-    assert np.array_equal(psi, bracketed[0]) and np.array_equal(P, bracketed[1])
+    assert np.array_equal(psi, bracketed[0]) and np.array_equal(P, bracketed[1][0])
 
 
 @pytest.mark.parametrize("tr", [None, BENCH_TRANSFORM], ids=["pair", "transformed"])
@@ -479,6 +486,11 @@ def test_power_hessian_structure_four_atoms():
     assert rep.connection_max <= 1e-8
 
 
+def tau_moments(spec, P):
+    """eta = sum_x mu T tau(p), for one density or a batch of rows."""
+    return (np.asarray(spec.gauge.tau.value(P), dtype=float) * spec.base.weights) @ spec.T.T
+
+
 def bench_family(kind, seed, m=12, n=2, q=1.5):
     """A benchmark-style family (weights in [0.5, 1.5], T and theta normal) on
     the named gauge, and its theta."""
@@ -515,7 +527,8 @@ def test_itau_gradient_matches_differences_of_the_tau_mass(kind, seed):
     spec, th = bench_family(kind, seed)
     h = 1e-3
     rows = th + np.concatenate([s * h * np.eye(th.size) for s in (1.0, -1.0, 0.5, -0.5)])
-    itau = np.array([dc._tau_mass(spec, dc.normalize(spec, row)[1]) for row in rows])
+    itau = np.array([spec.gauge.tau.value(dc.normalize(spec, row)[1]) @ spec.base.weights
+                     for row in rows])
     up, down, up2, down2 = np.split(itau, 4)
     oracle = (4.0 * (up2 - down2) / h - (up - down) / (2.0 * h)) / 3.0
     np.testing.assert_allclose(dc._member(spec, th).itau_gradient(), oracle,
@@ -534,7 +547,7 @@ def test_eta_jacobian_is_metric_plus_itau_term(kind, seed):
     H, grad_phi, _, _ = dc._first_differences(m)
     tol = 1e-10 * max(1.0, np.max(np.abs(H)))
     np.testing.assert_allclose(H, m.metric() + np.outer(d_itau, m.grad), rtol=0, atol=tol)
-    np.testing.assert_allclose(grad_phi, dc._tau_moments(spec, m.p) + m.psi * d_itau,
+    np.testing.assert_allclose(grad_phi, tau_moments(spec, m.p) + m.psi * d_itau,
                                rtol=0, atol=tol)
 
 
@@ -738,11 +751,11 @@ def projection_family(kind, q, bounded, boxed, m, n, seed):
 @settings(max_examples=40)
 def test_projection_is_a_member_with_the_moments_of_rho(kind, q, bounded, boxed, m, n, seed):
     spec, rho = projection_family(kind, q, bounded, boxed, m, min(n, m - 1), seed)
-    target = dc._tau_moments(spec, rho)
+    target = tau_moments(spec, rho)
     res = dc.pythagorean_project(spec, rho)
     np.testing.assert_allclose(dc.normalize(spec, res.theta)[1], res.p, rtol=0, atol=1e-10)
     scale = max(1.0, float(np.max(np.abs(target))))
-    assert np.max(np.abs(dc._tau_moments(spec, res.p) - target)) <= 1e-10 * scale
+    assert np.max(np.abs(tau_moments(spec, res.p) - target)) <= 1e-10 * scale
     dc.density_vector(spec, res.p)
 
 
@@ -800,6 +813,40 @@ def test_projection_keeps_a_start_whose_cold_density_leaves_I():
     res = dc.pythagorean_project(spec, rho)
     assert res.theta == pytest.approx([2.854], abs=1e-9)
     assert res.p == pytest.approx(rho, abs=1e-10)
+
+
+# Draw 155 of the projection stress generator (ROADMAP item 1, seed 1): the pair
+# gauge on (0, inf), no box, rho the member at theta* = (-7.37, 1.78, 1.68, 6.00),
+# with densities from 1.3e-9 to 10.6
+FLOOR_FAMILY = {
+    "w": [0.11929881614184032, 0.08136380289282547, 0.09447288563044236, 0.03661085112868502,
+          0.6682536442062068],
+    "T": [[0.7433933365502896, 1.5434371750121356, -1.035565370454778, 0.3790209403244595,
+           -0.02042082710444448],
+          [0.4798989886404432, -0.5791185508571353, 1.2509363568774132, 0.6597835393138908,
+           0.5421974034801685],
+          [2.0710099791234406, -0.6948144462830553, -0.0505222843323399, 0.7127660752479942,
+           1.037142871114371],
+          [0.08914465585342667, 0.6772318752990303, 1.4780562545966762, -0.17321089535552586,
+           -0.24211734571690632]],
+    "rho": [9.120955180099701e-06, 1.2506326307932643e-09, 10.584549140918686,
+            3.911005898598047e-06, 6.863883859639293e-05],
+}
+
+
+def test_projection_takes_a_done_point_at_the_rounding_floor():
+    # the joint Jacobian is near singular there, so the step never settles; the
+    # moments and the mass meet the stop rule and r is at rounding level, where
+    # no step lowers the merit.  That point is taken, and it is the member at
+    # its theta; without the floor rule every start breaks (NoSolutionError)
+    w, T, rho = (np.array(FLOOR_FAMILY[k]) for k in ("w", "T", "rho"))
+    spec = dc.DiscreteFamilySpec(dc.DiscreteBase(w), pair_gauge(), T, np.zeros(w.size))
+    res = dc.pythagorean_project(spec, rho)
+    p = dc.normalize(spec, res.theta)[1]
+    assert np.max(np.abs(p - res.p)) <= 1e-10 * max(1.0, np.max(np.abs(p)))
+    target = tau_moments(spec, rho)
+    assert res.moment_residual <= 1e-10 * max(1.0, np.max(np.abs(target)))
+    assert np.all(spec.gauge.I.contains(res.p)) and abs(w @ res.p - 1.0) <= dc._MASS_TOL
 
 
 @pytest.mark.parametrize("kind,w1", [("power", 0.4), ("escort", 0.5), ("pair", 0.5)])
@@ -969,7 +1016,7 @@ def two_read_canonical(spec, theta, theta2):
     s_star = np.asarray(derived(g).s_star(P), dtype=float)
     tau_mass = np.asarray(g.tau.value(P), dtype=float) @ w
     phi2, phi = -(s_star @ w) + np.array([m2.psi, m.psi]) * tau_mass
-    canon = phi2 - phi + float((m.theta - m2.theta) @ dc._tau_moments(spec, m.p))
+    canon = phi2 - phi + float((m.theta - m2.theta) @ tau_moments(spec, m.p))
     D = float(w @ np.asarray(two_read_kernel(g, m.p, m2.p), dtype=float))
     return abs(canon - D), D
 
@@ -1041,6 +1088,92 @@ def test_one_read_checks_keep_the_pair_numbers_to_the_quadrature_rule(kind, m, n
     defect, D = two_read_canonical(spec, th, th2)
     # the defect is at rounding level: it may move by the rule's share of D
     assert close(dc.canonical_divergence_check(spec, th, th2), defect, D)
+
+
+# ---------------------------------------------------------------------------
+# one read of each member: the solve's kernel outputs at its root
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["kl", "escort"])
+def test_each_solve_reads_the_kernel_once_at_its_root(monkeypatch, kind):
+    # the bracketed solve reads the member kernel at each iterate and once more at
+    # the root, whose (p, chi, tau, tau') are the solve's outputs; no check reads
+    # exp_fn or exp_htau after it
+    g = LEAN_KINDS[kind]()
+    fused, log, evals = g._member_kernel, [], []
+
+    def kernel(z):
+        log.append((z.copy(), fused(z)))
+        return log[-1][1]
+
+    def exp(*args):
+        raise AssertionError("exp_fn or exp_htau read")
+
+    probe = replace(g, exp_fn=exp)
+    object.__setattr__(probe, "_member_kernel", kernel)
+    for mod in (dc, gauge_module):
+        monkeypatch.setattr(mod, "exp_htau", exp)
+    monkeypatch.setattr(gauge_module, "_exp_htau", exp, raising=False)
+
+    def counted(evaluate, x, a, b):
+        def ev(x, live):
+            evals.append(1)
+            return evaluate(x, live)
+        return _rtsafe(ev, x, a, b)
+
+    monkeypatch.setattr(dc, "_rtsafe", counted)
+    spec, th = bench_family(kind, 4, m=50, n=3)
+    spec = replace(spec, gauge=probe)
+    for thetas in (th[None], th + np.random.default_rng(4).normal(scale=0.3, size=(5, 3))):
+        log.clear()
+        evals.clear()
+        psi, at, ok = dc._solve_psi(spec, thetas)
+        assert ok.all() and len(log) == len(evals) + 1
+        z, out = log[-1]
+        assert z.tobytes() == (thetas @ spec.T - spec.c - psi[:, None]).tobytes()
+        assert all(u is v for u, v in zip(at, out)) and len(at) == 4
+    th2 = th + 0.1
+    if kind == "kl":
+        assert dc.hessian_check(spec, th).status == "ok"
+        assert dc.canonical_divergence_check(spec, th, th2) <= 1e-7
+    else:
+        assert dc.conformal_check(spec, th, th2).defect <= 1e-7
+    assert dc.entropy_max_check(spec, dc.normalize(spec, th2)[1]).maximized
+
+
+@pytest.mark.parametrize("kind", ["kl", "power", "escort", "scaled_log"])
+def test_member_reads_ell_d2_once_and_ell_d1_never(kind):
+    # chi comes from the solve's kernel read; chi' = -ell''(p) chi^2 is one ell'' read
+    g = LEAN_KINDS[kind]()
+    ell, calls = derived(g).ell, {"value": 0, "d1": 0, "d2": 0}
+
+    def counted(key, f):
+        def call(t):
+            calls[key] += 1
+            return f(t)
+        return call
+
+    for key in calls:  # the derived functions read this ScalarFn's attributes
+        object.__setattr__(ell, key, counted(key, getattr(ell, key)))
+    spec, th = bench_family(kind, 5, m=50, n=3)
+    spec = replace(spec, gauge=g)
+    calls.update(value=0, d1=0, d2=0)
+    m = dc._member(spec, th)
+    assert calls == {"value": 1, "d1": 0, "d2": 1}  # the value read is ell(1 / sum mu)
+    assert np.array_equal(m.chi1, -ell.d2(m.p) * m.chi ** 2)
+    assert np.all(np.abs(m.chi - derived(g).chi(m.p)) <= 4 * np.spacing(m.chi))
+
+
+def test_divergence_checks_each_density_once(monkeypatch):
+    spec, th, th2, p2, rho = check_family("kl", 3, 50, 3)
+    checked = []
+    require = Interval.require
+    monkeypatch.setattr(Interval, "require",
+                        lambda self, x, what="argument": checked.append(what) or require(
+                            self, x, what))
+    assert dc.divergence(spec, rho, p2) > 0
+    assert checked == ["density value"] * 2
 
 
 # ---------------------------------------------------------------------------

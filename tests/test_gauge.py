@@ -220,8 +220,8 @@ def test_derived_functions_match_sympy(name):
 
 
 def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2(monkeypatch):
-    # chi = 1 / ell' is one ell' call; chi' = -ell'' / ell'^2, which only
-    # discrete._member reads, adds one call each of ell' and ell''
+    # chi = 1 / ell' is one ell' call; discrete._member composes chi at the flat
+    # path's p (that one ell' call) and reads chi' = -ell'' chi^2 by one ell'' call
     tau, ell = _log_half_pair()
     calls = {"value": 0, "d1": 0, "d2": 0}
 
@@ -236,14 +236,14 @@ def test_chi_d1_is_one_call_each_of_ell_d1_and_ell_d2(monkeypatch):
     spec = dc.DiscreteFamilySpec(dc.DiscreteBase(np.ones(2)), g, np.array([[1.0, -1.0]]),
                                  np.zeros(2))
     p = np.array([0.5, 2.0])
-    monkeypatch.setattr(dc, "_solve_one", lambda spec, th, warm=None: (0.0, p))
+    monkeypatch.setattr(dc, "_solve_one", lambda spec, th, warm=None: (0.0, [p]))
     calls.update(value=0, d1=0, d2=0)
     derived(g).chi(p)
     assert calls == {"value": 0, "d1": 1, "d2": 0}
     calls.update(value=0, d1=0, d2=0)
     member = dc._member(spec, [0.0])
-    assert calls == {"value": 0, "d1": 2, "d2": 1}
-    assert np.array_equal(member.chi1, -ell.d2(p) / ell.d1(p) ** 2)
+    assert calls == {"value": 0, "d1": 1, "d2": 1}
+    assert np.array_equal(member.chi1, -ell.d2(p) * (1.0 / ell.d1(p)) ** 2)
 
 
 # ---------------------------------------------------------------------------
