@@ -8,9 +8,9 @@ seeded runs can be reproduced byte for byte.  _emit does all of it; a
 library result prints as its dataclass fields in declaration order
 (_jsonable), so no verb lists them by hand.  Only `gauge eval`/`conjugate`
 (a bare float), `validate` (PASS/FAIL) and `sample` without --out (its
-CSV) print elsewhere.  CSV tables of samples and points write floats as
-.17g, which round-trips but is not shortest (0.1 is 0.10000000000000001).
-Each verb takes only the flags it reads.
+CSV) print elsewhere.  CSV tables write floats as format(x, ".17g") does,
+encoded in numpy (lln._csv_rows); .17g round-trips but is not shortest (0.1 is
+0.10000000000000001).  Each verb takes only the flags it reads.
 
 Exit codes: 0 success, 2 validation failure or an identity whose
 hypothesis does not hold, 1 runtime error (including malformed input
@@ -271,19 +271,18 @@ def _coord_names(k: int, d: int) -> list[str]:
 
 
 def _csv_blocks(header: list[str], rows: np.ndarray):
-    """CSV text of rows of floats as .17g, which round-trips but is not shortest:
-    the header, then 256 rows at a time."""
-    yield ",".join(header) + "\n"
+    """CSV of rows of floats as .17g, which round-trips but is not shortest: the header,
+    then 256 rows at a time, as ASCII bytes (lln._csv_rows)."""
+    yield memoryview((",".join(header) + "\n").encode())
     for lo in range(0, len(rows), 256):
-        yield "".join(",".join(f"{x:.17g}" for x in row) + "\n"
-                      for row in rows[lo:lo + 256].tolist())
+        yield lln._csv_rows([], rows[lo:lo + 256])
 
 
 def _encoded(blocks) -> bytearray:
-    """The UTF-8 bytes of a text given in blocks, so it never exists whole as a str."""
+    """The bytes of a text given in blocks of bytes, so it never exists whole as a str."""
     data = bytearray()
     for block in blocks:
-        data += block.encode()
+        data += block
     return data
 
 
@@ -304,8 +303,8 @@ def cmd_qgauss_marginal_check(args) -> int:
     res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
                             xs=xs, epsabs=args.tol)
     names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
-    csv = "".join(_csv_blocks(names + ["defect"], np.column_stack([res.points, res.defects])))
-    _emit({"max_defect": res.max_defect, **vars(res)}, args, csv=csv)
+    csv = _encoded(_csv_blocks(names + ["defect"], np.column_stack([res.points, res.defects])))
+    _emit({"max_defect": res.max_defect, **vars(res)}, args, csv=csv.decode())
     return EXIT_OK
 
 
@@ -318,7 +317,7 @@ def cmd_qgauss_sample(args) -> int:
         _emit({"written": str(Path(args.out) / "samples.csv"), "n": args.n}, args,
               files={"samples.csv": _encoded(blocks)})
     else:
-        sys.stdout.writelines(blocks)
+        sys.stdout.writelines(str(block, "ascii") for block in blocks)
     return EXIT_OK
 
 
@@ -530,12 +529,13 @@ _VERBS = (
 
 
 def _glue_negatives(argv: list) -> list:
-    """argv with a value that starts with a minus sign and a digit or a dot
-    joined to the flag before it with "=": argparse reads "-0.1,0.3" or
-    "-1e-3" as an option, and no flag of dgeo looks like a number."""
+    """argv with a value that starts with a minus sign and a digit or a dot, or with -inf,
+    -infinity or -nan in any case, joined to the flag before it with "=": argparse reads
+    "-0.1,0.3", "-1e-3" or "-inf" as an option, and no flag of dgeo looks like a number."""
     out = []
     for arg in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and re.match(r"(?i)-([\d.]|(inf|infinity|nan)(,|$))", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

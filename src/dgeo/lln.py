@@ -7,9 +7,9 @@ draw has exactly the law of the shorter joint, so running averages along
 the path probe the dependent law of large numbers directly.  Paths are
 never materialised: the standard normals behind them stream through a
 fixed buffer and only their sums between checkpoints are kept, so memory
-is O(buffer + reps x checkpoints) whatever k_max is; so is the table, as
-``SimReport.averages_csv_blocks`` formats averages.csv by blocks of reps and
-a ``lln run --out`` bundle holds it once, as bytes.  Rep r draws from
+is O(buffer + reps x checkpoints) whatever k_max is; so is the table:
+``SimReport.averages_csv_blocks`` encodes averages.csv in numpy, a block of
+reps at a time (``_csv_rows``), into bytes held once.  Rep r draws from
 SeedSequence(seed, spawn_key=(r,)), hashed in bulk for all reps.  The module
 also evaluates the fourth-moment and second-moment Chebyshev-type tail
 bounds, compares them against empirical exceedance frequencies with
@@ -19,6 +19,7 @@ series (the Borel-Cantelli step behind almost-sure convergence).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
@@ -137,7 +138,7 @@ def _fmt(x: float) -> str:
 @dataclass(frozen=True)
 class SimReport:
     """Running averages and deviations per (checkpoint, rep, statistic); a --out
-    bundle holds their table averages.csv once, as bytes, formatted by rep blocks."""
+    bundle holds their table averages.csv once, as bytes encoded by rep blocks."""
 
     config: SimConfig
     k_schedule: list
@@ -154,20 +155,17 @@ class SimReport:
         return np.median(self.deviations[:, :, stat], axis=0)
 
     def averages_csv(self) -> str:
-        return "".join(self.averages_csv_blocks())
+        return b"".join(self.averages_csv_blocks()).decode()
 
     def averages_csv_blocks(self):
-        """averages.csv as text: the header, then the rows of _CSV_BLOCK reps at a time,
-        formatted by one str.format per rep over a template of all its rows."""
-        keys = [(k, lab) for k in self.k_schedule for lab in self.stat_labels]
-        template = "".join(f"{k},{{0}},{lab},{{{2 * i + 1}:.17g}},{{{2 * i + 2}:.17g}}\n"
-                           for i, (k, lab) in enumerate(keys))
-        yield "k,rep,stat,average,deviation\n"
+        """averages.csv as ASCII bytes, one memoryview per block (_csv_rows): the header,
+        then the rows of _CSV_BLOCK reps at a time."""
+        ks, labs = zip(*[(f"{k},", f"{lab},") for k in self.k_schedule for lab in self.stat_labels])
+        yield memoryview(b"k,rep,stat,average,deviation\n")
         for lo in range(0, len(self.averages), _CSV_BLOCK):
-            pairs = np.stack([a[lo:lo + _CSV_BLOCK] for a in (self.averages, self.deviations)],
-                             axis=-1)  # (average, deviation) per row
-            yield "".join(template.format(r, *row)
-                          for r, row in enumerate(pairs.reshape(len(pairs), -1).tolist(), lo))
+            reps = [[f"{r},"] for r in range(lo, min(lo + _CSV_BLOCK, len(self.averages)))]
+            yield _csv_rows([ks, reps, labs], np.stack([a[lo:lo + _CSV_BLOCK].reshape(
+                len(reps), len(ks)) for a in (self.averages, self.deviations)], axis=-1))
 
     def to_json(self) -> dict:
         return {
@@ -181,6 +179,68 @@ class SimReport:
         }
 
 
+def _csv_rows(texts: list, x) -> memoryview:
+    """ASCII bytes of CSV rows: the texts (lists of str, each ending in its ","), then the
+    floats along x's last axis as format(v, ".17g"), the leading axes broadcast.  A float
+    takes 47 columns, NUL in those of sign, "0.000", 17 digits, ".", the same 17 digits,
+    exponent and "," that it leaves out.  As in Grisu3 (Loitsch 2010), its digits
+    round(|v| 10**(16 - E)) come from a double-double product good to 1e-14, and format
+    gives those it cannot prove: 0, nan, inf, |v| outside (1e-200, 1e200), E = floor(log10
+    |v|) off by one, a fraction within 1e-9 of 1/2, or 17 nines that round up."""
+    flat = np.asarray(x, float).ravel()
+    pow10, pairs, exps, cells = _g17_tables()
+    ax = np.abs(flat)
+    ok = (ax > 1e-200) & (ax < 1e200)
+    ax[~ok] = 1.0
+    E = np.floor(np.log10(ax)).astype(np.int64)
+    hi, hh, hl, lo = pow10[:, 200 - E]
+    ah = 134217729.0 * ax - (134217729.0 * ax - ax)  # Dekker's split: ax * hi is exact below
+    p = ax * hi
+    r = ((ah * hh - p) + ah * hl + (ax - ah) * hh) + (ax - ah) * hl + ax * lo  # |v| 10**(16-E) - p
+    f = r - np.floor(r)
+    ok &= (np.abs(f - 0.5) > 1e-9) & ((p - 1e16) + r >= 0) & ((p - 1e17) + r < -0.5)
+    N = p.astype(np.int64) + np.floor(r).astype(np.int64) + (f > 0.5)  # 17 digits
+    u = np.stack([N // 10 ** 8 % 10 ** 8, N % 10 ** 8], -1).astype(np.int32)[..., None]
+    digits = np.concatenate([(N // 10 ** 16 + 48).astype(np.uint8)[:, None], pairs[  # 1 + 2 x 8
+        u // 10 ** np.arange(6, -1, -2, dtype=np.int32) % 100].view(np.uint8).reshape(-1, 16)], 1)
+    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)  # %g strips trailing zeros
+    kind = np.where((E >= -4) & (E < 17), E + 4, 21 + (np.abs(E) >= 100))
+    chars = cells[((flat < 0) * 23 + kind) * 17 + last]  # 0xff where a digit goes
+    chars[:, 6:23] &= digits
+    chars[:, 24:41] &= digits
+    chars[:, 42:46] &= exps[E + 201].view(np.uint8).reshape(-1, 4)
+    for i in np.flatnonzero(~ok):
+        chars[i, :-1] = list(format(float(flat[i]), ".17g").encode().ljust(46, b"\0"))
+    chars.reshape(np.shape(x) + (47,))[..., -1, -1] = ord("\n")
+    del flat, ax, ok, E, hi, hh, hl, lo, ah, p, r, f, N, u, digits, last, kind  # off the peak
+    cells = [np.array(t, "S").view(np.uint8).reshape(np.shape(t) + (-1,)) for t in texts]
+    cells.append(chars.reshape(*np.shape(x)[:-1], -1))
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
+    rows = np.concatenate([np.broadcast_to(c, shape + c.shape[-1:]) for c in cells], -1).ravel()
+    return memoryview(rows[rows != 0])  # a boolean index builds no index array, np.compress does
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """10**(16 - E) as hi + lo, hi split in halves, for E = 200 .. -201; the ASCII digit
+    pairs and exponents; the cells by sign, kind (E + 4 in fixed notation, 21 or 22 for 2
+    or 3 exponent digits) and last non-zero digit.  Built on first use, not at import."""
+    hi = np.array([10 ** max(k, 0) / 10 ** max(-k, 0) for k in range(-184, 218)])  # rounds right
+    lo = [(10 ** max(k, 0) * b - a * 10 ** max(-k, 0)) / (b * 10 ** max(-k, 0))
+          for k, (a, b) in zip(range(-184, 218), map(float.as_integer_ratio, hi))]
+    hh = 134217729.0 * hi - (134217729.0 * hi - hi)
+    sign, kind, last = (a.ravel()[:, None] for a in np.indices((2, 23, 17)))
+    dot, col = np.where(kind < 4, last, np.where(kind < 21, kind - 4, 0)), np.arange(17)
+    used = np.concatenate([sign > 0, np.arange(5) < np.where(kind < 4, 5 - kind, 0), col <= dot,
+                           last > dot, (col > dot) & (col <= last),
+                           kind >= np.array([21, 21, 22, 21, 21, 0])], axis=1)
+    chars = np.array(list(b"-0.000" + b"\xff" * 17 + b"." + b"\xff" * 17 + b"e\xff\xff\xff\xff,"))
+    return (np.array([hi, hh, hi - hh, lo]),
+            np.array([f"{i:02d}" for i in range(100)], "S").view("u2"),
+            np.array([f"{e:+04d}" for e in range(-201, 202)], "S").view("u4"),
+            np.where(used, chars, 0).astype(np.uint8))
+
+
 def _targets(cfg: SimConfig) -> np.ndarray:
     law1 = qg.repetition(cfg.params(), 1)
     vals = [float(cfg.v[i]) for i in range(cfg.d)]
@@ -192,7 +252,7 @@ def _targets(cfg: SimConfig) -> np.ndarray:
 
 
 _CHUNK = 1 << 17  # standard normals per buffer fill in _run_reps
-_CSV_BLOCK = 256  # reps per text block of averages.csv
+_CSV_BLOCK = 128  # reps per encoded block of averages.csv, which bounds its working set
 
 # numpy's SeedSequence hash constants (INIT_A, MULT_A, INIT_B, MULT_B, MIX_MULT_L, MIX_MULT_R)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _M32 = (

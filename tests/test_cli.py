@@ -258,6 +258,17 @@ def test_qgauss_marginal_check_any_d_and_kprime(capsys):
     assert code == 2
 
 
+def test_qgauss_marginal_check_csv_writes_each_float_as_format_does(capsys):
+    # x = 0 and its defect 0.0 take format's own text inside the table
+    code, out = run(capsys, "qgauss", "marginal-check", "--q", "1.5", "--k", "1", "--kprime", "1",
+                    "--grid", "0,-0.5,3", "--format", "csv")
+    p = qg.QGaussianParams(1.5, 1)
+    res = qg.marginal_check(qg.repetition(p, 2), qg.repetition(p, 1), xs=[0.0, -0.5, 3.0])
+    assert code == 0 and out.splitlines()[1] == "0,0"
+    assert out == "x_1,defect\n" + "".join(f"{x:.17g},{e:.17g}\n"
+                                           for x, e in zip(res.points[:, 0], res.defects))
+
+
 def test_qgauss_sample_csv_header_and_determinism(capsys, tmp_path):
     code, out1 = run(capsys, "qgauss", "sample", "--q", "1.5", "--d", "2",
                      "--k", "2", "--n", "4", "--seed", "9")
@@ -737,6 +748,9 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
     *((f"""gauge eval --gauge '{gauge}' --fn exp --x={x}""", "u must be finite")
       for gauge in ('{"kind":"kl"}', '{"kind":"power","q":0.5}', '{"kind":"power","q":1.5}')
       for x in ("nan", "inf", "-inf")),
+    # a negative non-finite value written apart from its flag reaches the verb too
+    *((f"""gauge eval --gauge '{{"kind":"kl"}}' --fn exp --x {x}""", "u must be finite")
+      for x in ("-inf", "-Infinity", "-nan", "-NAN")),
     ("""gauge eval --gauge '{"kind":"escort","q":60}' --fn ell --x 1""",
      "tau' leaves double range on I for gauge 'escort(60)'"),
     ("""gauge eval --gauge '{"kind":"power","q":1e308}' --fn ell --x 1""",
@@ -757,6 +771,7 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         "eval-power-m-overflow", "eval-kl-d-nan", "eval-kl-d-overflow",
         *(f"eval-{g}-exp-{x}" for g in ("kl", "power0.5", "power1.5")
           for x in ("nan", "inf", "-inf")),
+        *(f"eval-kl-exp-spaced{x}" for x in ("-inf", "-Infinity", "-nan", "-NAN")),
         "escort-q-60", "power-q-1e308", "scaled-log-lam-1e308"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, transposed_file, argv, message):
     argv = argv.replace("{coin}", coin_file).replace("{transposed}", transposed_file)
@@ -780,8 +795,11 @@ def test_bad_input_exits_2_with_message(capsys, coin_file, transposed_file, argv
     ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --a1 -1e-3 --n 2""", 0),
     ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --a2 -.5 --n 2""", 0),
     ("""gauge equiv-check --gauge '{{"kind":"kl"}}' --lam -1e-3 --n 2""", 2),
+    ("discrete normalize --spec {escort} --theta -inf,0.3", 2),
+    ("qgauss density --q 1.5 --x -nan", 2),
+    ("""gauge eval --gauge '{{"kind":"kl"}}' --fn exp --x -Infinity""", 2),
 ], ids=["theta", "theta-exponent", "theta2", "rho", "v", "x", "grid", "eps-grid", "S", "y",
-        "a1", "a2-dot", "lam"])
+        "a1", "a2-dot", "lam", "theta-minus-inf", "x-minus-nan", "x-minus-infinity"])
 def test_negative_values_reach_the_verb(capsys, coin_file, escort_file, argv, code):
     # argparse takes "-0.1,0.3" or "-1e-3" for an option; the value must reach
     # the verb, which either runs (0) or rejects it with its own message (2)
@@ -924,8 +942,8 @@ def _marginal_listed(coin, escort):
     res = qg.marginal_check(qg.repetition(p, 2), qg.repetition(p, 1), xs=[0.0, 0.5])
     return ({"max_defect": res.max_defect, "points": res.points,
              "defects": res.defects, "abserr": res.abserr},
-            "".join(cli._csv_blocks(["x_1", "defect"],
-                                    np.column_stack([res.points, res.defects]))))
+            "x_1,defect\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                     for row in np.column_stack([res.points, res.defects])))
 
 
 def _verify_listed(coin, escort):

@@ -366,6 +366,60 @@ def test_averages_csv_rows_match_nested_loop():
     assert rep.averages_csv() == "\n".join(lines) + "\n"
 
 
+def _encoded_fields(x) -> list:
+    """The fields of lln._csv_rows's one row of the floats x, to compare with format's."""
+    row = bytes(lln._csv_rows([], np.reshape(np.asarray(x, float), (1, -1)))).decode()
+    assert row.endswith("\n")
+    return row[:-1].split(",")
+
+
+def _format_fields(x) -> list:
+    return [format(float(v), ".17g") for v in np.ravel(x)]
+
+
+def test_csv_encoder_matches_format_on_a_million_seeded_doubles():
+    # random 64-bit patterns viewed as doubles (every exponent, subnormals, zeros,
+    # inf and nan among them) and normal draws scaled by 10**U(-30, 30)
+    rng = np.random.default_rng(20101)
+    for _ in range(8):
+        bits = rng.integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64, endpoint=False)
+        scaled = rng.standard_normal(2 ** 16) * 10.0 ** rng.uniform(-30, 30, 2 ** 16)
+        for x in (bits.view(np.float64), scaled):
+            assert _encoded_fields(x) == _format_fields(x)
+
+
+def test_csv_encoder_matches_format_at_powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+    assert _encoded_fields(x) == _format_fields(x)
+    assert _encoded_fields(-x) == _format_fields(-x)
+
+
+def test_csv_encoder_matches_format_at_ties():
+    # m 2**-k with m odd is exact in 18 significant digits (those of m 5**k), the
+    # last a 5: 17 digits round half to even, as 1 + 2**-17 = 1.00000762939453125
+    # prints ...312
+    rng = np.random.default_rng(7)
+    ties = [1 + 2 ** -17]
+    for k in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** k), min(10 ** 18 // 5 ** k, 2 ** 53)
+        ties += [m / 2 ** k for m in (int(m) | 1 for m in rng.integers(lo, hi, 100))
+                 if len(str(m * 5 ** k)) == 18 and m < 2 ** 53]
+    assert len(ties) > 2000 and format(ties[0], ".17g") == "1.0000076293945312"
+    x = np.array(ties)
+    assert _encoded_fields(x) == _format_fields(x)
+    assert _encoded_fields(-x) == _format_fields(-x)
+
+
+def test_csv_encoder_matches_format_at_its_edges():
+    tiny = np.finfo(float).tiny
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0), -1e-310, np.inf,
+             -np.inf, np.nan, -np.nan, 1.0, 1e16, 1e17, 1e-4, 1e-5, 99999999999999999.0]
+    edges += [s * np.nextafter(v, w) for s in (1, -1) for v in (1e200, 1e-200)
+              for w in (0, v, np.inf)]
+    assert _encoded_fields(edges) == _format_fields(edges)
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
