@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NoSolutionError
 from .gauge import (_NEWTON_SETTLED, _X_TABLE, GaugeTriple, _coordinate, _kernel, _member_at,
-                    _rtsafe, derived, d_htau, exp_htau, gauge_from_json, gauge_to_json)
+                    _no_unknown_keys, _rtsafe, derived, d_htau, exp_htau, gauge_from_json,
+                    gauge_to_json)
 
 # d_htau and exp_htau, which this module does not call, and optimize, not
 # scipy.optimize, which no dgeo code calls: perfbench/tracer.py looks each name
@@ -743,11 +744,12 @@ def affine_reparam_check(spec: DiscreteFamilySpec, A, v1, v2) -> float:
 
 def spec_from_json(obj) -> DiscreteFamilySpec:
     """Family spec from {"weights", "gauge", "T", "c", "theta_box"?}.  A malformed
-    spec raises DomainError."""
+    spec, or one with any other key, raises DomainError."""
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise DomainError("a family spec must be a JSON object")
+    _no_unknown_keys(obj, {"weights", "gauge", "T", "c", "theta_box"}, "family spec")
     try:
         weights = obj["weights"]
         gauge = gauge_from_json(obj["gauge"])

@@ -17,9 +17,10 @@ with ln_q the deformed logarithm (t**(1-q) - 1)/(1-q) (log t at q = 1):
     kind        kl          power(q)    escort(q)   scaled_log(lam)
     (p, q, c)   (1, 1, 1)   (1, q, 0)   (q, q, 0)   (lam, 1, 0)
 
-Their tau, ell and clipped deformed exponential exp_q(u - c) come from one
-code path; only h keeps a closed form per kind, and the exp_q core gives each a
-fused member kernel z -> (p, chi, tau(p), tau'(p)) (``_exp_q_factory``), which any
+Their tau, ell, h' = ell o tau^-1, h'' = ell'/tau' o tau^-1, the image of ell and
+the clipped deformed exponential exp_q(u - c) come from (p, q, c) by one code
+path; only h keeps a closed form per kind.  exp_q is the p of each one's fused
+member kernel z -> (p, chi, tau(p), tau'(p)) (``_exp_q_factory``), which any
 other gauge composes from ``exp_htau``, chi and tau (``_member_at``).  One builder
 (``_derived_from``) makes the derived functions of every gauge, each
 exact in h o tau, tau, ell and the derivatives of ell and tau; only ell
@@ -201,13 +202,16 @@ class GaugeTriple:
 # ----------------------------------------------------------------------------
 
 
-def _ln_q(r, q: float):
-    # expm1 keeps full precision as q -> 1, where r**(1-q) - 1 cancels;
-    # + 0.0 keeps ln_q(1) = 0.0 / (1 - q), which is -0.0 for q > 1
-    r = np.asarray(r, dtype=float)
+def _ln_q(r, q: float, p: float = 1.0):
+    # ln_q(r**(1/p)), read at log(r)/p, where r**(1/p) may leave double range; expm1
+    # keeps full precision as q -> 1, where r**(1-q) - 1 cancels; + 0.0 keeps
+    # ln_q(1) = 0.0 / (1 - q), which is -0.0 for q > 1
+    x = np.log(np.asarray(r, dtype=float))
+    if p != 1.0:
+        x = x / p
     if q == 1.0:
-        return np.log(r)
-    return (np.expm1((1.0 - q) * np.log(r)) + 0.0) / (1.0 - q)
+        return x
+    return (np.expm1((1.0 - q) * x) + 0.0) / (1.0 - q)
 
 
 def _h_q(r, q: float):
@@ -217,35 +221,32 @@ def _h_q(r, q: float):
         return r * np.log(r) - r + 1.0
     if q == 2.0:
         return (r - 1.0) - np.log(r)
-    with np.errstate(all="ignore"):  # both branches are evaluated
-        x = (1.0 - q) * np.log(r)
+    with np.errstate(all="ignore"):  # log 0, and both branches of the where are evaluated
+        L = np.log(r)
+        if 1.5 < q < 3.0:  # where the division by 2 - q below cancels: this form tends
+            # to q = 2's; q = 1.5 and 3 keep the form below, bit for bit
+            return (np.expm1((2.0 - q) * L) / (2.0 - q) - (r - 1.0)) / (1.0 - q)
+        x = (1.0 - q) * L
         r_ell = np.where(x < 700.0, r * np.expm1(x), r ** (2.0 - q) - r) / (1.0 - q)
     return (r_ell - (r - 1.0)) / (2.0 - q)
 
 
 def _ln_q_range(q: float, I: Interval) -> tuple[float, float]:
-    """Image of ln_q over I: ln_q(0+) is -1/(1-q) for q < 1 and ln_q(inf) is
-    1/(q-1) for q > 1, both infinite otherwise."""
-    def at(t):
-        if t == 0.0:
-            return -1.0 / (1.0 - q) if q < 1.0 else -math.inf
-        if math.isinf(t):
-            return 1.0 / (q - 1.0) if q > 1.0 else math.inf
-        return float(_ln_q(t, q))
-
-    return at(I.lo), at(I.hi)
+    """Image of ln_q over I: ln_q at its ends, where log 0 = -inf and expm1(-inf) = -1."""
+    with np.errstate(divide="ignore"):
+        return tuple(float(_ln_q(t, q)) for t in (I.lo, I.hi))
 
 
 def _exp_q_factory(power: float, q: float, c: float, lo_ell: float, hi_ell: float):
     """exp_q(u - c), the inverse of ell = ln_q + c, clipped to 0 at or below lo_ell
     and to +inf at or above hi_ell, and the member kernel of the built-in with
-    tau = t**power, both from one core and one clip table.  An array skips a clip
-    whose bound is infinite: only u = -inf (+inf) meets it, where p is already 0 (inf).
+    tau = t**power; exp_q is the kernel's p.  The kernel skips a clip whose bound is
+    infinite: only u = -inf (+inf) meets it, where p is already 0 (inf).
 
-    The kernel takes an array z under ignored errors: p = exp_q(z) bit for bit,
-    chi = p**q as p / base, base = 1 + (1 - q)(z - c) (chi is p at q = 1), tau = p
-    with tau' None at power 1, the escort's tau = chi and tau' = q / base, else
-    p**power and its derivative; at a clipped z, their values at p = 0 and +inf."""
+    The kernel takes an array z under ignored errors: p = exp_q(z), chi = p**q as
+    p / base, base = 1 + (1 - q)(z - c) (chi is p at q = 1), tau = p with tau' None
+    at power 1, the escort's tau = chi and tau' = q / base, else p**power and its
+    derivative; at a clipped z, their values at p = 0 and +inf."""
     def core(u):  # unclipped, and a (None at q = 1): (1 + a)**(1/(1-q)) by log1p, exact
         # as q -> 1; a <= -1, NaN: log1p(-1) = -inf
         a = None if q == 1.0 else (1.0 - q) * (u - c)
@@ -260,13 +261,9 @@ def _exp_q_factory(power: float, q: float, c: float, lo_ell: float, hi_ell: floa
 
     def exp_q(u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):  # overflow is the clip to +inf
-            p = core(u)[0]
-        if not p.ndim:
-            return math.inf if u >= hi_ell else 0.0 if u <= lo_ell else float(p)
-        for cmp, bound, at in clips:
-            p[cmp(u, bound)] = at[0]
-        return p
+        with np.errstate(all="ignore"):  # overflow is the clip to +inf; chi is inf/inf at +-inf
+            p = member(np.atleast_1d(u))[0]
+        return p if u.ndim else float(p[0])
 
     def member(z):
         p, a = core(z)
@@ -287,51 +284,14 @@ def _exp_q_factory(power: float, q: float, c: float, lo_ell: float, hi_ell: floa
 # ----------------------------------------------------------------------------
 
 
-def _power_fn(p: float, I: Interval) -> ScalarFn:
-    # t**p
-    return ScalarFn(lambda t: np.asarray(t, dtype=float) ** p,
-                    lambda t: p * np.asarray(t, dtype=float) ** (p - 1.0),
-                    lambda t: p * (p - 1.0) * np.asarray(t, dtype=float) ** (p - 2.0), I)
-
-
-def _kl(_):
-    # h(r) = r log r
-    return (1.0, 1.0, 1.0), (lambda r: np.asarray(r, float) * np.log(r),
-                             lambda r: np.log(r) + 1.0, lambda r: 1.0 / np.asarray(r, float))
-
-
-def _power(q):
-    # h = the integral of ln_q from 1
-    return (1.0, q, 0.0), (lambda r: _h_q(r, q), lambda r: _ln_q(r, q),
-                           lambda r: np.asarray(r, float) ** (-q))
-
-
-def _escort(q):
-    # h(r) = q r ln_q(r^(1/q)) - r
-    def h(r):
-        r = np.asarray(r, dtype=float)
-        return q * r * _ln_q(r ** (1.0 / q), q) - r
-
-    def h_d1(r):
-        r = np.asarray(r, dtype=float)
-        return q * _ln_q(r ** (1.0 / q), q) + r ** (1.0 / q - 1.0) - 1.0
-
-    return (q, q, 0.0), (h, h_d1, lambda r: (1.0 / q) * np.asarray(r, float) ** (1.0 / q - 2.0))
-
-
-def _scaled_log(lam):
-    # h(r) = (r log r - r) / lam
-    def h(r):
-        r = np.asarray(r, dtype=float)
-        return (r * np.log(r) - r) / lam
-
-    return (lam, 1.0, 0.0), (h, lambda r: np.log(r) / lam,
-                             lambda r: 1.0 / (lam * np.asarray(r, float)))
-
-
-# kind -> (name of its parameter, parameter -> ((p, q, c), (h, h', h'')))
-_BUILTINS = {"kl": (None, _kl), "power": ("q", _power), "escort": ("q", _escort),
-             "scaled_log": ("lam", _scaled_log)}
+# kind -> (name of its parameter, parameter -> ((p, q, c), h)); h' and h'' follow from
+# tau = t**p and ell = ln_q + c (``builtin_gauge``)
+_BUILTINS = {
+    "kl": (None, lambda _: ((1.0, 1.0, 1.0), lambda r: r * np.log(r))),
+    "power": ("q", lambda q: ((1.0, q, 0.0), lambda r: _h_q(r, q))),
+    "escort": ("q", lambda q: ((q, q, 0.0), lambda r: q * r * _ln_q(r ** (1.0 / q), q) - r)),
+    "scaled_log": ("lam", lambda lam: ((lam, 1.0, 0.0), lambda r: (r * np.log(r) - r) / lam)),
+}
 
 
 def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
@@ -348,11 +308,11 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
         "escort"   (q)      q     q     0     q r ln_q(r**(1/q)) - r
         "scaled_log" (lam)  lam   1     0     (r log r - r)/lam
 
-    tau, ell, the image of ell over the interval and the deformed
-    exponential exp_q(u - c), clipped to that image, follow from (p, q, c)
-    alone; h keeps a closed form per kind.  h, tau and ell carry
-    closed-form derivatives, and the derived functions follow from them
-    (``_derived_from``).
+    tau, ell, h' = ell o tau^-1 (ln_q at log(r)/p, plus c), h'' = ell'/tau' at
+    tau^-1(r) = r**((1-q)/p - 1)/p, the image of ell over the interval (ln_q at
+    its ends) and the deformed exponential exp_q(u - c), clipped to that image,
+    follow from (p, q, c) alone; only h keeps a closed form per kind.  The
+    derived functions follow from h o tau, tau and ell (``_derived_from``).
     """
     I = interval or Interval(0.0, math.inf)
     if I.lo < 0:
@@ -363,20 +323,26 @@ def builtin_gauge(kind: str, q: float | None = None, lam: float | None = None,
     a = {"q": q, "lam": lam}.get(pname)
     if pname and (a is None or not 0.0 < a < math.inf):
         raise DomainError(f"{kind} gauge requires a finite {pname} > 0, got {a}")
-    (p, q, c), h_fns = family(a)
+    (p, q, c), h_fn = family(a)
 
+    def ln_q(k):  # r -> ln_q(r**(1/k)) + c; adding c = 0 would turn ln_q(1) = -0.0 into +0.0
+        return (lambda r: _ln_q(r, q, k) + c) if c else (lambda r: _ln_q(r, q, k))
+
+    e_h2 = -q if p == 1.0 else (1.0 - q) / p - 1.0
     try:
-        h = ScalarFn(*h_fns, Interval(I.lo ** p, I.hi ** p))
+        h = ScalarFn(lambda r: h_fn(np.asarray(r, dtype=float)), ln_q(p),
+                     lambda r: np.asarray(r, dtype=float) ** e_h2 / p,
+                     Interval(I.lo ** p, I.hi ** p))
     except OverflowError:
         raise DomainError(f"tau(I) = I**{p:g} overflows on I = ({I.lo:g}, {I.hi:g})") from None
     for t in (I.lo, I.hi):
         for e in (p - 1.0, -q):  # tau' = p t**(p-1) and ell' = t**(-q)
             if 0.0 < t < math.inf and abs(e * math.log(t)) >= math.log(np.finfo(float).max):
                 raise DomainError(f"t**{e:g} leaves double range at t = {t:g} on I")
-    tau = _power_fn(p, I)
-    # adding c = 0 would turn ln_q(1) = -0.0 (q > 1) into +0.0
-    ell = ScalarFn((lambda t: _ln_q(t, q) + c) if c else (lambda t: _ln_q(t, q)),
-                   lambda t: np.asarray(t, float) ** (-q),
+    tau = ScalarFn(lambda t: np.asarray(t, dtype=float) ** p,
+                   lambda t: p * np.asarray(t, dtype=float) ** (p - 1.0),
+                   lambda t: p * (p - 1.0) * np.asarray(t, dtype=float) ** (p - 2.0), I)
+    ell = ScalarFn(ln_q(1.0), lambda t: np.asarray(t, float) ** (-q),
                    lambda t: -q * np.asarray(t, float) ** (-q - 1.0), I)
     ell_range = tuple(v + c for v in _ln_q_range(q, I))
     params = {pname: a} if pname else {}
@@ -826,10 +792,14 @@ def gauge_to_json(g: GaugeTriple) -> dict:
 
 def gauge_from_json(obj: dict) -> GaugeTriple:
     """Build a gauge from {"kind": ..., "q"/"lam": ..., "lo": ..., "hi": ...}; "lam"
-    may be spelled "lambda" and defaults to 1.  A malformed descriptor raises
-    DomainError."""
+    may be spelled "lambda" and defaults to 1.  A malformed descriptor, or one with a
+    key its kind does not take, raises DomainError."""
     if not isinstance(obj, dict):
         raise DomainError(f"gauge descriptor must be a JSON object, not {obj!r}")
+    kind = obj.get("kind")
+    if isinstance(kind, str) and kind in _BUILTINS:
+        params = {"q": ("q",), "lam": ("lam", "lambda")}.get(_BUILTINS[kind][0], ())
+        _no_unknown_keys(obj, {"kind", "lo", "hi", *params}, f"gauge descriptor of kind {kind!r}")
     raw = {"q": obj.get("q"), "lam": obj.get("lam", obj.get("lambda", 1.0)),
            "lo": obj.get("lo") or 0.0, "hi": obj.get("hi")}
     try:
@@ -837,4 +807,11 @@ def gauge_from_json(obj: dict) -> GaugeTriple:
     except (TypeError, ValueError):
         raise DomainError(f"gauge descriptor {obj!r} has a non-numeric parameter") from None
     hi = math.inf if num["hi"] is None else num["hi"]
-    return builtin_gauge(obj.get("kind"), num["q"], num["lam"], Interval(num["lo"], hi))
+    return builtin_gauge(kind, num["q"], num["lam"], Interval(num["lo"], hi))
+
+
+def _no_unknown_keys(obj: dict, known, what: str):
+    """DomainError naming the first key of the JSON object obj that is not in known."""
+    for key in obj:
+        if key not in known:
+            raise DomainError(f"{what} has unknown field {key!r}")

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
+from .gauge import _no_unknown_keys
 from . import qgauss as qg
 
 __all__ = [
@@ -87,9 +88,11 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConfig":
-        """Inverse of ``to_json``: q, d and v are required, other keys default as above."""
+        """Inverse of ``to_json``: q, d and v are required, the other fields default as
+        above, and any other key raises DomainError."""
         if not isinstance(obj, dict):
             raise DomainError("a simulation config must be a JSON object")
+        _no_unknown_keys(obj, {f.name for f in fields(cls)}, "simulation config")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
         if missing:
             raise DomainError(f"simulation config is missing {', '.join(missing)}")

@@ -642,6 +642,31 @@ def test_validate_and_lln_run_agree_on_bad_configs(capsys, tmp_path, config):
     assert capsys.readouterr().err.strip() == f"invalid: {problem}"
 
 
+_UNKNOWN = "{} has unknown field {!r}"
+_COIN = '"weights": [1, 1], "T": [[1, 0]], "c": [0, 0]'
+
+
+@pytest.mark.parametrize("text,argv,message", [
+    ('{"q": 1.5, "d": 1, "v": [0], "k-max": 10, "reps": 3}', "lln run --config {path}",
+     _UNKNOWN.format("simulation config", "k-max")),
+    ('{%s, "gauge": {"kind": "kl"}, "theta-box": [[0, 1]]}' % _COIN,
+     "discrete normalize --spec {path} --theta 0", _UNKNOWN.format("family spec", "theta-box")),
+    ('{%s, "gauge": {"kind": "kl", "hii": 2}}' % _COIN, "discrete normalize --spec {path} --theta 0",
+     _UNKNOWN.format("gauge descriptor of kind 'kl'", "hii")),
+    ('{%s, "gauge": {"kind": "kl", "q": 3}}' % _COIN, "discrete normalize --spec {path} --theta 0",
+     _UNKNOWN.format("gauge descriptor of kind 'kl'", "q")),
+], ids=["config-k-max", "spec-theta-box", "spec-gauge-hii", "spec-kl-q"])
+def test_unknown_json_key_fails_validate_and_exits_2(capsys, tmp_path, text, argv, message):
+    # a misspelt or foreign key is refused by name, not ignored for its default
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2 and out.splitlines() == ["FAIL", f"  - {message}"]
+    code = cli.main(shlex.split(argv.format(path=path)))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"invalid: {message}\n"
+
+
 SEED_VERBS = [
     ("lln", "run", "--q", "1.5", "--k-max", "10", "--reps", "3"),
     ("lln", "bounds", "--q", "1.5", "--k", "10", "--eps", "0.5"),
@@ -757,6 +782,12 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
      "ell' = h''(tau) tau' leaves double range on I for gauge 'power(1e+308)'"),
     ("""gauge eval --gauge '{"kind":"scaled_log","lam":1e308}' --fn ell --x 1""",
      "tau' leaves double range on I for gauge 'scaled_log(1e+308)'"),
+    ("""gauge eval --gauge '{"kind":"kl","q":3,"lo":0.5,"hii":2}' --fn ell --x 5""",
+     "gauge descriptor of kind 'kl' has unknown field 'q'"),
+    ("""gauge eval --gauge '{"kind":"kl","lo":0.5,"hii":2}' --fn ell --x 5""",
+     "gauge descriptor of kind 'kl' has unknown field 'hii'"),
+    ("""gauge eval --gauge '{"kind":"power","q":1.5,"lam":2}' --fn ell --x 5""",
+     "gauge descriptor of kind 'power' has unknown field 'lam'"),
 ], ids=["mle-no-data", "mle-wrong-count", "mle-k-0", "mle-sum-overflow",
         "mle-scatter-overflow", "mle-data-transposed", "sample-n-0", "sample-n-negative",
         "equiv-n-0", "density-nan", "project-tol-negative", "project-tol-nan", "bounds-eps-nan",
@@ -772,7 +803,8 @@ _CONJUGATE = "the conjugate at r_star={} leaves double range"
         *(f"eval-{g}-exp-{x}" for g in ("kl", "power0.5", "power1.5")
           for x in ("nan", "inf", "-inf")),
         *(f"eval-kl-exp-spaced{x}" for x in ("-inf", "-Infinity", "-nan", "-NAN")),
-        "escort-q-60", "power-q-1e308", "scaled-log-lam-1e308"])
+        "escort-q-60", "power-q-1e308", "scaled-log-lam-1e308", "eval-kl-takes-no-q",
+        "eval-kl-unknown-key", "eval-power-takes-no-lam"])
 def test_bad_input_exits_2_with_message(capsys, coin_file, transposed_file, argv, message):
     argv = argv.replace("{coin}", coin_file).replace("{transposed}", transposed_file)
     code = cli.main(shlex.split(argv))

@@ -70,7 +70,8 @@ def test_power_ell_closed_form():
     assert math.copysign(1.0, derived(g).ell.value(1.0)) == -1.0
 
 
-@pytest.mark.parametrize("q", [0.3, 0.999, 1.5, 2.5, 3.0])
+@pytest.mark.parametrize("q", [0.3, 0.999, 1.5, 1.9, 2.0 - 1e-6, 2.0 - 1e-9, 2.0 + 1e-9,
+                               2.0 + 1e-6, 2.5, 3.0])
 def test_power_h_keeps_its_range_against_mpmath(q):
     # h_q(r) = (r**(2-q) - 1) / ((1-q)(2-q)) - (r - 1) / (1-q) is finite at
     # r = 1e-160 for q = 3 although r**(1-q) there overflows
@@ -139,6 +140,74 @@ def test_builtin_derivative_out_of_double_range_is_named():
         with pytest.raises(DomainError, match=r"t\*\*-400 leaves double range at t = 1e\+10"):
             builtin_gauge("power", q=400.0, interval=Interval(1.0, 1e10))
         builtin_gauge("escort", q=200.0, interval=Interval(0.5, 2.0))
+
+
+def _ln_q_mp(x, q):
+    import mpmath
+    return mpmath.log(x) if q == 1 else (x ** (1 - q) - 1) / (1 - q)
+
+
+def _h_mp(kind, a):
+    """h, h' and h'' of a built-in gauge in mpmath, each r -> value."""
+    import mpmath
+    a = None if a is None else mpmath.mpf(a)
+    if kind == "kl":
+        return lambda r: r * mpmath.log(r), lambda r: mpmath.log(r) + 1, lambda r: 1 / r
+    if kind == "scaled_log":
+        return (lambda r: (r * mpmath.log(r) - r) / a, lambda r: mpmath.log(r) / a,
+                lambda r: 1 / (a * r))
+    if kind == "escort":
+        return (lambda r: a * r * _ln_q_mp(r ** (1 / a), a) - r,
+                lambda r: _ln_q_mp(r ** (1 / a), a), lambda r: r ** (1 / a - 2) / a)
+
+    def h(r):  # the integral of ln_q from 1 to r
+        if a == 1:
+            return r * mpmath.log(r) - r + 1
+        if a == 2:
+            return r - 1 - mpmath.log(r)
+        return ((r ** (2 - a) - 1) / (2 - a) - (r - 1)) / (1 - a)
+    return h, lambda r: _ln_q_mp(r, a), lambda r: r ** -a
+
+
+H_KINDS = [("kl", None)] + [(kind, q) for kind in ("power", "escort")
+                            for q in (0.3, 0.5, 0.999999, 1.5, 2.0, 3.0)] \
+    + [("scaled_log", lam) for lam in (0.1, 0.5, 2.0, 10.0)] + [("escort~equiv", 1.5)]
+H_NEAR_ONE = [1.0 + sign * d for d in (1e-12, 1e-9, 1e-6) for sign in (-1.0, 1.0)]
+H_TR = EquivalenceTransform(a1=0.5, a2=-0.25, lam=2.0)
+
+
+@pytest.mark.parametrize("kind,a", H_KINDS, ids=str)
+def test_builtin_h_and_its_derivatives_against_mpmath(kind, a):
+    # h, h' = ell o tau^-1 and h'' = ell'/tau' o tau^-1 against 60 digits: wherever
+    # the exact value lies in (1e-300, 1e300) the value is finite and within 1e-12
+    # relative, and within 1e-15 at r = 1 +- 1e-12, 1e-9 and 1e-6.  The transformed
+    # h' crosses zero, and power's h has a double zero at r = 1, where its closed form
+    # is a difference of terms of size |r - 1|: those errors are relative to
+    # max(1, |exact|) (power's h only at the points near 1)
+    mpmath = pytest.importorskip("mpmath")
+    rs = np.concatenate([np.geomspace(1e-300, 1e300, 601), H_NEAR_ONE])
+    near = np.isin(rs, H_NEAR_ONE)
+    if kind == "escort~equiv":
+        g = apply_equivalence(builtin_gauge("escort", q=a), H_TR)
+        h, d1, d2 = _h_mp("escort", a)
+        a1, a2, lam = (mpmath.mpf(v) for v in (H_TR.a1, H_TR.a2, H_TR.lam))
+        exact = (lambda r: h(r / lam) - a1 * r / lam - a2, lambda r: (d1(r / lam) - a1) / lam,
+                 lambda r: d2(r / lam) / lam ** 2)
+    else:
+        g = builtin_gauge(kind, **{} if a is None else {"lam" if kind == "scaled_log" else "q": a})
+        exact = _h_mp(kind, a)
+    with mpmath.workdps(60):
+        for i, (fn, ex) in enumerate(zip((g.h.value, g.h.d1, g.h.d2), exact)):
+            with np.errstate(all="ignore"):  # values beyond double range are not compared
+                got = np.asarray(fn(rs), dtype=float)
+            want = [ex(mpmath.mpf(r)) for r in rs]
+            for r, x, w, at_one in zip(rs, got, want, near):
+                if not 1e-300 < abs(w) < 1e300:
+                    continue
+                assert math.isfinite(x), (i, r, x)
+                floor = (kind, i) == ("escort~equiv", 1) or ((kind, i) == ("power", 0) and at_one)
+                err = abs(mpmath.mpf(x) - w) / (max(1, abs(w)) if floor else abs(w))
+                assert err <= (1e-15 if at_one else 1e-12), (i, r, x, float(err))
 
 
 @pytest.mark.parametrize("g", all_builtins(), ids=lambda g: g.name)
@@ -1004,6 +1073,9 @@ def test_gauge_json_roundtrip_is_bit_equal(kind, kw, I):
     {"kind": "scaled_log", "lam": math.inf},
     {"kind": "kl", "hi": "x"},
     {"q": 1.5},                           # no kind
+    {"kind": "kl", "q": 3.0},             # a parameter kl does not take
+    {"kind": "kl", "lo": 0.5, "hii": 2.0},
+    {"kind": "scaled_log", "lambda": 2.0, "q": 1.5},
     {"kind": ["kl"]},
     ["kl"],
     "kl",
