@@ -77,17 +77,25 @@ def _jsonable(obj):
 
 
 def _emit(payload, args, csv=None, files=None, config=None) -> None:
-    """Print a result and, with --out, bundle it: the one output rule above."""
+    """Print a result and, with --out, bundle it: the one output rule above.  A csv given
+    as blocks of bytes goes to stdout block by block; a bundle holds it once, as one
+    bytearray, also under each name whose file in files is those same blocks."""
+    out = getattr(args, "out", None)
     if getattr(args, "format", "json") == "csv":
         rows = (f"{k},{json.dumps(v) if isinstance(v, (list, dict)) else v}\n"
                 for k, v in _jsonable(payload).items())
         text, name = csv or "key,value\n" + "".join(rows), "result.csv"
     else:
         text, name = json.dumps(_jsonable(payload), indent=2) + "\n", "result.json"
-    print(text, end="")
-    if getattr(args, "out", None):
-        write_bundle(Path(args.out), files or {name: text},
-                     config=_cmd_config(args) if config is None else config)
+    if isinstance(text, str):
+        print(text, end="")
+    elif out:
+        text = _encoded(text, echo=True)
+    else:
+        sys.stdout.writelines(str(block, "ascii") for block in text)
+    if out:
+        files = {k: text if v is csv else v for k, v in (files or {name: text}).items()}
+        write_bundle(Path(out), files, config=_cmd_config(args) if config is None else config)
 
 
 def _cmd_config(args) -> dict:
@@ -278,11 +286,14 @@ def _csv_blocks(header: list[str], rows: np.ndarray):
         yield lln._csv_rows([], rows[lo:lo + 256])
 
 
-def _encoded(blocks) -> bytearray:
-    """The bytes of a text given in blocks of bytes, so it never exists whole as a str."""
+def _encoded(blocks, echo=False) -> bytearray:
+    """The bytes of a text given in blocks of bytes, so it never exists whole as a str;
+    with echo, each block also goes to stdout as it is made."""
     data = bytearray()
     for block in blocks:
         data += block
+        if echo:
+            sys.stdout.write(str(block, "ascii"))
     return data
 
 
@@ -303,8 +314,8 @@ def cmd_qgauss_marginal_check(args) -> int:
     res = qg.marginal_check(qg.repetition(p, args.k + args.kprime), qg.repetition(p, args.k),
                             xs=xs, epsabs=args.tol)
     names = _coord_names(args.k, p.d) if p.d > 1 else [f"x_{m + 1}" for m in range(args.k)]
-    csv = _encoded(_csv_blocks(names + ["defect"], np.column_stack([res.points, res.defects])))
-    _emit({"max_defect": res.max_defect, **vars(res)}, args, csv=csv.decode())
+    csv = _csv_blocks(names + ["defect"], np.column_stack([res.points, res.defects]))
+    _emit({"max_defect": res.max_defect, **vars(res)}, args, csv=csv)
     return EXIT_OK
 
 
@@ -375,8 +386,9 @@ def cmd_lln_run(args) -> int:
     summary = report.to_json()
     if table is not None:
         summary["bounds_all_pass"] = table.all_pass
-    csv = report.averages_csv() if args.format == "csv" else None
-    files = args.out and {"averages.csv": csv or _encoded(report.averages_csv_blocks()),
+    blocks = report.averages_csv_blocks()
+    csv = blocks if args.format == "csv" else None
+    files = args.out and {"averages.csv": csv or _encoded(blocks),
                           "summary.json": json.dumps(_jsonable(summary), indent=2) + "\n"}
     if files and table is not None:
         files["exceedance.csv"] = table.to_csv()

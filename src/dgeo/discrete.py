@@ -275,8 +275,9 @@ def _psi_bracketed(g: GaugeTriple, w: np.ndarray, U: np.ndarray, psi0: np.ndarra
     """
     kernel = g._member_kernel
     lo_e, hi_e = g.ell_range
-    a = np.maximum(U.min(axis=1) - c, U.max(axis=1) - hi_e)
-    b = np.minimum(U.max(axis=1) - c, U.min(axis=1) - lo_e)
+    u_min, u_max = U.min(axis=1), U.max(axis=1)
+    a = np.maximum(u_min - c, u_max - hi_e)
+    b = np.minimum(u_max - c, u_min - lo_e)
 
     def evaluate(x, live):
         P, chi = kernel(U[live] - x[:, None])[:2]

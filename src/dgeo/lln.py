@@ -9,7 +9,8 @@ never materialised: the standard normals behind them stream through a
 fixed buffer and only their sums between checkpoints are kept, so memory
 is O(buffer + reps x checkpoints) whatever k_max is; so is the table:
 ``SimReport.averages_csv_blocks`` encodes averages.csv in numpy, a block of
-reps at a time (``_csv_rows``), into bytes held once.  Rep r draws from
+reps at a time (``_csv_rows``, its digits four at a time from a table of
+the 10**4 groups), into bytes held once.  Rep r draws from
 SeedSequence(seed, spawn_key=(r,)), hashed in bulk for all reps.  The module
 also evaluates the fourth-moment and second-moment Chebyshev-type tail
 bounds, compares them against empirical exceedance frequencies with
@@ -162,13 +163,18 @@ class SimReport:
 
     def averages_csv_blocks(self):
         """averages.csv as ASCII bytes, one memoryview per block (_csv_rows): the header,
-        then the rows of _CSV_BLOCK reps at a time."""
-        ks, labs = zip(*[(f"{k},", f"{lab},") for k in self.k_schedule for lab in self.stat_labels])
+        then the rows of _CSV_BLOCK reps at a time.  The k and stat cells are encoded once
+        per table, and each block's rep cells from the digits of its rep numbers."""
+        ks, labs = (np.array(t, "S").view(np.uint8).reshape(len(t), -1) for t in zip(
+            *[(f"{k},", f"{lab},") for k in self.k_schedule for lab in self.stat_labels]))
+        n, comma = len(self.averages), np.frombuffer(b",", np.uint8)
+        p = 10 ** np.arange(len(str(n - 1)))[::-1]  # the place values of the widest rep
         yield memoryview(b"k,rep,stat,average,deviation\n")
-        for lo in range(0, len(self.averages), _CSV_BLOCK):
-            reps = [[f"{r},"] for r in range(lo, min(lo + _CSV_BLOCK, len(self.averages)))]
-            yield _csv_rows([ks, reps, labs], np.stack([a[lo:lo + _CSV_BLOCK].reshape(
-                len(reps), len(ks)) for a in (self.averages, self.deviations)], axis=-1))
+        for lo in range(0, n, _CSV_BLOCK):
+            q = np.arange(lo, min(lo + _CSV_BLOCK, n))[:, None] // p  # rep digits, NUL-led
+            reps = np.where((q > 0) | (p == 1), q % 10 + 48, 0).astype(np.uint8)[:, None]
+            yield _csv_rows([ks, reps, comma, labs], np.stack([a[lo:lo + _CSV_BLOCK].reshape(
+                len(q), len(ks)) for a in (self.averages, self.deviations)], axis=-1))
 
     def to_json(self) -> dict:
         return {
@@ -183,41 +189,44 @@ class SimReport:
 
 
 def _csv_rows(texts: list, x) -> memoryview:
-    """ASCII bytes of CSV rows: the texts (lists of str, each ending in its ","), then the
-    floats along x's last axis as format(v, ".17g"), the leading axes broadcast.  A float
-    takes 47 columns, NUL in those of sign, "0.000", 17 digits, ".", the same 17 digits,
-    exponent and "," that it leaves out.  As in Grisu3 (Loitsch 2010), its digits
-    round(|v| 10**(16 - E)) come from a double-double product good to 1e-14, and format
-    gives those it cannot prove: 0, nan, inf, |v| outside (1e-200, 1e200), E = floor(log10
-    |v|) off by one, a fraction within 1e-9 of 1/2, or 17 nines that round up."""
+    """ASCII bytes of CSV rows: the text cells (uint8 arrays of ASCII, NUL-padded, the
+    last axis a cell's columns), then the floats along x's last axis as format(v, ".17g"),
+    the leading axes broadcast.  A float takes 47 columns, NUL in those of sign, "0.000",
+    17 digits, ".", the same 17 digits, exponent and "," that it leaves out.  As in Grisu3
+    (Loitsch 2010), its digits N = round(|v| 10**(16 - E)) come from a double-double
+    product good to 1e-14, and format gives those it cannot prove: 0, nan, inf, |v| outside
+    (1e-200, 1e200), E = floor(log10 |v|) off by one, a fraction within 1e-9 of 1/2, or 17
+    nines that round up.  N splits by 10**8 and 10**4 into its lead digit and four groups,
+    each read as 4 ASCII digits from one table."""
     flat = np.asarray(x, float).ravel()
-    pow10, pairs, exps, cells = _g17_tables()
+    pow10, quads, exps, cells = _g17_tables()
     ax = np.abs(flat)
     ok = (ax > 1e-200) & (ax < 1e200)
     ax[~ok] = 1.0
     E = np.floor(np.log10(ax)).astype(np.int64)
-    hi, hh, hl, lo = pow10[:, 200 - E]
+    hi, hh, hl, lo = (a.take(200 - E) for a in pow10)  # take, not [], is the fast gather
     ah = 134217729.0 * ax - (134217729.0 * ax - ax)  # Dekker's split: ax * hi is exact below
     p = ax * hi
     r = ((ah * hh - p) + ah * hl + (ax - ah) * hh) + (ax - ah) * hl + ax * lo  # |v| 10**(16-E) - p
     f = r - np.floor(r)
     ok &= (np.abs(f - 0.5) > 1e-9) & ((p - 1e16) + r >= 0) & ((p - 1e17) + r < -0.5)
     N = p.astype(np.int64) + np.floor(r).astype(np.int64) + (f > 0.5)  # 17 digits
-    u = np.stack([N // 10 ** 8 % 10 ** 8, N % 10 ** 8], -1).astype(np.int32)[..., None]
-    digits = np.concatenate([(N // 10 ** 16 + 48).astype(np.uint8)[:, None], pairs[  # 1 + 2 x 8
-        u // 10 ** np.arange(6, -1, -2, dtype=np.int32) % 100].view(np.uint8).reshape(-1, 16)], 1)
+    g = np.stack(np.divmod(np.stack(np.divmod(N, 10 ** 8), -1).astype(np.int32), 10 ** 4), -1)
+    lead = g[:, 0, 0] // 10 ** 4  # g: N's four groups of 4 digits, the lead on the first
+    g[:, 0, 0] -= lead * 10 ** 4
+    digits = np.concatenate([(lead + 48).astype(np.uint8)[:, None],
+                             quads.take(g).view(np.uint8).reshape(-1, 16)], 1)
     last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)  # %g strips trailing zeros
     kind = np.where((E >= -4) & (E < 17), E + 4, 21 + (np.abs(E) >= 100))
-    chars = cells[((flat < 0) * 23 + kind) * 17 + last]  # 0xff where a digit goes
+    chars = cells.take(((flat < 0) * 23 + kind) * 17 + last, 0)  # 0xff where a digit goes
     chars[:, 6:23] &= digits
     chars[:, 24:41] &= digits
-    chars[:, 42:46] &= exps[E + 201].view(np.uint8).reshape(-1, 4)
+    chars[:, 42:46] &= exps.take(E + 201).view(np.uint8).reshape(-1, 4)
     for i in np.flatnonzero(~ok):
         chars[i, :-1] = list(format(float(flat[i]), ".17g").encode().ljust(46, b"\0"))
     chars.reshape(np.shape(x) + (47,))[..., -1, -1] = ord("\n")
-    del flat, ax, ok, E, hi, hh, hl, lo, ah, p, r, f, N, u, digits, last, kind  # off the peak
-    cells = [np.array(t, "S").view(np.uint8).reshape(np.shape(t) + (-1,)) for t in texts]
-    cells.append(chars.reshape(*np.shape(x)[:-1], -1))
+    del flat, ax, ok, E, hi, hh, hl, lo, ah, p, r, f, N, g, lead, digits, last, kind  # off the peak
+    cells = [*texts, chars.reshape(*np.shape(x)[:-1], -1)]
     shape = np.broadcast_shapes(*(c.shape[:-1] for c in cells))
     rows = np.concatenate([np.broadcast_to(c, shape + c.shape[-1:]) for c in cells], -1).ravel()
     return memoryview(rows[rows != 0])  # a boolean index builds no index array, np.compress does
@@ -225,9 +234,10 @@ def _csv_rows(texts: list, x) -> memoryview:
 
 @functools.cache
 def _g17_tables() -> tuple:
-    """10**(16 - E) as hi + lo, hi split in halves, for E = 200 .. -201; the ASCII digit
-    pairs and exponents; the cells by sign, kind (E + 4 in fixed notation, 21 or 22 for 2
-    or 3 exponent digits) and last non-zero digit.  Built on first use, not at import."""
+    """10**(16 - E) as hi + lo, hi split in halves, for E = 200 .. -201; the 4 ASCII digits
+    of 0 .. 9999, one uint32 each; the ASCII exponents; the cells by sign, kind (E + 4 in
+    fixed notation, 21 or 22 for 2 or 3 exponent digits) and last non-zero digit.  Built
+    on first use, not at import; the digit table arithmetically, in numpy."""
     hi = np.array([10 ** max(k, 0) / 10 ** max(-k, 0) for k in range(-184, 218)])  # rounds right
     lo = [(10 ** max(k, 0) * b - a * 10 ** max(-k, 0)) / (b * 10 ** max(-k, 0))
           for k, (a, b) in zip(range(-184, 218), map(float.as_integer_ratio, hi))]
@@ -239,7 +249,8 @@ def _g17_tables() -> tuple:
                            kind >= np.array([21, 21, 22, 21, 21, 0])], axis=1)
     chars = np.array(list(b"-0.000" + b"\xff" * 17 + b"." + b"\xff" * 17 + b"e\xff\xff\xff\xff,"))
     return (np.array([hi, hh, hi - hh, lo]),
-            np.array([f"{i:02d}" for i in range(100)], "S").view("u2"),
+            (np.arange(10 ** 4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+             + 48).astype(np.uint8).view(np.uint32)[:, 0],
             np.array([f"{e:+04d}" for e in range(-201, 202)], "S").view("u4"),
             np.where(used, chars, 0).astype(np.uint8))
 

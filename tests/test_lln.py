@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -289,11 +290,12 @@ def test_averages_bit_identical(config, digest):
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
-def _lln_run_out(tmp_path, name, config):
+def _lln_run_out(tmp_path, name, config, *flags):
     """Run `dgeo lln run --config ... --out DIR` in process; the bundle's directory."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
-    assert cli.main(["lln", "run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    argv = ["lln", "run", "--config", str(path), "--out", str(tmp_path / name), *flags]
+    assert cli.main(argv) == 0
     return tmp_path / name
 
 
@@ -306,21 +308,39 @@ def test_bundle_averages_csv_is_the_report_text(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+PEAK_CONFIG = dict(q=1.3, d=2, v=[0.3, -0.2], variant="trace_d", k_max=1000, reps=5000,
+                   seed=5, S=[[1.2, 0.3], [0.3, 0.8]])
+
+
+def _peak_of_lln_run_out(tmp_path, *flags, stdout=None):
+    """The tracemalloc peak of a 5000-rep `lln run --out`, and the bundle's directory."""
+    import tracemalloc
+
+    _lln_run_out(tmp_path, "warm", {**PEAK_CONFIG, "k_max": 100, "reps": 100})  # caches
+    with contextlib.redirect_stdout(stdout or sys.stdout):
+        tracemalloc.start()
+        try:
+            out = _lln_run_out(tmp_path, "b", PEAK_CONFIG, *flags)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+
 def test_lln_run_out_holds_averages_csv_once(tmp_path, capsys):
     # the bundle holds averages.csv whole only as the bytes it writes; a whole
     # str, its lines and its encoding would take the peak past twice the file
-    import tracemalloc
-
-    config = dict(q=1.3, d=2, v=[0.3, -0.2], variant="trace_d", k_max=1000, reps=5000,
-                  seed=5, S=[[1.2, 0.3], [0.3, 0.8]])
-    _lln_run_out(tmp_path, "warm", {**config, "k_max": 100, "reps": 100})  # first-call caches
-    tracemalloc.start()
-    try:
-        out = _lln_run_out(tmp_path, "b", config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, out = _peak_of_lln_run_out(tmp_path)
     assert peak <= 2 * (out / "averages.csv").stat().st_size
+
+
+def test_lln_run_csv_out_prints_averages_csv_by_blocks(tmp_path, capsys):
+    # with --format csv as well, stdout (here a file) gets each block as it is made and
+    # the bundle keeps the same bytes once: the peak keeps the bound of the test above
+    with open(tmp_path / "stdout", "w") as fh:
+        peak, out = _peak_of_lln_run_out(tmp_path, "--format", "csv", stdout=fh)
+    data = (out / "averages.csv").read_bytes()
+    assert peak <= 2 * len(data)
+    assert (tmp_path / "stdout").read_bytes() == data
 
 
 @settings(max_examples=50)
@@ -418,6 +438,31 @@ def test_csv_encoder_matches_format_at_its_edges():
     edges += [s * np.nextafter(v, w) for s in (1, -1) for v in (1e200, 1e-200)
               for w in (0, v, np.inf)]
     assert _encoded_fields(edges) == _format_fields(edges)
+
+
+def test_csv_digit_group_table_rows():
+    # row i of the 4-digit group table is the ASCII of f"{i:04d}"
+    quads = lln._g17_tables()[1]
+    assert quads.view("S4").tolist() == [f"{i:04d}".encode() for i in range(10 ** 4)]
+
+
+def test_csv_encoder_matches_format_by_digit_group():
+    # 17-digit mantissas with 0000 in each 4-digit group after the lead digit, and with
+    # 0 to 16 trailing zeros, at every notation kind (fixed for E = -4 .. 16, e-05, e+17,
+    # two- and three-digit exponents, the last past the proven range) and both signs
+    rng = np.random.default_rng(34)
+    digits = [str(m) for m in rng.integers(10 ** 16, 10 ** 17, 200)]
+    mantissas = [m[:1 + 4 * j] + "0000" + m[5 + 4 * j:] for j in range(4) for m in digits[:160]]
+    mantissas += [m[:17 - t] + "0" * t for t in range(17) for m in digits[160:]]
+    exps = list(range(-5, 18)) + [s * e for s in (1, -1) for e in (20, 99, 100, 199, 250)]
+    x = np.array([float(f"{m[0]}.{m[1:]}e{e}") for m in mantissas for e in exps])
+    assert _encoded_fields(x) == _format_fields(x)
+    assert _encoded_fields(-x) == _format_fields(-x)
+    # the mantissas keep their groups: 0000 shows in every group, each trailing count occurs
+    shown = [format(v, ".16e")[:18].replace(".", "") for v in x]  # the 17 digits
+    for j in range(4):
+        assert sum(d[1 + 4 * j:5 + 4 * j] == "0000" for d in shown) >= 100 * len(exps)
+    assert {len(d) - len(d.rstrip("0")) for d in shown} == set(range(17))
 
 
 # ---------------------------------------------------------------------------
